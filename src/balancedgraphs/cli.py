@@ -12,13 +12,7 @@ import argparse
 import sys
 
 from . import balance, enrichment, labeling, monodromy, real_combinatorics, render
-from .errors import (
-    BalancedGraphsError,
-    NoPerfectMatching,
-    ParseError,
-    SizeLimitExceeded,
-    UnsupportedFormat,
-)
+from .errors import BalancedGraphsError, NoPerfectMatching, NotVerified, ParseError
 from .surface_map import alternating_coloring, deserialize, serialize
 
 EXIT_OK = 0
@@ -42,8 +36,7 @@ def _parse_weights(text: str) -> tuple[int, ...]:
 
 def cmd_check(args) -> int:
     doc = deserialize(_read_input(args.input))
-    coloring = doc.colors if doc.colors is not None else None
-    report = balance.is_locally_balanced(doc.map, coloring, cap=args.cap_regions)
+    report = balance.is_locally_balanced(doc.map, doc.colors, cap=args.cap_regions)
     if not report.globally_balanced:
         print(f"not globally balanced: {report.reason}")
         return EXIT_NEGATIVE
@@ -88,11 +81,11 @@ def cmd_realize(args) -> int:
 
 def cmd_pullback(args) -> int:
     constellation = monodromy.deserialize_constellation(_read_input(args.input))
-    report = monodromy.verify_constellation(constellation)
-    if not report.ok:
-        print(f"constellation failed verification: {'; '.join(report.failures)}")
+    try:
+        m, coloring, lab = monodromy.pullback_from_constellation(constellation)
+    except NotVerified as exc:
+        print(f"constellation failed verification: {exc}")
         return EXIT_NEGATIVE
-    m, coloring, lab = monodromy.pullback_from_constellation(constellation)
     print(serialize(m, labels=lab.labels, coloring=coloring))
     return EXIT_OK
 
@@ -201,13 +194,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (UnsupportedFormat, SizeLimitExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except BalancedGraphsError as exc:
+    except (BalancedGraphsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

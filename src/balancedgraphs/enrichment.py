@@ -125,7 +125,11 @@ def hall_check(dg: DotGraph) -> HallResult:
     Decided through maximum-matching deficiency; on failure the witness is
     a set of B dots whose neighborhood is strictly smaller.
     """
-    match_b = _maximum_matching(dg)
+    return _hall_result(dg, _maximum_matching(dg))
+
+
+def _hall_result(dg: DotGraph, match_b: dict[Dot, Dot]) -> HallResult:
+    """Hall verdict read off a maximum matching (B dot to A dot)."""
     unmatched = [b for b in dg.dots_b if b not in match_b]
     if not unmatched:
         return HallResult(True)
@@ -163,10 +167,10 @@ def perfect_matching(dg: DotGraph) -> DotMatching:
         raise NoPerfectMatching(
             f"{len(dg.dots_a)} A dots versus {len(dg.dots_b)} B dots"
         )
-    result = hall_check(dg)
+    match_b = _maximum_matching(dg)
+    result = _hall_result(dg, match_b)
     if not result.ok:
         raise NoPerfectMatching("Hall condition fails", witness=result.witness)
-    match_b = _maximum_matching(dg)
     per_pair: dict[tuple[int, int], int] = {}
     pairs = []
     for b in dg.dots_b:

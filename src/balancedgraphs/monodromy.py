@@ -9,7 +9,6 @@ incident A faces follow a cycle of the j-th permutation in sigma order.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -17,11 +16,12 @@ from .errors import NotVerified, NonIntegerGenus, ParseError
 from .labeling import Passport, VertexLabeling
 from .permutations import (
     Perm,
+    canonical_relabeling,
     check_permutation,
     compose_chain,
     cycle_type,
-    cycles,
     identity,
+    is_int,
     is_transitive,
 )
 from .surface_map import COLOR_A, COLOR_B, CombinatorialMap, FaceColoring
@@ -132,8 +132,10 @@ def pullback_from_constellation(
 
     Edges are indexed by (arc j, sheet s); dart 2(jd+s) leaves the vertex
     over branch point j along the boundary of A sheet s, its partner
-    arrives at the vertex over branch point j+1.  A faces are the sheets,
-    vertex labels record the branch point, and the output is canonical.
+    arrives at the vertex over branch point j+1.  A faces are the sheets
+    and vertex labels record the branch point.  The map is returned as
+    built; :func:`~balancedgraphs.surface_map.serialize` puts it, with its
+    labels and colors, into canonical form.
     """
     report = verify_constellation(c)
     if not report.ok:
@@ -158,25 +160,13 @@ def pullback_from_constellation(
             sigma[arrive(j, s)] = out((j + 1) % m, s)
     built = CombinatorialMap(alpha, sigma)
 
-    colors = [
-        COLOR_A if built.faces[f][0] % 2 == 0 else COLOR_B
-        for f in range(built.face_count)
-    ]
     # every face is all-out or all-in darts; the out ones are the sheets
+    colors = tuple(COLOR_A if face[0] % 2 == 0 else COLOR_B for face in built.faces)
     labels = [0] * built.vertex_count
     for j in range(m):
         for s in range(d):
             labels[built.vertex_of_dart[out(j, s)]] = j + 1
-
-    canon = built.canonical()
-    dart_map = built.canonical_dart_map()
-    new_colors = [""] * canon.face_count
-    for f, orbit in enumerate(built.faces):
-        new_colors[canon.face_of_dart[dart_map[orbit[0]]]] = colors[f]
-    new_labels = [0] * canon.vertex_count
-    for v, orbit in enumerate(built.vertices):
-        new_labels[canon.vertex_of_dart[dart_map[orbit[0]]]] = labels[v]
-    return canon, FaceColoring(tuple(new_colors)), VertexLabeling(m, tuple(new_labels))
+    return built, FaceColoring(colors), VertexLabeling(m, tuple(labels))
 
 
 def constellation_from(
@@ -214,23 +204,16 @@ def constellation_from(
 
 
 def conjugation_canonical(c: Constellation) -> Constellation:
-    """Minimal representative under simultaneous sheet relabeling."""
-    best = None
-    for relabel in itertools.permutations(range(c.d)):
-        candidate = tuple(
-            tuple(relabel[p[s]] for s in _inverse_order(relabel))
-            for p in c.perms
-        )
-        if best is None or candidate < best:
-            best = candidate
-    return Constellation(c.d, best)
+    """Representative of the class under simultaneous sheet relabeling.
 
-
-def _inverse_order(relabel: tuple[int, ...]) -> list[int]:
-    inv = [0] * len(relabel)
-    for i, x in enumerate(relabel):
-        inv[x] = i
-    return inv
+    It is the least breadth-first relabeling over all root sheets, the
+    same canonical form maps take (see
+    :func:`~balancedgraphs.permutations.canonical_relabeling`).  The
+    permutations must act transitively; otherwise :class:`Disconnected`
+    is raised.
+    """
+    perms, _ = canonical_relabeling(c.perms, c.d, range(c.d))
+    return Constellation(c.d, perms)
 
 
 def serialize_constellation(c: Constellation) -> str:
@@ -248,11 +231,11 @@ def deserialize_constellation(text: str) -> Constellation:
         raise ParseError("constellation document needs fields d and perms")
     d = doc["d"]
     perms = doc["perms"]
-    if not isinstance(d, int) or d < 1 or not isinstance(perms, list):
+    if not is_int(d) or d < 1 or not isinstance(perms, list):
         raise ParseError("field d must be a positive integer, perms a list")
     out = []
     for p in perms:
-        if not isinstance(p, list):
-            raise ParseError("each permutation must be a list")
+        if not isinstance(p, list) or not all(is_int(x) for x in p):
+            raise ParseError("each permutation must be a list of integers")
         out.append(check_permutation(tuple(x - 1 for x in p), d))
     return Constellation(d, tuple(out))

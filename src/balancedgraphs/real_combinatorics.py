@@ -15,12 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InvariantViolation, NotBipartiteFaces, ParseError
-from .surface_map import (
-    CombinatorialMap,
-    FaceColoring,
-    _bfs_relabeling,
-    alternating_coloring,
-)
+from .permutations import canonical_relabeling, is_int
+from .surface_map import CombinatorialMap, FaceColoring, alternating_coloring
 
 Arc = tuple[int, int]
 
@@ -391,19 +387,17 @@ def is_real_balanced(m: CombinatorialMap, real_cycle) -> bool:
 def marked_canonical_key(m: CombinatorialMap, real_cycle) -> tuple:
     """Canonical key of a map with a rooted real cycle.
 
-    The relabeling is anchored at the first real-cycle dart, so rotating
-    the marked points produces a different key; this matches counting
-    pairings on a fixed point set.
+    The map's breadth-first relabeling (as in its canonical form) is
+    rooted at the first real-cycle dart only, so rotating the marked
+    points produces a different key; this matches counting pairings on a
+    fixed point set.  The key is the relabeled alpha and sigma followed
+    by the relabeled real cycle.
     """
     real_cycle = tuple(real_cycle)
-    relabel = _bfs_relabeling(m.alpha, m.sigma, real_cycle[0])
-    n = m.dart_count
-    alpha = [0] * n
-    sigma = [0] * n
-    for d in range(n):
-        alpha[relabel[d]] = relabel[m.alpha[d]]
-        sigma[relabel[d]] = relabel[m.sigma[d]]
-    return (tuple(alpha), tuple(sigma), tuple(relabel[d] for d in real_cycle))
+    (alpha, sigma), relabel = canonical_relabeling(
+        (m.alpha, m.sigma), m.dart_count, (real_cycle[0],)
+    )
+    return (alpha, sigma, tuple(relabel[d] for d in real_cycle))
 
 
 @dataclass(frozen=True)
@@ -483,11 +477,17 @@ def deserialize_pairing(text: str) -> NonCrossingPairing:
     if not isinstance(doc, dict) or not {"n", "a", "arcs"} <= set(doc):
         raise ParseError("pairing document needs fields n, a, arcs")
     a = doc["a"]
-    if not isinstance(a, list) or len(a) != doc["n"]:
-        raise ParseError("field a must list one multiplicity per point")
+    if not isinstance(a, list) or len(a) != doc["n"] or not all(is_int(x) for x in a):
+        raise ParseError("field a must list one integer multiplicity per point")
+    arcs = doc["arcs"]
+    if not isinstance(arcs, list) or not all(
+        isinstance(arc, list) and len(arc) == 2 and all(is_int(x) for x in arc)
+        for arc in arcs
+    ):
+        raise ParseError("field arcs must list pairs of integer points")
     d = (sum(a) + 2) // 2
     t = WeightComposition(d, tuple(a))
-    arcs = tuple(sorted(tuple(arc) for arc in doc["arcs"]))
+    arcs = tuple(sorted(tuple(arc) for arc in arcs))
     p = NonCrossingPairing(t, arcs)
     validate_pairing(p)
     return p

@@ -26,7 +26,15 @@ from .errors import (
     NotInvolution,
     ParseError,
 )
-from .permutations import Perm, check_permutation
+from .permutations import (
+    Perm,
+    canonical_relabeling,
+    check_permutation,
+    conjugate,
+    cycles,
+    is_int,
+    is_transitive,
+)
 
 COLOR_A = "A"
 COLOR_B = "B"
@@ -55,7 +63,7 @@ class CombinatorialMap:
                     raise NotInvolution(f"alpha fixes dart {d}")
                 if alpha[alpha[d]] != d:
                     raise NotInvolution(f"alpha is not an involution at dart {d}")
-            if not _orbit_reaches_all(alpha, sigma):
+            if not is_transitive((alpha, sigma), n):
                 raise Disconnected("the darts are not connected under alpha and sigma")
         self._alpha = alpha
         self._sigma = sigma
@@ -78,12 +86,12 @@ class CombinatorialMap:
 
     @cached_property
     def vertices(self) -> tuple[tuple[int, ...], ...]:
-        return _orbits(self._sigma)
+        return cycles(self._sigma)
 
     @cached_property
     def faces(self) -> tuple[tuple[int, ...], ...]:
         phi = tuple(self._sigma[self._alpha[d]] for d in range(self.dart_count))
-        return _orbits(phi)
+        return cycles(phi)
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -140,33 +148,17 @@ class CombinatorialMap:
 
     def relabel(self, dart_map) -> "CombinatorialMap":
         """Apply a dart relabeling: dart d becomes dart_map[d]."""
-        n = self.dart_count
-        perm = check_permutation(tuple(dart_map), n)
-        alpha = [0] * n
-        sigma = [0] * n
-        for d in range(n):
-            alpha[perm[d]] = perm[self._alpha[d]]
-            sigma[perm[d]] = perm[self._sigma[d]]
+        perm = check_permutation(tuple(dart_map), self.dart_count)
+        alpha, sigma = conjugate((self._alpha, self._sigma), perm)
         return CombinatorialMap(alpha, sigma, check=False)
 
     @cached_property
     def _canonical(self) -> tuple["CombinatorialMap", tuple[int, ...]]:
-        best = None
-        best_map = None
-        for root in range(self.dart_count):
-            relabeling = _bfs_relabeling(self._alpha, self._sigma, root)
-            n = self.dart_count
-            alpha = [0] * n
-            sigma = [0] * n
-            for d in range(n):
-                alpha[relabeling[d]] = relabeling[self._alpha[d]]
-                sigma[relabeling[d]] = relabeling[self._sigma[d]]
-            key = (tuple(alpha), tuple(sigma))
-            if best is None or key < best:
-                best = key
-                best_map = relabeling
-        canon = CombinatorialMap(best[0], best[1], check=False)
-        return canon, tuple(best_map)
+        n = self.dart_count
+        (alpha, sigma), dart_map = canonical_relabeling(
+            (self._alpha, self._sigma), n, range(n)
+        )
+        return CombinatorialMap(alpha, sigma, check=False), dart_map
 
     def canonical(self) -> "CombinatorialMap":
         """The canonical representative of the isomorphism class."""
@@ -194,61 +186,12 @@ class CombinatorialMap:
         return f"CombinatorialMap(alpha={list(self._alpha)}, sigma={list(self._sigma)})"
 
 
-def _orbits(perm: Perm) -> tuple[tuple[int, ...], ...]:
-    seen = [False] * len(perm)
-    out = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        cyc = [start]
-        seen[start] = True
-        x = perm[start]
-        while x != start:
-            seen[x] = True
-            cyc.append(x)
-            x = perm[x]
-        out.append(tuple(cyc))
-    return tuple(out)
-
-
 def _index_of(orbits, n: int) -> tuple[int, ...]:
     out = [0] * n
     for i, orbit in enumerate(orbits):
         for d in orbit:
             out[d] = i
     return tuple(out)
-
-
-def _orbit_reaches_all(alpha: Perm, sigma: Perm) -> bool:
-    n = len(alpha)
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        d = stack.pop()
-        for e in (alpha[d], sigma[d]):
-            if not seen[e]:
-                seen[e] = True
-                count += 1
-                stack.append(e)
-    return count == n
-
-
-def _bfs_relabeling(alpha: Perm, sigma: Perm, root: int) -> list[int]:
-    """New id per dart, breadth-first from ``root`` via alpha then sigma."""
-    new = [-1] * len(alpha)
-    order = [root]
-    new[root] = 0
-    i = 0
-    while i < len(order):
-        d = order[i]
-        i += 1
-        for e in (alpha[d], sigma[d]):
-            if new[e] < 0:
-                new[e] = len(order)
-                order.append(e)
-    return new
 
 
 def build_map(dart_count: int, alpha, sigma) -> CombinatorialMap:
@@ -440,7 +383,7 @@ def deserialize(text: str) -> MapDocument:
         sigma = doc["sigma"]
     except KeyError as exc:
         raise ParseError(f"missing field {exc}") from exc
-    if not isinstance(darts, int) or not isinstance(alpha, list) or not isinstance(sigma, list):
+    if not is_int(darts) or not isinstance(alpha, list) or not isinstance(sigma, list):
         raise ParseError("fields darts, alpha, sigma have the wrong types")
     try:
         m = build_map(darts, alpha, sigma)
@@ -453,7 +396,7 @@ def deserialize(text: str) -> MapDocument:
         if (
             not isinstance(labels, list)
             or len(labels) != m.vertex_count
-            or any(not isinstance(x, int) for x in labels)
+            or not all(is_int(x) for x in labels)
         ):
             raise InvariantViolation("labels must list one integer per vertex")
         labels = tuple(labels)
@@ -477,7 +420,7 @@ def deserialize(text: str) -> MapDocument:
     if "real_cycle" in doc:
         raw = doc["real_cycle"]
         if not isinstance(raw, list) or any(
-            not isinstance(d, int) or not 0 <= d < m.dart_count for d in raw
+            not is_int(d) or not 0 <= d < m.dart_count for d in raw
         ):
             raise InvariantViolation("real_cycle must list dart ids")
         real_cycle = tuple(raw)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import balancedgraphs as bg
 
@@ -135,3 +135,50 @@ def thurston_single_cycle_balanced(m, coloring) -> bool:
             if a <= len(inside) - a:
                 return False
     return True
+
+
+def all_roots_canonical(m):
+    """Least breadth-first relabeling of a map over every root, unpruned.
+
+    Returns the canonical key ``(alpha, sigma)`` and the dart map of the
+    first root reaching it.  From a root, darts are numbered in the order
+    a breadth-first search reaches them through alpha, then sigma.
+    """
+    n = m.dart_count
+    best = None
+    best_map = None
+    for root in range(n):
+        new = [-1] * n
+        new[root] = 0
+        order = [root]
+        i = 0
+        while i < len(order):
+            d = order[i]
+            i += 1
+            for e in (m.alpha[d], m.sigma[d]):
+                if new[e] < 0:
+                    new[e] = len(order)
+                    order.append(e)
+        alpha = [0] * n
+        sigma = [0] * n
+        for d in range(n):
+            alpha[new[d]] = new[m.alpha[d]]
+            sigma[new[d]] = new[m.sigma[d]]
+        key = (tuple(alpha), tuple(sigma))
+        if best is None or key < best:
+            best = key
+            best_map = tuple(new)
+    return best, best_map
+
+
+def factorial_conjugation_canonical(c):
+    """Least permutation tuple over all d! simultaneous sheet relabelings."""
+    best = None
+    for relabel in permutations(range(c.d)):
+        inv = [0] * c.d
+        for i, x in enumerate(relabel):
+            inv[x] = i
+        candidate = tuple(tuple(relabel[p[s]] for s in inv) for p in c.perms)
+        if best is None or candidate < best:
+            best = candidate
+    return best

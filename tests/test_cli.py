@@ -180,3 +180,24 @@ def test_outputs_byte_identical_across_runs(capsys, mirror_file, b2_file):
         first = run(capsys, *argv)
         second = run(capsys, *argv)
         assert first == second
+
+
+@pytest.mark.parametrize(
+    "command, document",
+    [
+        ("pullback", '{"d":2,"perms":[["a","b"]]}'),
+        ("mirror", '{"n":2,"a":["x",1],"arcs":[[1,2]]}'),
+        ("mirror", '{"n":2,"a":[1,1],"arcs":[5]}'),
+        ("mirror", '{"n":2,"a":[1,1],"arcs":[[1,"b"]]}'),
+        (
+            "check",
+            '{"darts":8,"alpha":[1,0,3,2,5,4,7,6],"sigma":[2,7,4,1,6,3,0,5],'
+            '"labels":[true,2]}',
+        ),
+    ],
+)
+def test_malformed_documents_exit_2(capsys, tmp_path, command, document):
+    path = tmp_path / "doc.json"
+    path.write_text(document)
+    code, out, err = run(capsys, command, "--input", str(path))
+    assert code == 2 and err.startswith("error:") and out == ""

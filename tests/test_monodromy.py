@@ -1,6 +1,10 @@
+import random
+
 import pytest
 
 import balancedgraphs as bg
+from balancedgraphs.permutations import compose_chain, conjugate, inverse, is_transitive
+from oracles import factorial_conjugation_canonical
 
 
 def _realize(m, coloring):
@@ -204,3 +208,33 @@ def test_constellation_serialization_round_trip():
         bg.deserialize_constellation("{}")
     with pytest.raises(bg.ParseError):
         bg.deserialize_constellation("not json")
+
+
+def test_conjugation_canonical_matches_factorial_oracle(constellation_corpus):
+    rng = random.Random(577)
+    constellations = list(constellation_corpus)
+    while len(constellations) < len(constellation_corpus) + 60:
+        d = rng.choice((5, 6))
+        pre = tuple(tuple(rng.sample(range(d), d)) for _ in range(rng.choice((1, 2, 3))))
+        perms = pre + (inverse(compose_chain(pre, d)),)
+        if not is_transitive(perms, d):
+            continue
+        relabeling = rng.sample(range(d), d)
+        constellations.append(bg.Constellation(d, perms))
+        constellations.append(bg.Constellation(d, conjugate(perms, relabeling)))
+    ours = [bg.conjugation_canonical(c) for c in constellations]
+    oracle = [factorial_conjugation_canonical(c) for c in constellations]
+    # equal representatives exactly when the oracle's are equal
+    pairs = set(zip((r.perms for r in ours), oracle))
+    assert len(pairs) == len({r.perms for r in ours}) == len(set(oracle))
+    # each representative lies in the class of its input
+    for r, want in zip(ours, oracle):
+        assert factorial_conjugation_canonical(r) == want
+
+
+def test_conjugation_canonical_rejects_intransitive():
+    with pytest.raises(bg.Disconnected):
+        bg.conjugation_canonical(bg.Constellation.from_cycles(2, [[], []]))
+    with pytest.raises(bg.Disconnected):
+        bg.conjugation_canonical(bg.Constellation(2, ()))
+    assert bg.conjugation_canonical(bg.Constellation(1, ())).perms == ()

@@ -1,9 +1,11 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import balancedgraphs as bg
+from oracles import all_roots_canonical
 
 
 def test_build_cycle_map(cycle_map):
@@ -245,3 +247,15 @@ def test_random_map_properties(data):
     assert all(coloring.colors[f] != coloring.colors[g] for f, g, _ in arcs)
     flip = coloring.flip()
     assert all(flip.colors[f] != flip.colors[g] for f, g, _ in arcs)
+
+
+def test_canonical_matches_all_roots_oracle(gb_corpus, constellation_corpus):
+    # early rejection of roots may prune work but never change the result
+    rng = random.Random(2071)
+    maps = list(gb_corpus)
+    maps += [bg.pullback_from_constellation(c)[0] for c in constellation_corpus]
+    maps += [m.relabel(rng.sample(range(m.dart_count), m.dart_count)) for m in maps]
+    for m in maps:
+        key, dart_map = all_roots_canonical(m)
+        assert m.canonical_key() == key
+        assert m.canonical_dart_map() == dart_map
