@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotBipartiteFaces, SizeLimitExceeded
+from .enrichment import dot_graph, hall_check
+from .errors import InvariantViolation, NotBipartiteFaces, SizeLimitExceeded
 from .surface_map import (
     COLOR_A,
     COLOR_B,
@@ -172,6 +173,62 @@ def region_from_faces(
     return Region(inside, frozenset(boundary), tuple(cycles), a, b)
 
 
+def _grown_face_sets(m: CombinatorialMap, coloring: FaceColoring):
+    """Connected face sets in growth order, as ``(root, faces, A count)``.
+
+    Each set is grown from its least face ``root`` by adding larger
+    neighbors, so roots come in increasing order and no set repeats.
+    Branches whose boundary exposes a B face inside against a face that
+    can no longer be absorbed are pruned.  The growth keeps an explicit
+    stack, so set size is not bounded by the recursion limit.
+    """
+    nf = m.face_count
+    fod = m.face_of_dart
+    neighbor_sets: list[set[int]] = [set() for _ in range(nf)]
+    for d, e in m.edges:
+        f, g = fod[d], fod[e]
+        if f != g:
+            neighbor_sets[f].add(g)
+            neighbor_sets[g].add(f)
+    neighbors = [tuple(sorted(s)) for s in neighbor_sets]
+    is_a = [coloring.color(f) == COLOR_A for f in range(nf)]
+
+    def doomed(root: int, inside: frozenset[int], forbidden: frozenset[int]) -> bool:
+        # a B face inside exposes an A-side neighbor that can never be added
+        for f in inside:
+            if is_a[f]:
+                continue
+            for g in neighbor_sets[f]:
+                if g not in inside and (g < root or g in forbidden):
+                    return True
+        return False
+
+    for root in range(nf):
+        inside = frozenset({root})
+        yield root, inside, int(is_a[root])
+        if doomed(root, inside, frozenset()):
+            continue
+        # frame: faces, A count, extension list, forbidden faces, next index
+        stack = [[inside, int(is_a[root]), [g for g in neighbors[root] if g > root], frozenset(), 0]]
+        while stack:
+            frame = stack[-1]
+            inside, a, ext, forbidden, i = frame
+            if i == len(ext):
+                stack.pop()
+                continue
+            v = ext[i]
+            rest = ext[i + 1 :]
+            present = inside | set(rest) | forbidden | {v}
+            extra = [w for w in neighbors[v] if w > root and w not in present]
+            child = inside | {v}
+            child_a = a + is_a[v]
+            frame[3] = forbidden | {v}
+            frame[4] = i + 1
+            yield root, child, child_a
+            if not doomed(root, child, forbidden):
+                stack.append([child, child_a, rest + extra, forbidden, 0])
+
+
 def positive_regions(
     m: CombinatorialMap,
     coloring: FaceColoring,
@@ -183,52 +240,46 @@ def positive_regions(
     boundary exposes a B face inside against an A face that can no longer
     be absorbed.  Raises :class:`SizeLimitExceeded` past ``cap`` regions.
     """
-    nf = m.face_count
-    fod = m.face_of_dart
-    neighbor_sets: list[set[int]] = [set() for _ in range(nf)]
-    for d, e in m.edges:
-        f, g = fod[d], fod[e]
-        if f != g:
-            neighbor_sets[f].add(g)
-            neighbor_sets[g].add(f)
-    neighbors = [tuple(sorted(s)) for s in neighbor_sets]
-
     found: list[Region] = []
-
-    def consider(inside: frozenset[int]):
+    for _, inside, _ in _grown_face_sets(m, coloring):
         region = region_from_faces(m, coloring, inside)
         if region is not None:
             found.append(region)
             if len(found) > cap:
                 raise SizeLimitExceeded(f"more than {cap} regions")
-
-    def doomed(root: int, inside: frozenset[int], forbidden: frozenset[int]) -> bool:
-        # a B face inside exposes an A-side neighbor that can never be added
-        for f in inside:
-            if coloring.color(f) != COLOR_B:
-                continue
-            for g in neighbor_sets[f]:
-                if g not in inside and (g < root or g in forbidden):
-                    return True
-        return False
-
-    def grow(root: int, inside: frozenset[int], ext: list[int], forbidden: frozenset[int]):
-        consider(inside)
-        if doomed(root, inside, forbidden):
-            return
-        for i, v in enumerate(ext):
-            rest = ext[i + 1 :]
-            present = inside | set(rest) | forbidden | {v}
-            extra = [w for w in neighbors[v] if w > root and w not in present]
-            grow(root, inside | {v}, rest + extra, forbidden)
-            forbidden = forbidden | {v}
-
-    for root in range(nf):
-        initial = [g for g in neighbors[root] if g > root]
-        grow(root, frozenset({root}), initial, frozenset())
-
     found.sort(key=lambda r: r.sorted_faces())
     return found
+
+
+def _least_violation(
+    m: CombinatorialMap, coloring: FaceColoring, cap: int
+) -> Region | None:
+    """The region :func:`positive_regions` lists first among those with at
+    most as many A faces as B faces, or None.
+
+    Sets with more A than B faces are never built into regions, and the
+    search stops after the first root that yields a violation: every set
+    grown from a root has it as least face, so later roots only give
+    larger face tuples.  Raises :class:`SizeLimitExceeded` past ``cap``
+    regions built.
+    """
+    best: Region | None = None
+    best_root = None
+    built = 0
+    for root, inside, a in _grown_face_sets(m, coloring):
+        if best_root is not None and root != best_root:
+            break
+        if a > len(inside) - a:
+            continue
+        region = region_from_faces(m, coloring, inside)
+        if region is None:
+            continue
+        built += 1
+        if built > cap:
+            raise SizeLimitExceeded(f"more than {cap} regions")
+        if best is None or region.sorted_faces() < best.sorted_faces():
+            best, best_root = region, root
+    return best
 
 
 def is_locally_balanced(
@@ -238,36 +289,47 @@ def is_locally_balanced(
 ) -> BalanceReport:
     """Full balance report; checks both alternating colorings.
 
-    On failure the first violating region (in deterministic order) is
-    returned as a certificate.
+    A globally balanced map is locally balanced exactly when its dot graph
+    has a perfect matching, so the verdict comes from the maximum flow of
+    :func:`~balancedgraphs.enrichment.hall_check`.  On failure the first
+    violating region in sorted face order, on the given coloring before
+    the flipped one, is returned as a certificate; only that search
+    enumerates regions, and ``cap`` bounds it.
     """
     gb = is_globally_balanced(m, coloring)
     if not gb.ok:
         return BalanceReport(None, False, False, reason=gb.reason)
     if coloring is None:
         coloring = alternating_coloring(m)
+    # without corners there are no dots.  A globally balanced map never
+    # has exactly one: every face would pass that corner once, giving 2k
+    # faces for valence 2k >= 4 and Euler characteristic 1 + k > 2.
+    if not m.corners or hall_check(dot_graph(m, coloring)).ok:
+        return BalanceReport(gb.d, True, True)
     for flipped, col in ((False, coloring), (True, coloring.flip())):
-        for region in positive_regions(m, col, cap=cap):
-            if region.a_count <= region.b_count:
-                return BalanceReport(
-                    gb.d,
-                    True,
-                    False,
-                    violation=region,
-                    violation_on_flipped=flipped,
-                    reason=(
-                        f"region with {region.a_count} A faces and "
-                        f"{region.b_count} B faces"
-                    ),
-                )
-    return BalanceReport(gb.d, True, True)
+        region = _least_violation(m, col, cap)
+        if region is not None:
+            return BalanceReport(
+                gb.d,
+                True,
+                False,
+                violation=region,
+                violation_on_flipped=flipped,
+                reason=(
+                    f"region with {region.a_count} A faces and "
+                    f"{region.b_count} B faces"
+                ),
+            )
+    raise InvariantViolation(
+        "the Hall condition fails but no region violates local balance"
+    )
 
 
 def corner_bound_check(m: CombinatorialMap) -> bool:
     """Corner count at most 2(g + d - 1) on a globally balanced map."""
     gb = is_globally_balanced(m)
     if not gb.ok:
-        raise ValueError(f"map is not globally balanced: {gb.reason}")
+        raise InvariantViolation(f"map is not globally balanced: {gb.reason}")
     return len(m.corners) <= 2 * (m.genus() + gb.d - 1)
 
 

@@ -59,14 +59,20 @@ def cmd_realize(args) -> int:
     if not gb.ok:
         print(f"not globally balanced: {gb.reason}")
         return EXIT_NEGATIVE
-    dg = enrichment.dot_graph(doc.map, coloring)
-    try:
-        matching = enrichment.perfect_matching(dg)
-    except NoPerfectMatching as exc:
-        faces = sorted({f for f, _ in exc.witness})
-        print(f"not locally balanced; Hall witness B faces: {faces}")
-        return EXIT_NEGATIVE
-    enriched = enrichment.enrich(doc.map, matching)
+    if doc.map.corners:
+        dg = enrichment.dot_graph(doc.map, coloring)
+        try:
+            matching = enrichment.perfect_matching(dg)
+        except NoPerfectMatching as exc:
+            faces = sorted({f for f, _ in exc.witness})
+            print(f"not locally balanced; Hall witness B faces: {faces}")
+            return EXIT_NEGATIVE
+        enriched = enrichment.enrich(doc.map, matching)
+    else:
+        # a globally balanced map without corners is a cycle: it has no
+        # dots, and every vertex is its own branch point of the degree-1
+        # covering
+        enriched = doc.map
     lab = labeling.admissible_labeling(enriched, coloring)
     constellation = monodromy.constellation_from(enriched, coloring, lab)
     passport = labeling.passport_of(enriched, lab)
@@ -156,7 +162,12 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = with_input(sub.add_parser("check", help="balance verdict for a map document"))
-    p.add_argument("--cap-regions", type=int, default=balance.DEFAULT_REGION_CAP)
+    p.add_argument(
+        "--cap-regions",
+        type=int,
+        default=balance.DEFAULT_REGION_CAP,
+        help="most regions the certificate search of a negative verdict may build",
+    )
     p.set_defaults(func=cmd_check)
 
     p = with_input(sub.add_parser("realize", help="enrich, label and extract monodromy"))

@@ -9,9 +9,10 @@ exactly ``m`` vertices.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
-from .errors import NegativeDotCount, NoPerfectMatching
+from .errors import NegativeDotCount, NoPerfectMatching, TooFewCorners
 from .surface_map import (
     COLOR_A,
     COLOR_B,
@@ -53,12 +54,13 @@ def dot_graph(m: CombinatorialMap, coloring: FaceColoring) -> DotGraph:
     """Dot graph of a globally balanced map with at least 2 corners.
 
     The counts assume the input carries no 2-valent vertices yet; those
-    are exactly what enrichment inserts afterwards.
+    are exactly what enrichment inserts afterwards.  Raises
+    :class:`TooFewCorners` below 2 corners.
     """
     corners = set(m.corners)
     total = len(corners)
     if total < 2:
-        raise ValueError(f"need at least 2 corners, found {total}")
+        raise TooFewCorners(f"need at least 2 corners, found {total}")
     vod = m.vertex_of_dart
     counts = []
     for face in m.faces:
@@ -91,86 +93,127 @@ def dot_graph(m: CombinatorialMap, coloring: FaceColoring) -> DotGraph:
     )
 
 
-def _maximum_matching(dg: DotGraph) -> dict[Dot, Dot]:
-    """Kuhn's augmenting paths; returns the B-dot to A-dot assignment."""
-    a_by_face: dict[int, list[Dot]] = {}
-    for dot in dg.dots_a:
-        a_by_face.setdefault(dot[0], []).append(dot)
-    match_a: dict[Dot, Dot] = {}
-    match_b: dict[Dot, Dot] = {}
+def _deficient_faces(dg: DotGraph) -> tuple[int, ...]:
+    """Maximum flow from B faces to edge-adjacent A faces, dot counts as
+    capacities; returns the B faces of the Hall witness, () if there is none.
 
-    def neighbors_of(b_face: int):
-        for g in dg.face_neighbors[b_face]:
-            yield from a_by_face.get(g, ())
-
-    def augment(b: Dot, visited: set[Dot]) -> bool:
-        for a in neighbors_of(b[0]):
-            if a in visited:
-                continue
-            visited.add(a)
-            if a not in match_a or augment(match_a[a], visited):
-                match_a[a] = b
-                match_b[b] = a
-                return True
-        return False
-
-    for b in dg.dots_b:
-        augment(b, set())
-    return match_b
+    Dots of one face share their neighborhood, so this flow saturates
+    every B face exactly when the dot graph matches every B dot.  Paths
+    are found breadth-first from all B faces with supply left at once
+    (Edmonds-Karp).  When none remains, the B faces reachable in the
+    residual graph from unsent supply form the witness: by
+    Dulmage-Mendelsohn they carry exactly the B dots an alternating
+    search from the unmatched dots of any maximum matching reaches.
+    """
+    supply = {f: dg.dot_counts[f] for f, _ in dg.dots_b}
+    room = {g: dg.dot_counts[g] for g, _ in dg.dots_a}
+    out = {f: [g for g in dg.face_neighbors[f] if g in room] for f in supply}
+    inflow: dict[int, dict[int, int]] = {g: {} for g in room}
+    while True:
+        parent: dict[int, int | None] = {f: None for f, s in supply.items() if s}
+        queue = deque(parent)
+        end = None
+        while queue and end is None:
+            f = queue.popleft()
+            for g in out[f]:
+                if g in parent:
+                    continue
+                parent[g] = f
+                if room[g]:
+                    end = g
+                    break
+                for h in inflow[g]:
+                    if h not in parent:
+                        parent[h] = g
+                        queue.append(h)
+        if end is None:
+            return tuple(sorted(f for f in parent if f in supply))
+        path = [end]
+        while parent[path[-1]] is not None:
+            path.append(parent[path[-1]])
+        path.reverse()  # B, A, B, A, ..., A
+        amount = min(supply[path[0]], room[end])
+        for i in range(1, len(path) - 1, 2):
+            amount = min(amount, inflow[path[i]][path[i + 1]])
+        supply[path[0]] -= amount
+        room[end] -= amount
+        for i in range(0, len(path), 2):
+            b, a = path[i], path[i + 1]
+            inflow[a][b] = inflow[a].get(b, 0) + amount
+            if i:
+                back = inflow[path[i - 1]]
+                back[b] -= amount
+                if not back[b]:
+                    del back[b]
 
 
 def hall_check(dg: DotGraph) -> HallResult:
     """Whether every set of B dots has at least as many A neighbors.
 
-    Decided through maximum-matching deficiency; on failure the witness is
-    a set of B dots whose neighborhood is strictly smaller.
+    Decided by a maximum flow on faces; on failure the witness is a set
+    of B dots with a strictly smaller neighborhood: every dot of the B
+    faces that unsent supply reaches in the residual graph.
     """
-    return _hall_result(dg, _maximum_matching(dg))
-
-
-def _hall_result(dg: DotGraph, match_b: dict[Dot, Dot]) -> HallResult:
-    """Hall verdict read off a maximum matching (B dot to A dot)."""
-    unmatched = [b for b in dg.dots_b if b not in match_b]
-    if not unmatched:
+    faces = _deficient_faces(dg)
+    if not faces:
         return HallResult(True)
-    # alternating reachability from the unmatched B dots
-    match_a = {a: b for b, a in match_b.items()}
+    return HallResult(
+        False, tuple((f, i) for f in faces for i in range(dg.dot_counts[f]))
+    )
+
+
+def _maximum_matching(dg: DotGraph) -> dict[Dot, Dot]:
+    """Kuhn's augmenting paths; returns the B-dot to A-dot assignment.
+
+    Each search walks an explicit stack of (B dot, its untried A dots,
+    the A dot it took); candidates are tried in face-neighbor then dot
+    order, so the matching depends only on the dot graph.
+    """
     a_by_face: dict[int, list[Dot]] = {}
     for dot in dg.dots_a:
         a_by_face.setdefault(dot[0], []).append(dot)
-    reach_b: set[Dot] = set(unmatched)
-    reach_a: set[Dot] = set()
-    frontier = list(unmatched)
-    while frontier:
-        b = frontier.pop()
-        for g in dg.face_neighbors[b[0]]:
-            for a in a_by_face.get(g, ()):
-                if a in reach_a:
-                    continue
-                reach_a.add(a)
-                partner = match_a.get(a)
-                if partner is not None and partner not in reach_b:
-                    reach_b.add(partner)
-                    frontier.append(partner)
-    witness = tuple(sorted(reach_b))
-    return HallResult(False, witness)
+    candidates = {
+        f: tuple(a for g in dg.face_neighbors[f] for a in a_by_face.get(g, ()))
+        for f in dict.fromkeys(f for f, _ in dg.dots_b)
+    }
+    match_a: dict[Dot, Dot] = {}
+    match_b: dict[Dot, Dot] = {}
+    for root in dg.dots_b:
+        visited: set[Dot] = set()
+        stack = [[root, iter(candidates[root[0]]), None]]
+        while stack:
+            frame = stack[-1]
+            a = next((a for a in frame[1] if a not in visited), None)
+            if a is None:
+                stack.pop()
+                continue
+            visited.add(a)
+            frame[2] = a
+            if a not in match_a:
+                for b, _, taken in reversed(stack):
+                    match_a[taken] = b
+                    match_b[b] = taken
+                break
+            partner = match_a[a]
+            stack.append([partner, iter(candidates[partner[0]]), None])
+    return match_b
 
 
 def perfect_matching(dg: DotGraph) -> DotMatching:
     """A perfect matching with host edges, deterministic in the dot order.
 
     Matched pairs between a face pair are spread round-robin over the
-    edges that pair shares.  Raises :class:`NoPerfectMatching` with a Hall
-    witness when none exists.
+    edges that pair shares.  Raises :class:`NoPerfectMatching` with the
+    Hall witness of :func:`hall_check` when none exists.
     """
     if len(dg.dots_a) != len(dg.dots_b):
         raise NoPerfectMatching(
             f"{len(dg.dots_a)} A dots versus {len(dg.dots_b)} B dots"
         )
-    match_b = _maximum_matching(dg)
-    result = _hall_result(dg, match_b)
+    result = hall_check(dg)
     if not result.ok:
         raise NoPerfectMatching("Hall condition fails", witness=result.witness)
+    match_b = _maximum_matching(dg)
     per_pair: dict[tuple[int, int], int] = {}
     pairs = []
     for b in dg.dots_b:

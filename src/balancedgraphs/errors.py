@@ -41,6 +41,14 @@ class NegativeDotCount(BalancedGraphsError):
     """A face has more corners than the total corner count."""
 
 
+class TooFewCorners(BalancedGraphsError, ValueError):
+    """A dot graph needs at least 2 corners.
+
+    Also a :class:`ValueError`, which callers caught before this class
+    existed.
+    """
+
+
 class NoPerfectMatching(BalancedGraphsError):
     """The dot graph has no perfect matching.
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import balancedgraphs as bg
 from balancedgraphs.permutations import compose_chain, inverse, is_transitive
@@ -169,3 +170,17 @@ def all_mirror_graphs(max_d):
                 m, coloring, real_cycle = bg.mirror_graph(p)
                 out.append((p, m, coloring, real_cycle))
     return out
+
+
+def fixed_point_free_pullback(d, branch_points):
+    """Pullback of the first seeded transitive constellation whose
+    permutations fix no sheet, so the map has corners only."""
+    for seed in range(1000):
+        rng = random.Random(seed)
+        pre = tuple(tuple(rng.sample(range(d), d)) for _ in range(branch_points - 1))
+        perms = pre + (inverse(compose_chain(pre, d)),)
+        if is_transitive(perms, d) and all(
+            p[s] != s for p in perms for s in range(d)
+        ):
+            return bg.pullback_from_constellation(bg.Constellation(d, perms))
+    raise AssertionError("no fixed-point-free constellation found")

@@ -182,3 +182,76 @@ def factorial_conjugation_canonical(c):
         if best is None or candidate < best:
             best = candidate
     return best
+
+
+def enumerated_balance_report(m, coloring):
+    """Local-balance report from the full region enumeration.
+
+    Lists every region of the coloring, then of the flipped one, in sorted
+    face order and takes the first with at most as many A as B faces.
+    Returns ``(locally balanced, violation faces, (A count, B count),
+    violation on flipped, reason)``.
+    """
+    gb = bg.is_globally_balanced(m, coloring)
+    if not gb.ok:
+        return False, None, None, False, gb.reason
+    for flipped, col in ((False, coloring), (True, coloring.flip())):
+        for region in bg.positive_regions(m, col):
+            if region.a_count <= region.b_count:
+                return (
+                    False,
+                    region.sorted_faces(),
+                    (region.a_count, region.b_count),
+                    flipped,
+                    f"region with {region.a_count} A faces and "
+                    f"{region.b_count} B faces",
+                )
+    return True, None, None, False, None
+
+
+def recursive_maximum_matching(dg):
+    """Kuhn's augmenting paths by recursion; B dot to A dot assignment."""
+    a_by_face = {}
+    for dot in dg.dots_a:
+        a_by_face.setdefault(dot[0], []).append(dot)
+    match_a = {}
+    match_b = {}
+
+    def augment(b, visited):
+        for g in dg.face_neighbors[b[0]]:
+            for a in a_by_face.get(g, ()):
+                if a in visited:
+                    continue
+                visited.add(a)
+                if a not in match_a or augment(match_a[a], visited):
+                    match_a[a] = b
+                    match_b[b] = a
+                    return True
+        return False
+
+    for b in dg.dots_b:
+        augment(b, set())
+    return match_b
+
+
+def alternating_hall_witness(dg, match_b):
+    """B dots reached by alternating paths from the B dots a maximum
+    matching leaves unmatched, sorted; () when it matches every B dot."""
+    unmatched = [b for b in dg.dots_b if b not in match_b]
+    if not unmatched:
+        return ()
+    match_a = {a: b for b, a in match_b.items()}
+    reach_b = set(unmatched)
+    reach_a = set()
+    frontier = list(unmatched)
+    while frontier:
+        b = frontier.pop()
+        for a in dg.dots_a:
+            if a[0] not in dg.face_neighbors[b[0]] or a in reach_a:
+                continue
+            reach_a.add(a)
+            partner = match_a.get(a)
+            if partner is not None and partner not in reach_b:
+                reach_b.add(partner)
+                frontier.append(partner)
+    return tuple(sorted(reach_b))

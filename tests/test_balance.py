@@ -4,6 +4,7 @@ import balancedgraphs as bg
 from oracles import (
     brute_force_locally_balanced,
     brute_force_regions,
+    enumerated_balance_report,
     thurston_single_cycle_balanced,
 )
 
@@ -228,3 +229,82 @@ def test_corpus_generator_pinning_loses_no_classes():
     for valences in ((4, 4), (6, 6)):
         pinned = sorted(m.canonical_key() for m in globally_balanced_maps(valences))
         assert pinned == unpinned(valences)
+
+
+def _report_tuple(report):
+    v = report.violation
+    return (
+        report.locally_balanced,
+        v.sorted_faces() if v else None,
+        (v.a_count, v.b_count) if v else None,
+        report.violation_on_flipped,
+        report.reason,
+    )
+
+
+def _assert_reports_match_enumerator(maps):
+    verdicts = set()
+    for m, coloring in maps:
+        ours = _report_tuple(bg.is_locally_balanced(m, coloring))
+        assert ours == enumerated_balance_report(m, coloring)
+        verdicts.add(ours[0])
+    return verdicts
+
+
+def test_flow_report_matches_enumerator_on_corpus(gb_corpus, counterexample):
+    maps = [(m, bg.alternating_coloring(m)) for m in gb_corpus]
+    maps.append(counterexample[:2])
+    assert _assert_reports_match_enumerator(maps) == {True, False}
+
+
+def test_flow_report_matches_enumerator_on_enriched_corpus(gb_corpus):
+    # enriched maps carry 2-valent vertices, which the dot counts ignore
+    maps = []
+    for m in gb_corpus:
+        coloring = bg.alternating_coloring(m)
+        dg = bg.dot_graph(m, coloring)
+        if bg.hall_check(dg).ok and dg.dots_a:
+            maps.append((bg.enrich(m, bg.perfect_matching(dg)), coloring))
+    assert maps
+    assert _assert_reports_match_enumerator(maps) == {True}
+
+
+def test_flow_report_matches_enumerator_on_pullbacks(constellation_corpus):
+    maps = [bg.pullback_from_constellation(c)[:2] for c in constellation_corpus]
+    assert len(maps) == 694
+    assert _assert_reports_match_enumerator(maps) == {True}
+
+
+def test_flow_report_matches_enumerator_on_cycle_map(cycle_map):
+    maps = [(cycle_map, bg.alternating_coloring(cycle_map))]
+    assert _assert_reports_match_enumerator(maps) == {True}
+
+
+def test_positive_verdict_enumerates_no_regions(monkeypatch):
+    # a 32-face mirror graph: the old search took seconds on maps this size
+    d = 16
+    arcs = tuple((i, i + 1) for i in range(1, 2 * d - 2, 2))
+    p = bg.NonCrossingPairing(bg.WeightComposition(d, (1,) * (2 * d - 2)), arcs)
+    m, coloring, _ = bg.mirror_graph(p)
+    assert m.face_count == 32
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("regions enumerated on a positive verdict")
+
+    monkeypatch.setattr(bg.balance, "_grown_face_sets", refuse)
+    monkeypatch.setattr(bg.balance, "region_from_faces", refuse)
+    report = bg.is_locally_balanced(m, coloring, cap=0)
+    assert report.locally_balanced and report.d == d
+
+
+def test_region_cap_bounds_only_the_certificate_search(counterexample, b2):
+    m, coloring, _ = counterexample
+    with pytest.raises(bg.SizeLimitExceeded):
+        bg.is_locally_balanced(m, coloring, cap=0)
+    assert bg.is_locally_balanced(b2, cap=0).locally_balanced
+
+
+def test_corner_bound_check_rejects_unbalanced_maps():
+    m = bg.build_map(4, [1, 0, 3, 2], [1, 2, 3, 0])
+    with pytest.raises(bg.InvariantViolation):
+        bg.corner_bound_check(m)

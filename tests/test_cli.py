@@ -5,6 +5,7 @@ import pytest
 
 import balancedgraphs as bg
 from balancedgraphs.cli import main
+from helpers import fixed_point_free_pullback
 
 FIXTURES = Path(__file__).parent / "fixtures"
 COUNTEREXAMPLE = FIXTURES / "counterexample_gb_not_lb.json"
@@ -87,6 +88,34 @@ def test_realize_pullback_round_trip(capsys, mirror_file):
     assert code == 0
     rebuilt = bg.deserialize(out.strip()).map
     assert bg.are_isomorphic(rebuilt, enriched)
+
+
+def test_realize_cycle_map_round_trip(capsys, tmp_path):
+    # globally balanced without corners: the degree-1 covering
+    path = tmp_path / "cycle.json"
+    path.write_text('{"alpha":[1,0,3,2],"darts":4,"sigma":[2,3,0,1]}')
+    code, out, err = run(capsys, "realize", "--input", str(path))
+    assert (code, err) == (0, "")
+    map_line, constellation_line = out.strip().splitlines()
+    assert json.loads(constellation_line) == {"d": 1, "perms": [[1], [1]]}
+
+    path.write_text(constellation_line)
+    code, out, _ = run(capsys, "pullback", "--input", str(path))
+    assert code == 0
+    before, after = json.loads(map_line), json.loads(out)
+    for key in ("darts", "alpha", "sigma"):
+        assert before[key] == after[key]
+
+
+def test_realize_large_pullback_returns(capsys, tmp_path):
+    # long augmenting paths once ended the matching in a RecursionError
+    m, coloring, lab = fixed_point_free_pullback(128, 4)
+    path = tmp_path / "pullback.json"
+    path.write_text(bg.serialize(m, labels=lab.labels, coloring=coloring))
+    code, out, err = run(capsys, "realize", "--input", str(path))
+    assert code in (0, 1, 2)
+    assert len(out.splitlines()) == {0: 2, 1: 1, 2: 0}[code]
+    assert err.startswith("error: ") == (code == 2)
 
 
 def test_pullback_t1(capsys, tmp_path, t1):

@@ -1,8 +1,13 @@
 import pytest
 
 import balancedgraphs as bg
-from helpers import all_mirror_graphs
-from oracles import face_subset_hall_ok
+from balancedgraphs.enrichment import _maximum_matching
+from helpers import all_mirror_graphs, fixed_point_free_pullback
+from oracles import (
+    alternating_hall_witness,
+    face_subset_hall_ok,
+    recursive_maximum_matching,
+)
 
 
 def test_dot_graph_b2(b2):
@@ -140,3 +145,55 @@ def test_iter_perfect_matchings_contains_canonical(mirror_1234):
     matrices = {_pair_counts(mt) for mt in bg.iter_perfect_matchings(dg)}
     assert matrices
     assert _pair_counts(bg.perfect_matching(dg)) in matrices
+
+
+def test_dot_graph_corner_error_is_a_library_error(cycle_map):
+    coloring = bg.alternating_coloring(cycle_map)
+    with pytest.raises(bg.TooFewCorners) as info:
+        bg.dot_graph(cycle_map, coloring)
+    assert isinstance(info.value, bg.BalancedGraphsError)
+
+
+def _corpus_dot_graphs(gb_corpus, counterexample):
+    maps = [(m, bg.alternating_coloring(m)) for m in gb_corpus]
+    maps.append(counterexample[:2])
+    maps += [(m, coloring) for _, m, coloring, _ in all_mirror_graphs(5)]
+    return [
+        bg.dot_graph(m, col)
+        for m, coloring in maps
+        for col in (coloring, coloring.flip())
+    ]
+
+
+def test_matching_equals_recursive_oracle(gb_corpus, counterexample):
+    for dg in _corpus_dot_graphs(gb_corpus, counterexample):
+        ours = _maximum_matching(dg)
+        assert list(ours.items()) == list(recursive_maximum_matching(dg).items())
+
+
+def test_hall_witness_equals_alternating_search(gb_corpus, counterexample):
+    failed = 0
+    for dg in _corpus_dot_graphs(gb_corpus, counterexample):
+        want = alternating_hall_witness(dg, recursive_maximum_matching(dg))
+        result = bg.hall_check(dg)
+        assert result.ok == (not want)
+        assert result.witness == want
+        failed += not result.ok
+    assert failed > 0
+
+
+def test_perfect_matching_raises_the_flow_witness(counterexample):
+    dg = bg.dot_graph(*counterexample[:2])
+    with pytest.raises(bg.NoPerfectMatching) as info:
+        bg.perfect_matching(dg)
+    assert info.value.witness == bg.hall_check(dg).witness
+
+
+def test_perfect_matching_on_long_augmenting_paths():
+    # d=128: over 3000 dots, deep enough to exhaust a recursive search
+    m, coloring, _ = fixed_point_free_pullback(128, 4)
+    dg = bg.dot_graph(m, coloring)
+    assert len(dg.dots_a) + len(dg.dots_b) > 3000
+    matching = bg.perfect_matching(dg)
+    assert sorted(b for _, b, _ in matching.pairs) == sorted(dg.dots_b)
+    assert sorted(a for a, _, _ in matching.pairs) == sorted(dg.dots_a)
