@@ -154,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="balancedgraphs",
         description="Balance checks, covering realization, and pairing counts for cell graphs.",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized helpers")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def with_input(p):

@@ -4,7 +4,8 @@ Each face receives ``m - e_F`` dots, where ``m`` is the total corner count
 and ``e_F`` the number of corners on the face.  Dots in A faces may be
 matched with dots in edge-adjacent B faces; a perfect matching turns into
 2-valent vertices subdividing shared edges, after which every face carries
-exactly ``m`` vertices.
+exactly ``m`` vertices.  One maximum flow on faces decides the Hall
+condition and, when it holds, gives the perfect matching.
 """
 
 from __future__ import annotations
@@ -93,9 +94,10 @@ def dot_graph(m: CombinatorialMap, coloring: FaceColoring) -> DotGraph:
     )
 
 
-def _deficient_faces(dg: DotGraph) -> tuple[int, ...]:
+def _hall_flow(dg: DotGraph) -> tuple[tuple[int, ...], dict[int, dict[int, int]]]:
     """Maximum flow from B faces to edge-adjacent A faces, dot counts as
-    capacities; returns the B faces of the Hall witness, () if there is none.
+    capacities; returns the B faces of the Hall witness, () if there is
+    none, and the flow as ``inflow[A face][B face]``.
 
     Dots of one face share their neighborhood, so this flow saturates
     every B face exactly when the dot graph matches every B dot.  Paths
@@ -127,7 +129,7 @@ def _deficient_faces(dg: DotGraph) -> tuple[int, ...]:
                         parent[h] = g
                         queue.append(h)
         if end is None:
-            return tuple(sorted(f for f in parent if f in supply))
+            return tuple(sorted(f for f in parent if f in supply)), inflow
         path = [end]
         while parent[path[-1]] is not None:
             path.append(parent[path[-1]])
@@ -147,6 +149,10 @@ def _deficient_faces(dg: DotGraph) -> tuple[int, ...]:
                     del back[b]
 
 
+def _witness(dg: DotGraph, faces: tuple[int, ...]) -> tuple[Dot, ...]:
+    return tuple((f, i) for f in faces for i in range(dg.dot_counts[f]))
+
+
 def hall_check(dg: DotGraph) -> HallResult:
     """Whether every set of B dots has at least as many A neighbors.
 
@@ -154,77 +160,50 @@ def hall_check(dg: DotGraph) -> HallResult:
     of B dots with a strictly smaller neighborhood: every dot of the B
     faces that unsent supply reaches in the residual graph.
     """
-    faces = _deficient_faces(dg)
+    faces, _ = _hall_flow(dg)
     if not faces:
         return HallResult(True)
-    return HallResult(
-        False, tuple((f, i) for f in faces for i in range(dg.dot_counts[f]))
-    )
+    return HallResult(False, _witness(dg, faces))
 
 
-def _maximum_matching(dg: DotGraph) -> dict[Dot, Dot]:
-    """Kuhn's augmenting paths; returns the B-dot to A-dot assignment.
+def _matching_from_counts(
+    dg: DotGraph, counts: dict[tuple[int, int], int]
+) -> DotMatching:
+    """The matching pairing ``counts[A face, B face]`` dots of each face pair.
 
-    Each search walks an explicit stack of (B dot, its untried A dots,
-    the A dot it took); candidates are tried in face-neighbor then dot
-    order, so the matching depends only on the dot graph.
+    Dots are numbered in sorted (A face, B face) order, and the pairs of
+    one face pair are spread round-robin over the edges it shares.
     """
-    a_by_face: dict[int, list[Dot]] = {}
-    for dot in dg.dots_a:
-        a_by_face.setdefault(dot[0], []).append(dot)
-    candidates = {
-        f: tuple(a for g in dg.face_neighbors[f] for a in a_by_face.get(g, ()))
-        for f in dict.fromkeys(f for f, _ in dg.dots_b)
-    }
-    match_a: dict[Dot, Dot] = {}
-    match_b: dict[Dot, Dot] = {}
-    for root in dg.dots_b:
-        visited: set[Dot] = set()
-        stack = [[root, iter(candidates[root[0]]), None]]
-        while stack:
-            frame = stack[-1]
-            a = next((a for a in frame[1] if a not in visited), None)
-            if a is None:
-                stack.pop()
-                continue
-            visited.add(a)
-            frame[2] = a
-            if a not in match_a:
-                for b, _, taken in reversed(stack):
-                    match_a[taken] = b
-                    match_b[b] = taken
-                break
-            partner = match_a[a]
-            stack.append([partner, iter(candidates[partner[0]]), None])
-    return match_b
+    next_dot: dict[int, int] = {}
+    pairs = []
+    for (f, g), k in sorted(counts.items()):
+        hosts = dg.shared_edges[(min(f, g), max(f, g))]
+        for t in range(k):
+            a, b = next_dot.get(f, 0), next_dot.get(g, 0)
+            next_dot[f], next_dot[g] = a + 1, b + 1
+            pairs.append(((f, a), (g, b), hosts[t % len(hosts)]))
+    pairs.sort()
+    return DotMatching(tuple(pairs))
 
 
 def perfect_matching(dg: DotGraph) -> DotMatching:
-    """A perfect matching with host edges, deterministic in the dot order.
+    """A perfect matching with host edges, read off the Hall flow.
 
-    Matched pairs between a face pair are spread round-robin over the
-    edges that pair shares.  Raises :class:`NoPerfectMatching` with the
+    Dots within a face are interchangeable, so the flow's pair counts
+    fix the enriched map; :func:`_matching_from_counts` turns them into
+    dots and host edges.  Raises :class:`NoPerfectMatching` with the
     Hall witness of :func:`hall_check` when none exists.
     """
     if len(dg.dots_a) != len(dg.dots_b):
         raise NoPerfectMatching(
             f"{len(dg.dots_a)} A dots versus {len(dg.dots_b)} B dots"
         )
-    result = hall_check(dg)
-    if not result.ok:
-        raise NoPerfectMatching("Hall condition fails", witness=result.witness)
-    match_b = _maximum_matching(dg)
-    per_pair: dict[tuple[int, int], int] = {}
-    pairs = []
-    for b in dg.dots_b:
-        a = match_b[b]
-        key = (min(a[0], b[0]), max(a[0], b[0]))
-        hosts = dg.shared_edges[key]
-        t = per_pair.get(key, 0)
-        per_pair[key] = t + 1
-        pairs.append((a, b, hosts[t % len(hosts)]))
-    pairs.sort()
-    return DotMatching(tuple(pairs))
+    faces, inflow = _hall_flow(dg)
+    if faces:
+        raise NoPerfectMatching("Hall condition fails", witness=_witness(dg, faces))
+    return _matching_from_counts(
+        dg, {(a, b): k for a, row in inflow.items() for b, k in row.items()}
+    )
 
 
 def iter_perfect_matchings(dg: DotGraph):
@@ -232,7 +211,9 @@ def iter_perfect_matchings(dg: DotGraph):
 
     Dots within a face are interchangeable, so two matchings produce the
     same enriched map exactly when they pair the same number of dots
-    between each face pair.  Deterministic order.
+    between each face pair; each matrix becomes a matching the way
+    :func:`perfect_matching` turns the Hall flow into one.  Deterministic
+    order.
     """
     a_faces = sorted({f for f, _ in dg.dots_a})
     b_remaining = {}
@@ -267,23 +248,7 @@ def iter_perfect_matchings(dg: DotGraph):
         yield from split(counts[f], 0)
 
     for allocation in distribute(0, {}):
-        a_next = {f: 0 for f in a_faces}
-        b_next: dict[int, int] = {}
-        per_pair: dict[tuple[int, int], int] = {}
-        pairs = []
-        for (f, g), k in sorted(allocation.items()):
-            hosts = dg.shared_edges[(min(f, g), max(f, g))]
-            for _ in range(k):
-                a_dot = (f, a_next[f])
-                a_next[f] += 1
-                b_dot = (g, b_next.get(g, 0))
-                b_next[g] = b_dot[1] + 1
-                key = (min(f, g), max(f, g))
-                t = per_pair.get(key, 0)
-                per_pair[key] = t + 1
-                pairs.append((a_dot, b_dot, hosts[t % len(hosts)]))
-        pairs.sort()
-        yield DotMatching(tuple(pairs))
+        yield _matching_from_counts(dg, allocation)
 
 
 def enrich(m: CombinatorialMap, matching: DotMatching) -> CombinatorialMap:

@@ -163,7 +163,7 @@ def kostka(t: WeightComposition) -> int:
 def catalan(d: int) -> int:
     """The count for the all-ones weight: binom(2d-2, d-1) / d."""
     if d < 1:
-        raise ValueError("degree must be positive")
+        raise InvariantViolation(f"degree must be positive, got {d}")
     return math.comb(2 * d - 2, d - 1) // d
 
 

@@ -187,10 +187,10 @@ def test_criterion_9_determinism(capsys, tmp_path, b2, mirror_1234):
         path = tmp_path / "mirror.json"
         path.write_text(bg.serialize(m, coloring=coloring, real_cycle=real_cycle))
         for argv in (
-            ["--seed", "0", "check", "--input", str(path)],
-            ["--seed", "0", "realize", "--input", str(path)],
-            ["--seed", "0", "count", "--d", "4"],
-            ["--seed", "0", "export", "--input", str(path), "--format", "svg"],
+            ["check", "--input", str(path)],
+            ["realize", "--input", str(path)],
+            ["count", "--d", "4"],
+            ["export", "--input", str(path), "--format", "svg"],
         ):
             code1 = cli_main(list(argv))
             out1 = capsys.readouterr()

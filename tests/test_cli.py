@@ -153,6 +153,16 @@ def test_count_d2(capsys):
     assert "a=1,1 K=1" in out
 
 
+@pytest.mark.parametrize("d", ["0", "-2"])
+def test_count_nonpositive_degree_exits_2(capsys, d):
+    code, out, err = run(capsys, "count", "--d", d)
+    assert code == 2 and err.startswith("error:") and out == ""
+
+
+def test_count_d1(capsys):
+    assert run(capsys, "count", "--d", "1") == (0, "d=1 catalan=1\n", "")
+
+
 def test_pairings_and_ssyt(capsys):
     code, out, _ = run(capsys, "pairings", "--d", "3", "--a", "1,1,1,1")
     assert code == 0

@@ -1,7 +1,6 @@
 import pytest
 
 import balancedgraphs as bg
-from balancedgraphs.enrichment import _maximum_matching
 from helpers import all_mirror_graphs, fixed_point_free_pullback
 from oracles import (
     alternating_hall_witness,
@@ -165,10 +164,24 @@ def _corpus_dot_graphs(gb_corpus, counterexample):
     ]
 
 
-def test_matching_equals_recursive_oracle(gb_corpus, counterexample):
+def test_perfect_matching_agrees_with_recursive_oracle(gb_corpus, counterexample):
+    matched = 0
     for dg in _corpus_dot_graphs(gb_corpus, counterexample):
-        ours = _maximum_matching(dg)
-        assert list(ours.items()) == list(recursive_maximum_matching(dg).items())
+        oracle = recursive_maximum_matching(dg)
+        exists = len(dg.dots_a) == len(dg.dots_b) == len(oracle)
+        try:
+            matching = bg.perfect_matching(dg)
+        except bg.NoPerfectMatching:
+            assert not exists
+            continue
+        assert exists
+        matched += 1
+        assert sorted(a for a, _, _ in matching.pairs) == sorted(dg.dots_a)
+        assert sorted(b for _, b, _ in matching.pairs) == sorted(dg.dots_b)
+        for a, b, edge_id in matching.pairs:
+            assert b[0] in dg.face_neighbors[a[0]]
+            assert edge_id in dg.shared_edges[(min(a[0], b[0]), max(a[0], b[0]))]
+    assert matched > 0
 
 
 def test_hall_witness_equals_alternating_search(gb_corpus, counterexample):

@@ -4,6 +4,7 @@ import pytest
 
 import balancedgraphs as bg
 from balancedgraphs.permutations import compose_chain, conjugate, inverse, is_transitive
+from helpers import all_mirror_graphs
 from oracles import factorial_conjugation_canonical
 
 
@@ -147,8 +148,10 @@ def _perm_cycles(p):
 
 
 def test_round_trip_corpus_maps(gb_corpus):
-    for m in gb_corpus:
-        coloring = bg.alternating_coloring(m)
+    # the mirror graphs are the maps whose realization the CLI round-trips
+    maps = [(m, bg.alternating_coloring(m)) for m in gb_corpus]
+    maps += [(m, coloring) for _, m, coloring, _ in all_mirror_graphs(5)]
+    for m, coloring in maps:
         dg = bg.dot_graph(m, coloring)
         if not bg.hall_check(dg).ok:
             continue
