@@ -12,19 +12,13 @@ import argparse
 import sys
 
 from . import balance, enrichment, labeling, monodromy, real_combinatorics, render
+from ._documents import read
 from .errors import BalancedGraphsError, NoPerfectMatching, NotVerified, ParseError
 from .surface_map import alternating_coloring, deserialize, serialize
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
-
-
-def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
 
 
 def _parse_weights(text: str) -> tuple[int, ...]:
@@ -35,8 +29,8 @@ def _parse_weights(text: str) -> tuple[int, ...]:
 
 
 def cmd_check(args) -> int:
-    doc = deserialize(_read_input(args.input))
-    report = balance.is_locally_balanced(doc.map, doc.colors, cap=args.cap_regions)
+    doc = deserialize(read(args.input))
+    report = balance.is_locally_balanced(doc.map, doc.colors)
     if not report.globally_balanced:
         print(f"not globally balanced: {report.reason}")
         return EXIT_NEGATIVE
@@ -53,7 +47,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_realize(args) -> int:
-    doc = deserialize(_read_input(args.input))
+    doc = deserialize(read(args.input))
     coloring = doc.colors if doc.colors is not None else alternating_coloring(doc.map)
     gb = balance.is_globally_balanced(doc.map, coloring)
     if not gb.ok:
@@ -86,7 +80,7 @@ def cmd_realize(args) -> int:
 
 
 def cmd_pullback(args) -> int:
-    constellation = monodromy.deserialize_constellation(_read_input(args.input))
+    constellation = monodromy.deserialize_constellation(read(args.input))
     try:
         m, coloring, lab = monodromy.pullback_from_constellation(constellation)
     except NotVerified as exc:
@@ -134,14 +128,14 @@ def cmd_ssyt(args) -> int:
 
 
 def cmd_mirror(args) -> int:
-    pairing = real_combinatorics.deserialize_pairing(_read_input(args.input))
+    pairing = real_combinatorics.deserialize_pairing(read(args.input))
     m, coloring, real_cycle = real_combinatorics.mirror_graph(pairing)
     print(serialize(m, coloring=coloring, real_cycle=real_cycle))
     return EXIT_OK
 
 
 def cmd_export(args) -> int:
-    doc = deserialize(_read_input(args.input))
+    doc = deserialize(read(args.input))
     if args.format == "dot":
         sys.stdout.write(render.to_dot(doc.map))
         return EXIT_OK
@@ -161,12 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = with_input(sub.add_parser("check", help="balance verdict for a map document"))
-    p.add_argument(
-        "--cap-regions",
-        type=int,
-        default=balance.DEFAULT_REGION_CAP,
-        help="most regions the certificate search of a negative verdict may build",
-    )
     p.set_defaults(func=cmd_check)
 
     p = with_input(sub.add_parser("realize", help="enrich, label and extract monodromy"))

@@ -9,9 +9,9 @@ incident A faces follow a cycle of the j-th permutation in sigma order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
+from ._documents import dump, is_int_list, load
 from .errors import NotVerified, NonIntegerGenus, ParseError
 from .labeling import Passport, VertexLabeling
 from .permutations import (
@@ -85,12 +85,10 @@ def verify_constellation(
     if not transitive:
         failures.append("the permutations do not act transitively")
     types = tuple(cycle_type(p) for p in c.perms)
-    branching = sum(length - 1 for t in types for length in t)
-    two_minus_2g = 2 * c.d - branching
-    g = None
-    if two_minus_2g % 2 == 0 and two_minus_2g <= 2:
-        g = (2 - two_minus_2g) // 2
-    else:
+    try:
+        g = rh_genus(Passport(c.d, types))
+    except NonIntegerGenus:
+        g = None
         failures.append("branching total is inconsistent with an integer genus")
     passport_match = None
     if expected is not None:
@@ -218,24 +216,14 @@ def conjugation_canonical(c: Constellation) -> Constellation:
 
 def serialize_constellation(c: Constellation) -> str:
     """Text document with 1-indexed one-line permutations."""
-    doc = {"d": c.d, "perms": [[x + 1 for x in p] for p in c.perms]}
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return dump({"d": c.d, "perms": [[x + 1 for x in p] for p in c.perms]})
 
 
 def deserialize_constellation(text: str) -> Constellation:
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ParseError(f"not a valid document: {exc}") from exc
-    if not isinstance(doc, dict) or "d" not in doc or "perms" not in doc:
-        raise ParseError("constellation document needs fields d and perms")
-    d = doc["d"]
-    perms = doc["perms"]
+    doc = load(text, "constellation", ("d", "perms"))
+    d, perms = doc["d"], doc["perms"]
     if not is_int(d) or d < 1 or not isinstance(perms, list):
         raise ParseError("field d must be a positive integer, perms a list")
-    out = []
-    for p in perms:
-        if not isinstance(p, list) or not all(is_int(x) for x in p):
-            raise ParseError("each permutation must be a list of integers")
-        out.append(check_permutation(tuple(x - 1 for x in p), d))
-    return Constellation(d, tuple(out))
+    if not all(is_int_list(p) for p in perms):
+        raise ParseError("each permutation must be a list of integers")
+    return Constellation(d, tuple(tuple(x - 1 for x in p) for p in perms))

@@ -9,11 +9,11 @@ whose vertices all lie on the distinguished real cycle.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from ._documents import dump, is_int_list, load
 from .errors import InvariantViolation, NotBipartiteFaces, ParseError
 from .permutations import canonical_relabeling, is_int
 from .surface_map import CombinatorialMap, FaceColoring, alternating_coloring
@@ -248,7 +248,10 @@ def _arc_events(p: NonCrossingPairing) -> list[tuple[int, int, int, int]]:
 
 
 def validate_pairing(p: NonCrossingPairing) -> None:
-    """Degree, loop-freeness and crossing-freeness of the arc multiset."""
+    """Degree, loop-freeness and crossing-freeness of the arc multiset.
+
+    Crossings are found by the stack replay of :func:`_arc_events`.
+    """
     counts = [0] * p.type.n
     for i, j in p.arcs:
         if not 1 <= i < j <= p.type.n:
@@ -257,12 +260,7 @@ def validate_pairing(p: NonCrossingPairing) -> None:
         counts[j - 1] += 1
     if tuple(counts) != p.type.a:
         raise InvariantViolation("arc multiplicities do not match the type")
-    arcs = sorted(p.arcs)
-    for x in range(len(arcs)):
-        i, j = arcs[x]
-        for k, l in arcs[x + 1 :]:
-            if i < k < j < l:
-                raise InvariantViolation(f"arcs ({i},{j}) and ({k},{l}) cross")
+    _arc_events(p)
 
 
 def mirror_graph(
@@ -465,25 +463,15 @@ def count_coverage_check(d: int) -> list[CoverageRow]:
 
 
 def serialize_pairing(p: NonCrossingPairing) -> str:
-    doc = {"n": p.type.n, "a": list(p.type.a), "arcs": [list(arc) for arc in p.arcs]}
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return dump({"n": p.type.n, "a": list(p.type.a), "arcs": [list(arc) for arc in p.arcs]})
 
 
 def deserialize_pairing(text: str) -> NonCrossingPairing:
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ParseError(f"not a valid document: {exc}") from exc
-    if not isinstance(doc, dict) or not {"n", "a", "arcs"} <= set(doc):
-        raise ParseError("pairing document needs fields n, a, arcs")
-    a = doc["a"]
-    if not isinstance(a, list) or len(a) != doc["n"] or not all(is_int(x) for x in a):
-        raise ParseError("field a must list one integer multiplicity per point")
-    arcs = doc["arcs"]
-    if not isinstance(arcs, list) or not all(
-        isinstance(arc, list) and len(arc) == 2 and all(is_int(x) for x in arc)
-        for arc in arcs
-    ):
+    doc = load(text, "pairing", ("n", "a", "arcs"))
+    n, a, arcs = doc["n"], doc["a"], doc["arcs"]
+    if not is_int(n) or not is_int_list(a, n):
+        raise ParseError("field n must be an integer, a one integer multiplicity per point")
+    if not isinstance(arcs, list) or not all(is_int_list(arc, 2) for arc in arcs):
         raise ParseError("field arcs must list pairs of integer points")
     d = (sum(a) + 2) // 2
     t = WeightComposition(d, tuple(a))
@@ -494,6 +482,4 @@ def deserialize_pairing(text: str) -> NonCrossingPairing:
 
 
 def serialize_tableau(tb: Tableau2Row) -> str:
-    return json.dumps(
-        {"rows": [list(r) for r in tb.rows]}, sort_keys=True, separators=(",", ":")
-    )
+    return dump({"rows": [list(r) for r in tb.rows]})

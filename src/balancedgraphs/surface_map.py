@@ -13,10 +13,10 @@ a face cycle keeps that face on the left of each dart.  The Euler count
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
+from ._documents import dump, is_int_list, load
 from .errors import (
     BadPermutation,
     Disconnected,
@@ -198,8 +198,6 @@ def build_map(dart_count: int, alpha, sigma) -> CombinatorialMap:
     """Validate and build a map from its dart count and permutations."""
     alpha = tuple(alpha)
     sigma = tuple(sigma)
-    if dart_count <= 0 or dart_count % 2 != 0:
-        raise BadPermutation(f"dart count must be positive and even, got {dart_count}")
     if len(alpha) != dart_count or len(sigma) != dart_count:
         raise BadPermutation("alpha and sigma must have length dart_count")
     return CombinatorialMap(alpha, sigma)
@@ -366,25 +364,15 @@ def serialize(
         doc["colors"] = new_colors
     if real_cycle is not None:
         doc["real_cycle"] = [dart_map[d] for d in real_cycle]
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return dump(doc)
 
 
 def deserialize(text: str) -> MapDocument:
     """Parse a map document, validating all structural invariants."""
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ParseError(f"not a valid document: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("map document must be a JSON object")
-    try:
-        darts = doc["darts"]
-        alpha = doc["alpha"]
-        sigma = doc["sigma"]
-    except KeyError as exc:
-        raise ParseError(f"missing field {exc}") from exc
-    if not is_int(darts) or not isinstance(alpha, list) or not isinstance(sigma, list):
-        raise ParseError("fields darts, alpha, sigma have the wrong types")
+    doc = load(text, "map", ("darts", "alpha", "sigma"))
+    darts, alpha, sigma = doc["darts"], doc["alpha"], doc["sigma"]
+    if not is_int(darts) or not is_int_list(alpha) or not is_int_list(sigma):
+        raise ParseError("field darts must be an integer, alpha and sigma integer lists")
     try:
         m = build_map(darts, alpha, sigma)
     except (BadPermutation, NotInvolution, Disconnected) as exc:
@@ -393,11 +381,7 @@ def deserialize(text: str) -> MapDocument:
     labels = None
     if "labels" in doc:
         labels = doc["labels"]
-        if (
-            not isinstance(labels, list)
-            or len(labels) != m.vertex_count
-            or not all(is_int(x) for x in labels)
-        ):
+        if not is_int_list(labels, m.vertex_count):
             raise InvariantViolation("labels must list one integer per vertex")
         labels = tuple(labels)
 
@@ -419,9 +403,7 @@ def deserialize(text: str) -> MapDocument:
     real_cycle = None
     if "real_cycle" in doc:
         raw = doc["real_cycle"]
-        if not isinstance(raw, list) or any(
-            not is_int(d) or not 0 <= d < m.dart_count for d in raw
-        ):
+        if not is_int_list(raw) or any(not 0 <= d < m.dart_count for d in raw):
             raise InvariantViolation("real_cycle must list dart ids")
         real_cycle = tuple(raw)
 

@@ -255,3 +255,15 @@ def alternating_hall_witness(dg, match_b):
                 reach_b.add(partner)
                 frontier.append(partner)
     return tuple(sorted(reach_b))
+
+
+def arcs_cross(arcs) -> bool:
+    """Whether two arcs (i, j) and (k, l) with i < k < j < l exist, by
+    comparing every pair (the crossing check pairings once used)."""
+    arcs = sorted(arcs)
+    for x in range(len(arcs)):
+        i, j = arcs[x]
+        for k, l in arcs[x + 1 :]:
+            if i < k < j < l:
+                return True
+    return False

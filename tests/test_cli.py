@@ -221,6 +221,11 @@ def test_outputs_byte_identical_across_runs(capsys, mirror_file, b2_file):
         assert first == second
 
 
+def _nested(prefix, depth=100_000):
+    """``prefix`` followed by a JSON value nested ``depth`` lists deep."""
+    return prefix + "[" * depth + "]" * depth + "}"
+
+
 @pytest.mark.parametrize(
     "command, document",
     [
@@ -233,10 +238,23 @@ def test_outputs_byte_identical_across_runs(capsys, mirror_file, b2_file):
             '{"darts":8,"alpha":[1,0,3,2,5,4,7,6],"sigma":[2,7,4,1,6,3,0,5],'
             '"labels":[true,2]}',
         ),
+        ("check", b"\xff\xfe{"),
+        pytest.param("check", _nested('{"darts":8,"alpha":'), id="check-nested"),
+        pytest.param("pullback", _nested('{"d":2,"perms":'), id="pullback-nested"),
+        pytest.param("mirror", _nested('{"n":2,"a":'), id="mirror-nested"),
+        ("mirror", '{"n":4.0,"a":[1,1,1,1],"arcs":[[1,2],[3,4]]}'),
+        pytest.param(
+            "check",
+            '{"darts":' + "1" * 5000 + ',"alpha":[],"sigma":[]}',
+            id="check-5000-digit-integer",
+        ),
     ],
 )
 def test_malformed_documents_exit_2(capsys, tmp_path, command, document):
     path = tmp_path / "doc.json"
-    path.write_text(document)
+    if isinstance(document, bytes):
+        path.write_bytes(document)
+    else:
+        path.write_text(document)
     code, out, err = run(capsys, command, "--input", str(path))
     assert code == 2 and err.startswith("error:") and out == ""

@@ -1,8 +1,11 @@
+from itertools import combinations, combinations_with_replacement
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import balancedgraphs as bg
 from helpers import all_mirror_graphs
+from oracles import arcs_cross
 
 
 def test_weight_composition_validation():
@@ -36,6 +39,30 @@ def test_enumerate_pairings_are_valid_and_sorted():
             assert arcs == sorted(arcs) and len(set(arcs)) == len(arcs)
             for p in pairings:
                 bg.validate_pairing(p)
+
+
+def test_validate_pairing_matches_pairwise_crossing_oracle():
+    # every multiset of d - 1 arcs on n <= 6 points against every type (d, a)
+    accepted = pairings = 0
+    for d in range(2, 6):
+        for a in bg.compositions(2 * d - 2, d - 1):
+            if not 2 <= len(a) <= min(6, 2 * d - 2):
+                continue
+            t = bg.WeightComposition(d, a)
+            pairs = list(combinations(range(1, t.n + 1), 2))
+            for arcs in combinations_with_replacement(pairs, d - 1):
+                counts = tuple(sum(x in arc for arc in arcs) for x in range(1, t.n + 1))
+                want = counts == t.a and not arcs_cross(arcs)
+                try:
+                    bg.validate_pairing(bg.NonCrossingPairing(t, arcs))
+                    got = True
+                except bg.InvariantViolation:
+                    got = False
+                assert got == want, (t, arcs)
+                accepted += got
+            pairings += len(bg.enumerate_pairings(t))
+    # what is accepted is exactly the enumerated pairings
+    assert accepted == pairings == 334
 
 
 def test_enumerate_ssyt_examples():
