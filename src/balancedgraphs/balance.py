@@ -4,6 +4,12 @@ A region is a proper nonempty set of faces whose topological boundary is a
 disjoint union of simple cycles, each keeping its interior A-colored faces
 on the inside.  Local balance demands strictly more A faces than B faces in
 every such region, for both alternating colorings.
+
+The local-balance decision takes its verdict from the Hall condition on
+the dot graph, one maximum flow, and reads the certificate of a negative
+verdict off the flow's witness, so it is polynomial.  The exhaustive
+region enumerator :func:`positive_regions` is kept as a library function
+and is not on that path.
 """
 
 from __future__ import annotations
@@ -238,7 +244,9 @@ def positive_regions(
 
     Enumerates connected face subsets by growth, pruning branches whose
     boundary exposes a B face inside against an A face that can no longer
-    be absorbed.  Raises :class:`SizeLimitExceeded` past ``cap`` regions.
+    be absorbed, so it is exponential in the face count; the local-balance
+    decision does not call it.  Raises :class:`SizeLimitExceeded` past
+    ``cap`` regions.
     """
     found: list[Region] = []
     for _, inside, _ in _grown_face_sets(m, coloring):
@@ -251,50 +259,52 @@ def positive_regions(
     return found
 
 
-def _least_violation(
-    m: CombinatorialMap, coloring: FaceColoring, cap: int
+def _witness_region(
+    m: CombinatorialMap,
+    coloring: FaceColoring,
+    neighbors: tuple[tuple[int, ...], ...],
+    witness: tuple[int, ...],
 ) -> Region | None:
-    """The region :func:`positive_regions` lists first among those with at
-    most as many A faces as B faces, or None.
+    """A region with at most as many A as B faces around the Hall witness.
 
-    Sets with more A than B faces are never built into regions, and the
-    search stops after the first root that yields a violation: every set
-    grown from a root has it as least face, so later roots only give
-    larger face tuples.  Raises :class:`SizeLimitExceeded` past ``cap``
-    regions built.
+    The witness B faces and their ``neighbors`` (edge-adjacent faces, per
+    face) are split into face-connected components; the first, in order of
+    least face, that is a region with ``a_count <= b_count`` is returned,
+    or None if no component is one.
     """
-    best: Region | None = None
-    best_root = None
-    built = 0
-    for root, inside, a in _grown_face_sets(m, coloring):
-        if best_root is not None and root != best_root:
-            break
-        if a > len(inside) - a:
+    around = set(witness)
+    for f in witness:
+        around.update(neighbors[f])
+    placed: set[int] = set()
+    for start in sorted(around):
+        if start in placed:
             continue
-        region = region_from_faces(m, coloring, inside)
-        if region is None:
-            continue
-        built += 1
-        if built > cap:
-            raise SizeLimitExceeded(f"more than {cap} regions")
-        if best is None or region.sorted_faces() < best.sorted_faces():
-            best, best_root = region, root
-    return best
+        component = {start}
+        stack = [start]
+        while stack:
+            for g in neighbors[stack.pop()]:
+                if g in around and g not in component:
+                    component.add(g)
+                    stack.append(g)
+        placed |= component
+        region = region_from_faces(m, coloring, component)
+        if region is not None and region.a_count <= region.b_count:
+            return region
+    return None
 
 
 def is_locally_balanced(
-    m: CombinatorialMap,
-    coloring: FaceColoring | None = None,
-    cap: int = DEFAULT_REGION_CAP,
+    m: CombinatorialMap, coloring: FaceColoring | None = None
 ) -> BalanceReport:
     """Full balance report; checks both alternating colorings.
 
     A globally balanced map is locally balanced exactly when its dot graph
     has a perfect matching, so the verdict comes from the maximum flow of
-    :func:`~balancedgraphs.enrichment.hall_check`.  On failure the first
-    violating region in sorted face order, on the given coloring before
-    the flipped one, is returned as a certificate; only that search
-    enumerates regions, and ``cap`` bounds it.
+    :func:`~balancedgraphs.enrichment.hall_check`.  On failure the
+    certificate is read off the Hall witness (see :func:`_witness_region`):
+    on the given coloring if its witness bounds a violating region, else
+    on the flipped coloring's witness.  No regions are enumerated.  Raises
+    :class:`InvariantViolation` if neither witness yields a region.
     """
     gb = is_globally_balanced(m, coloring)
     if not gb.ok:
@@ -304,10 +314,18 @@ def is_locally_balanced(
     # without corners there are no dots.  A globally balanced map never
     # has exactly one: every face would pass that corner once, giving 2k
     # faces for valence 2k >= 4 and Euler characteristic 1 + k > 2.
-    if not m.corners or hall_check(dot_graph(m, coloring)).ok:
+    if not m.corners:
+        return BalanceReport(gb.d, True, True)
+    dg = dot_graph(m, coloring)
+    hall = hall_check(dg)
+    if hall.ok:
         return BalanceReport(gb.d, True, True)
     for flipped, col in ((False, coloring), (True, coloring.flip())):
-        region = _least_violation(m, col, cap)
+        if flipped:
+            # the dot totals of the two colors agree, so Hall fails here too
+            dg = dot_graph(m, col)
+            hall = hall_check(dg)
+        region = _witness_region(m, col, dg.face_neighbors, hall.witness_faces())
         if region is not None:
             return BalanceReport(
                 gb.d,
@@ -321,7 +339,7 @@ def is_locally_balanced(
                 ),
             )
     raise InvariantViolation(
-        "the Hall condition fails but no region violates local balance"
+        "the Hall condition fails but no witness bounds a violating region"
     )
 
 

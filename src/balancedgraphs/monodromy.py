@@ -78,7 +78,8 @@ def verify_constellation(
     genus comes from the Euler count of the would-be pullback surface.
     """
     failures = []
-    product_ok = compose_chain(c.perms, c.d) == identity(c.d)
+    # an empty product is the identity; nothing of size d is built for it
+    product_ok = not c.perms or compose_chain(c.perms, c.d) == identity(c.d)
     if not product_ok:
         failures.append("composite of the permutations is not the identity")
     transitive = is_transitive(c.perms, c.d)

@@ -83,8 +83,10 @@ def cycle_type(p: Perm) -> tuple[int, ...]:
 
 def is_transitive(perms, n: int) -> bool:
     """Whether the group generated by ``perms`` acts transitively on 0..n-1."""
-    if n == 0:
+    if n <= 1:
         return True
+    if not perms:
+        return False
     seen = [False] * n
     seen[0] = True
     stack = [0]

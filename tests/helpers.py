@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -184,3 +185,106 @@ def fixed_point_free_pullback(d, branch_points):
         ):
             return bg.pullback_from_constellation(bg.Constellation(d, perms))
     raise AssertionError("no fixed-point-free constellation found")
+
+
+def random_weight_type(rng, d):
+    """A random weight type of degree ``d``: 2d - 2 split into 2 .. 2d - 2
+    parts, each in 1 .. d - 1."""
+    total = 2 * d - 2
+    while True:
+        n = rng.randint(2, total)
+        cuts = sorted(rng.sample(range(1, total), n - 1))
+        parts = [b - a for a, b in zip([0] + cuts, cuts + [total])]
+        if max(parts) <= d - 1:
+            return bg.WeightComposition(d, tuple(parts))
+
+
+def random_pairing(rng, t):
+    """A uniformly random non-crossing pairing of weight type ``t``.
+
+    Point k closes some of the newest open arcs and opens the rest of its
+    weight; each choice is drawn in proportion to its completions.
+    """
+    a = t.a
+
+    @functools.lru_cache(maxsize=None)
+    def completions(k, open_arcs):
+        if k == len(a):
+            return int(open_arcs == 0)
+        return sum(
+            completions(k + 1, open_arcs - c + a[k] - c)
+            for c in range(min(a[k], open_arcs) + 1)
+        )
+
+    stack = []
+    arcs = []
+    for k in range(len(a)):
+        choices = range(min(a[k], len(stack)) + 1)
+        weights = [completions(k + 1, len(stack) - c + a[k] - c) for c in choices]
+        closes = rng.choices(choices, weights=weights)[0]
+        for _ in range(closes):
+            arcs.append((stack.pop(), k + 1))
+        stack.extend([k + 1] * (a[k] - closes))
+    return bg.NonCrossingPairing(t, tuple(sorted(arcs)))
+
+
+def _opening_ranks(n, arcs):
+    """Rank of each arc by the time it opens, farthest target first at a point."""
+    ranks = [0] * len(arcs)
+    tick = 0
+    for k in range(1, n + 1):
+        opening = [t for t, (i, _) in enumerate(arcs) if i == k]
+        for t in sorted(opening, key=lambda t: -arcs[t][1]):
+            ranks[t] = tick
+            tick += 1
+    return ranks
+
+
+def glued_map(upper, lower):
+    """Planar map of the circle through the points of one weight type, the
+    arcs of pairing ``upper`` above it and those of ``lower`` below.
+
+    With ``lower == upper`` this is the mirror graph.  Real edge k -> k+1
+    owns darts (2k, 2k+1); upper arc t owns 2n + 2t at its opening point
+    and 2n + 2t + 1 at its closing point; lower arcs follow the same
+    scheme shifted by 2 * len(upper.arcs).
+    """
+    n = upper.type.n
+    halves = []
+    base = 2 * n
+    for p in (upper, lower):
+        arcs = sorted(p.arcs)
+        halves.append((base, arcs, _opening_ranks(n, arcs)))
+        base += 2 * len(arcs)
+    alpha = [d ^ 1 for d in range(base)]
+    sigma = [0] * base
+    (up, up_arcs, up_rank), (low, low_arcs, low_rank) = halves
+    for k in range(1, n + 1):
+        up_open = [t for t, (i, _) in enumerate(up_arcs) if i == k]
+        up_close = [t for t, (_, j) in enumerate(up_arcs) if j == k]
+        low_open = [t for t, (i, _) in enumerate(low_arcs) if i == k]
+        low_close = [t for t, (_, j) in enumerate(low_arcs) if j == k]
+        ring = [2 * (k - 1)]
+        ring += [up + 2 * t for t in sorted(up_open, key=lambda t: -up_rank[t])]
+        ring += [up + 2 * t + 1 for t in sorted(up_close, key=lambda t: up_rank[t])]
+        ring.append(2 * ((k - 2) % n) + 1)
+        ring += [low + 2 * t + 1 for t in sorted(low_close, key=lambda t: -low_rank[t])]
+        ring += [low + 2 * t for t in sorted(low_open, key=lambda t: low_rank[t])]
+        for i, dart in enumerate(ring):
+            sigma[dart] = ring[(i + 1) % len(ring)]
+    return bg.CombinatorialMap(alpha, sigma)
+
+
+def random_glued_map(rng, d, subdivide=False):
+    """A globally balanced map glued from two random pairings of one random
+    type of degree ``d``, or None when the draw is not globally balanced.
+
+    With ``subdivide``, one to three random edges carry one or two 2-valent
+    vertices each.
+    """
+    t = random_weight_type(rng, d)
+    m = glued_map(random_pairing(rng, t), random_pairing(rng, t))
+    if subdivide:
+        edges = rng.sample(range(m.edge_count), min(m.edge_count, rng.randint(1, 3)))
+        m = bg.subdivide_edges(m, {e: rng.randint(1, 2) for e in edges})
+    return m if bg.is_globally_balanced(m).ok else None

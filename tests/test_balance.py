@@ -1,10 +1,14 @@
+import random
+
 import pytest
 
 import balancedgraphs as bg
+from helpers import random_glued_map
 from oracles import (
     brute_force_locally_balanced,
     brute_force_regions,
     enumerated_balance_report,
+    region_invariants_hold,
     thurston_single_cycle_balanced,
 )
 
@@ -293,15 +297,67 @@ def test_positive_verdict_enumerates_no_regions(monkeypatch):
 
     monkeypatch.setattr(bg.balance, "_grown_face_sets", refuse)
     monkeypatch.setattr(bg.balance, "region_from_faces", refuse)
-    report = bg.is_locally_balanced(m, coloring, cap=0)
+    report = bg.is_locally_balanced(m, coloring)
     assert report.locally_balanced and report.d == d
 
 
-def test_region_cap_bounds_only_the_certificate_search(counterexample, b2):
-    m, coloring, _ = counterexample
-    with pytest.raises(bg.SizeLimitExceeded):
-        bg.is_locally_balanced(m, coloring, cap=0)
-    assert bg.is_locally_balanced(b2, cap=0).locally_balanced
+def _assert_certificate(m, coloring, report):
+    """The violation is a region of the coloring it names, with a <= b."""
+    col = coloring.flip() if report.violation_on_flipped else coloring
+    faces = report.violation.faces
+    a = sum(1 for f in faces if col.color(f) == bg.COLOR_A)
+    assert region_invariants_hold(m, col, faces)
+    assert (report.violation.a_count, report.violation.b_count) == (a, len(faces) - a)
+    assert a <= len(faces) - a
+
+
+def test_negative_verdict_enumerates_no_regions(monkeypatch, counterexample):
+    def refuse(*args, **kwargs):
+        raise AssertionError("regions enumerated on a negative verdict")
+
+    monkeypatch.setattr(bg.balance, "_grown_face_sets", refuse)
+    monkeypatch.setattr(bg.balance, "positive_regions", refuse)
+    m, coloring, cert = counterexample
+    report = bg.is_locally_balanced(m, coloring)
+    assert report.violation.sorted_faces() == tuple(cert["certificate_faces"])
+    assert [report.violation.a_count, report.violation.b_count] == cert[
+        "certificate_counts"
+    ]
+
+    # the enumeration took 14-66 s on glued negatives of this size
+    rng = random.Random(40)
+    while True:
+        m = random_glued_map(rng, 20)
+        if m is not None and not bg.hall_check(
+            bg.dot_graph(m, bg.alternating_coloring(m))
+        ).ok:
+            break
+    assert m.face_count >= 40
+    coloring = bg.alternating_coloring(m)
+    report = bg.is_locally_balanced(m, coloring)
+    assert report.globally_balanced and not report.locally_balanced
+    _assert_certificate(m, coloring, report)
+
+
+def test_witness_certificates_on_random_glued_maps():
+    rng = random.Random(2024)
+    negatives = flipped = brute_forced = 0
+    for i in range(400):
+        m = None
+        while m is None:
+            m = random_glued_map(rng, rng.randint(3, 12), subdivide=i % 2 == 1)
+        coloring = bg.alternating_coloring(m)
+        report = bg.is_locally_balanced(m, coloring)
+        hall = bg.hall_check(bg.dot_graph(m, coloring)).ok if m.corners else True
+        assert report.locally_balanced == hall
+        if m.face_count <= 12:
+            assert hall == brute_force_locally_balanced(m, coloring)
+            brute_forced += 1
+        if not hall:
+            _assert_certificate(m, coloring, report)
+            negatives += 1
+            flipped += report.violation_on_flipped
+    assert flipped >= 1 and negatives > flipped and brute_forced >= 50
 
 
 def test_corner_bound_check_rejects_unbalanced_maps():

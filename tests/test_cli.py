@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -134,6 +135,29 @@ def test_pullback_rejects_nontransitive(capsys, tmp_path):
     code, out, _ = run(capsys, "pullback", "--input", str(path))
     assert code == 1
     assert "transitively" in out
+
+
+EMPTY_PERMS_FAILURE = (
+    "constellation failed verification: the permutations do not act "
+    "transitively; branching total is inconsistent with an integer genus\n"
+)
+
+
+def test_pullback_without_permutations_allocates_nothing_of_size_d(capsys, tmp_path):
+    small = tmp_path / "small.json"
+    small.write_text('{"d":3,"perms":[]}')
+    assert run(capsys, "pullback", "--input", str(small))[:2] == (1, EMPTY_PERMS_FAILURE)
+    # a 24-byte document must not cost memory linear in d
+    large = tmp_path / "large.json"
+    large.write_text('{"d":4000000,"perms":[]}')
+    tracemalloc.start()
+    try:
+        code = main(["pullback", "--input", str(large)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, capsys.readouterr().out) == (1, EMPTY_PERMS_FAILURE)
+    assert peak < 1_000_000
 
 
 def test_count_d3(capsys):
