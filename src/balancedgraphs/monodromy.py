@@ -139,6 +139,9 @@ def pullback_from_constellation(
     report = verify_constellation(c)
     if not report.ok:
         raise NotVerified("; ".join(report.failures))
+    if not c.perms:
+        # d = 1 with no branch points verifies, but leaves no curve to build on
+        raise NotVerified("a pullback needs at least one permutation")
     d, m = c.d, c.m
     n = 2 * d * m
 

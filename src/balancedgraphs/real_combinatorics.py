@@ -5,13 +5,18 @@ joins them by a_k arcs at point k, loop-free, with no two arcs crossing.
 These biject with semistandard tableaux of shape 2 x (d-1) and weight a.
 Doubling a pairing across the circle produces a globally balanced map
 whose vertices all lie on the distinguished real cycle.
+
+A pairing is fixed by how many of its arcs close at each point, each
+closing taking the newest open arc.  Pairings, tableaux and the Kostka
+count all come from one table over these close counts, every conversion
+is the same stack replay, and nothing recurses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import accumulate
 
 from ._documents import dump, is_int_list, load
 from .errors import InvariantViolation, NotBipartiteFaces, ParseError
@@ -19,6 +24,7 @@ from .permutations import canonical_relabeling, is_int
 from .surface_map import CombinatorialMap, FaceColoring, alternating_coloring
 
 Arc = tuple[int, int]
+Event = tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -63,101 +69,127 @@ def _tableau_ok(rows, t: WeightComposition) -> bool:
     top, bottom = rows
     if len(top) != t.d - 1 or len(bottom) != t.d - 1:
         return False
-    counts = [0] * (t.n + 1)
-    for x in top + bottom:
-        if not 1 <= x <= t.n:
-            return False
-        counts[x] += 1
-    if counts[1:] != list(t.a):
+    points = top + bottom
+    if any(not 1 <= x <= t.n for x in points) or _per_point(points, t.n) != list(t.a):
         return False
     if any(top[i] > top[i + 1] or bottom[i] > bottom[i + 1] for i in range(t.d - 2)):
         return False
     return all(bottom[i] > top[i] for i in range(t.d - 1))
 
 
-def enumerate_pairings(t: WeightComposition) -> list[NonCrossingPairing]:
-    """All pairings of the given type, sorted lexicographically.
+def _completions(a) -> list[list[int]]:
+    """``ways[k][m]``: the ways points k+1..n can close m arcs opened before them.
 
-    Depth-first over the points: at point k close some arcs against the
-    top of the open stack, then open the rest.  Crossings never arise, and
-    every pairing appears exactly once.
+    A point of weight x closes c <= min(x, m) of m open arcs and opens x - c,
+    leaving m + x - 2c open.  Row k holds only the m that points 1..k can
+    open and points k+1..n can close.
     """
-    out = []
-    arcs: list[Arc] = []
-    stack: list[int] = []
+    prefix = list(accumulate(a, initial=0))
+    ways = [[1]] * (len(a) + 1)  # row n: nothing left open, one way
+    for k in reversed(range(len(a))):
+        nxt, x = ways[k + 1], a[k]
+        size = min(prefix[k], prefix[-1] - prefix[k]) + 1
+        ways[k] = [sum(nxt[abs(m - x) : m + x + 1 : 2]) for m in range(size)]
+    return ways
 
-    def visit(k: int):
-        if k > t.n:
+
+def _close_counts(a):
+    """Every close-count vector of a pairing of weight ``a``, in increasing order.
+
+    ``closes[k]`` arcs close at point k + 1.  The walk enters a count only
+    when :func:`_completions` says the later points can close what is then
+    open, so every branch it enters ends in a pairing.
+    """
+    ways, n = _completions(a), len(a)
+    closes = [0] * n
+    opened = [0] * (n + 1)  # arcs open before point k + 1
+    k = c = 0
+    while True:
+        m, x, nxt = opened[k], a[k], ways[k + 1]
+        most = min(m, x)
+        # the least count >= c leaving an open count that row k + 1 holds
+        c = max(c, (m + x - len(nxt) + 2) // 2)
+        while c <= most and not nxt[m + x - 2 * c]:
+            c += 1
+        if c > most:
+            if k == 0:
+                return
+            k -= 1
+            c = closes[k] + 1
+            continue
+        closes[k] = c
+        opened[k + 1] = m + x - 2 * c
+        if k + 1 < n:
+            k, c = k + 1, 0
+        else:
+            yield tuple(closes)
+            c += 1
+
+
+def _replay(n: int, opens, closes) -> list[Event] | None:
+    """Arcs with ``opens[k]`` openings and ``closes[k]`` closings at point k + 1.
+
+    At each point the closings take the newest open arcs, then the point's
+    own arcs open.  Returns the sorted (i, j, open rank, close rank), or
+    None when a closing finds no open arc or arcs are left open.
+    """
+    stack: list[tuple[int, int]] = []  # (point, open rank)
+    events: list[Event] = []
+    opened = 0
+    for k in range(1, n + 1):
+        for _ in range(closes[k - 1]):
             if not stack:
-                out.append(tuple(sorted(arcs)))
-            return
-        ak = t.a[k - 1]
-        for closes in range(min(ak, len(stack)) + 1):
-            popped = [stack.pop() for _ in range(closes)]
-            arcs.extend((i, k) for i in popped)
-            opens = ak - closes
-            stack.extend([k] * opens)
-            visit(k + 1)
-            del stack[len(stack) - opens :]
-            del arcs[len(arcs) - closes :]
-            stack.extend(reversed(popped))
+                return None
+            i, rank = stack.pop()
+            events.append((i, k, rank, len(events)))
+        stack.extend((k, opened + t) for t in range(opens[k - 1]))
+        opened += opens[k - 1]
+    if stack:
+        return None
+    events.sort()
+    return events
 
-    visit(1)
-    return [NonCrossingPairing(t, arcs) for arcs in sorted(set(out))]
+
+def _per_point(points, n: int) -> list[int]:
+    """How often each of the points 1..n occurs in ``points``."""
+    counts = [0] * n
+    for x in points:
+        counts[x - 1] += 1
+    return counts
+
+
+def _points(counts) -> tuple[int, ...]:
+    """The points 1..n, each as often as ``counts`` says, in order."""
+    return tuple(k for k, c in enumerate(counts, 1) for _ in range(c))
+
+
+def _arcs(events: list[Event]) -> tuple[Arc, ...]:
+    return tuple((i, j) for i, j, _, _ in events)
+
+
+def enumerate_pairings(t: WeightComposition) -> list[NonCrossingPairing]:
+    """All pairings of the given type, sorted lexicographically."""
+    found = (
+        _arcs(_replay(t.n, [x - c for x, c in zip(t.a, closes)], closes))
+        for closes in _close_counts(t.a)
+    )
+    return [NonCrossingPairing(t, arcs) for arcs in sorted(found)]
 
 
 def enumerate_ssyt(t: WeightComposition) -> list[Tableau2Row]:
-    """All two-row tableaux of the given type, by direct column fill."""
-    width = t.d - 1
-    remaining = list(t.a)
-    out = []
-    top: list[int] = []
-    bottom: list[int] = []
-
-    def fill(col: int):
-        if col == width:
-            if all(r == 0 for r in remaining):
-                out.append(Tableau2Row((tuple(top), tuple(bottom))))
-            return
-        lo_top = top[-1] if top else 1
-        for x in range(lo_top, t.n + 1):
-            if remaining[x - 1] == 0:
-                continue
-            remaining[x - 1] -= 1
-            lo_bottom = max(bottom[-1] if bottom else 1, x + 1)
-            for y in range(lo_bottom, t.n + 1):
-                if remaining[y - 1] == 0:
-                    continue
-                remaining[y - 1] -= 1
-                top.append(x)
-                bottom.append(y)
-                fill(col + 1)
-                top.pop()
-                bottom.pop()
-                remaining[y - 1] += 1
-            remaining[x - 1] += 1
-
-    fill(0)
-    return sorted(out, key=lambda tb: tb.rows)
+    """All two-row tableaux of the given type, sorted by rows: openings on
+    top, closings below.  A larger close count at the first point where two
+    vectors differ means a larger top row, so the walk's order is the rows'.
+    """
+    return [
+        Tableau2Row((_points(x - c for x, c in zip(t.a, closes)), _points(closes)))
+        for closes in _close_counts(t.a)
+    ]
 
 
 def kostka(t: WeightComposition) -> int:
-    """Tableau count by memoized prefix counting over the open-arc stack."""
-
-    a = t.a
-
-    @lru_cache(maxsize=None)
-    def count(k: int, open_arcs: int) -> int:
-        if k == len(a):
-            return 1 if open_arcs == 0 else 0
-        total = 0
-        for closes in range(min(a[k], open_arcs) + 1):
-            total += count(k + 1, open_arcs - closes + (a[k] - closes))
-        return total
-
-    result = count(0, 0)
-    count.cache_clear()
-    return result
+    """Tableau count: the completions of the empty stack before point 1."""
+    return _completions(t.a)[0][0]
 
 
 def catalan(d: int) -> int:
@@ -169,14 +201,9 @@ def catalan(d: int) -> int:
 
 def pairing_to_tableau(p: NonCrossingPairing) -> Tableau2Row:
     """Top row lists arc openings, bottom row arc closings, per point."""
-    top = []
-    bottom = []
-    for i, j in sorted(p.arcs):
-        top.append(i)
-        bottom.append(j)
-    top.sort()
-    bottom.sort()
-    tableau = Tableau2Row((tuple(top), tuple(bottom)))
+    top = tuple(sorted(i for i, _ in p.arcs))
+    bottom = tuple(sorted(j for _, j in p.arcs))
+    tableau = Tableau2Row((top, bottom))
     if not _tableau_ok(tableau.rows, p.type):
         raise InvariantViolation("pairing does not convert to a valid tableau")
     return tableau
@@ -185,66 +212,25 @@ def pairing_to_tableau(p: NonCrossingPairing) -> Tableau2Row:
 def tableau_to_pairing(tb: Tableau2Row) -> NonCrossingPairing:
     """Rebuild the pairing: each closing matches the newest open arc."""
     top, bottom = tb.rows
-    d = len(top) + 1
     n = max(top + bottom)
-    a = [0] * n
-    for x in top + bottom:
-        a[x - 1] += 1
-    t = WeightComposition(d, tuple(a))
+    t = WeightComposition(len(top) + 1, tuple(_per_point(top + bottom, n)))
     if not _tableau_ok(tb.rows, t):
         raise InvariantViolation("not a semistandard two-row tableau")
-    opens = [0] * (n + 1)
-    closes = [0] * (n + 1)
-    for x in top:
-        opens[x] += 1
-    for x in bottom:
-        closes[x] += 1
-    stack: list[int] = []
-    arcs = []
-    for k in range(1, n + 1):
-        for _ in range(closes[k]):
-            arcs.append((stack.pop(), k))
-        stack.extend([k] * opens[k])
-    return NonCrossingPairing(t, tuple(sorted(arcs)))
+    return NonCrossingPairing(t, _arcs(_replay(n, _per_point(top, n), _per_point(bottom, n))))
 
 
-def _arc_events(p: NonCrossingPairing) -> list[tuple[int, int, int, int]]:
+def _arc_events(p: NonCrossingPairing) -> list[Event]:
     """Arcs with their opening and closing event ranks: (i, j, open, close).
 
-    The stack replay pushes arcs sharing an opening point with the farther
-    target first, so each closing matches the top of the stack; anything
-    else would be a crossing.
+    The arcs are non-crossing exactly when they are the replay of their
+    own endpoint counts; anything else is a crossing.
     """
-    arcs_sorted = sorted(p.arcs)
-    opens: dict[int, list[int]] = {}
-    closes: dict[int, int] = {}
-    for idx, (i, j) in enumerate(arcs_sorted):
-        opens.setdefault(i, []).append(idx)
-        closes[j] = closes.get(j, 0) + 1
-    stack: list[int] = []
-    open_rank = {}
-    close_rank = {}
-    tick = 0
-    closed = 0
-    for k in range(1, p.type.n + 1):
-        for _ in range(closes.get(k, 0)):
-            if not stack:
-                raise InvariantViolation("arcs are not a non-crossing pairing")
-            arc_idx = stack.pop()
-            if arcs_sorted[arc_idx][1] != k:
-                raise InvariantViolation("arcs are not a non-crossing pairing")
-            close_rank[arc_idx] = closed
-            closed += 1
-        for arc_idx in sorted(opens.get(k, []), key=lambda t: -arcs_sorted[t][1]):
-            open_rank[arc_idx] = tick
-            tick += 1
-            stack.append(arc_idx)
-    if stack:
+    n = p.type.n
+    opens = _per_point((i for i, _ in p.arcs), n)
+    events = _replay(n, opens, _per_point((j for _, j in p.arcs), n))
+    if events is None or list(_arcs(events)) != sorted(p.arcs):
         raise InvariantViolation("arcs are not a non-crossing pairing")
-    return [
-        (arcs_sorted[idx][0], arcs_sorted[idx][1], open_rank[idx], close_rank[idx])
-        for idx in range(len(arcs_sorted))
-    ]
+    return events
 
 
 def validate_pairing(p: NonCrossingPairing) -> None:
@@ -252,13 +238,10 @@ def validate_pairing(p: NonCrossingPairing) -> None:
 
     Crossings are found by the stack replay of :func:`_arc_events`.
     """
-    counts = [0] * p.type.n
     for i, j in p.arcs:
         if not 1 <= i < j <= p.type.n:
             raise InvariantViolation(f"arc ({i}, {j}) is out of range or a loop")
-        counts[i - 1] += 1
-        counts[j - 1] += 1
-    if tuple(counts) != p.type.a:
+    if tuple(_per_point((x for arc in p.arcs for x in arc), p.type.n)) != p.type.a:
         raise InvariantViolation("arc multiplicities do not match the type")
     _arc_events(p)
 
@@ -291,21 +274,24 @@ def mirror_graph(
             alpha[base + 2 * t] = base + 2 * t + 1
             alpha[base + 2 * t + 1] = base + 2 * t
 
+    opening: list[list[int]] = [[] for _ in range(n + 1)]
+    closing: list[list[int]] = [[] for _ in range(n + 1)]
+    for t, (i, j, _, _) in enumerate(arcs):
+        opening[i].append(t)
+        closing[j].append(t)
     sigma = [0] * total
     for k in range(1, n + 1):
-        opening = [t for t, (i, _, _, _) in enumerate(arcs) if i == k]
-        closing = [t for t, (_, j, _, _) in enumerate(arcs) if j == k]
         east = 2 * (k - 1)
         west = 2 * ((k - 2) % n) + 1
         ring = [east]
         # upper forward arcs, innermost first (latest opened)
-        ring += [upper + 2 * t for t in sorted(opening, key=lambda t: -arcs[t][2])]
+        ring += [upper + 2 * t for t in sorted(opening[k], key=lambda t: -arcs[t][2])]
         # upper backward arcs, outermost first (earliest opened)
-        ring += [upper + 2 * t + 1 for t in sorted(closing, key=lambda t: arcs[t][2])]
+        ring += [upper + 2 * t + 1 for t in sorted(closing[k], key=lambda t: arcs[t][2])]
         ring.append(west)
         # lower mirror: reversed relative to the upper half
-        ring += [lower + 2 * t + 1 for t in sorted(closing, key=lambda t: -arcs[t][2])]
-        ring += [lower + 2 * t for t in sorted(opening, key=lambda t: arcs[t][2])]
+        ring += [lower + 2 * t + 1 for t in sorted(closing[k], key=lambda t: -arcs[t][2])]
+        ring += [lower + 2 * t for t in sorted(opening[k], key=lambda t: arcs[t][2])]
         for i, dart in enumerate(ring):
             sigma[dart] = ring[(i + 1) % len(ring)]
 
@@ -417,20 +403,30 @@ class CoverageRow:
 
 
 def compositions(total: int, max_part: int):
-    """Ordered compositions of ``total`` with parts in 1..max_part."""
-    if total == 0:
-        yield ()
+    """Ordered compositions of ``total`` with parts in 1..max_part, in
+    lexicographic order: each raises the last part below ``max_part`` with
+    parts after it, and turns what those held, less one, into ones."""
+    if total < 0 or (total > 0 and max_part < 1):
         return
-    for first in range(1, min(total, max_part) + 1):
-        for rest in compositions(total - first, max_part):
-            yield (first,) + rest
+    parts = [1] * total
+    while True:
+        yield tuple(parts)
+        tail = 0
+        while parts and (not tail or parts[-1] == max_part):
+            tail += parts.pop()
+        if not parts:
+            return
+        parts[-1] += 1
+        parts += [1] * (tail - 1)
 
 
 def count_coverage_check(d: int) -> list[CoverageRow]:
-    """Cross-check the three enumerators on every composition for degree d.
+    """Cross-check pairings, tableaux and K on every composition for degree d.
 
-    Also verifies the bijection round trip element by element and that the
-    mirror graphs of distinct pairings stay distinct as marked maps.
+    All three come from the one close-count table, so this checks the
+    conversions built on it, the bijection round trip element by element,
+    and that the mirror graphs of distinct pairings stay distinct as
+    marked maps.
     """
     rows = []
     for a in compositions(2 * d - 2, d - 1):

@@ -267,3 +267,39 @@ def arcs_cross(arcs) -> bool:
             if i < k < j < l:
                 return True
     return False
+
+
+def column_fill_ssyt(t):
+    """All two-row tableaux of the given type, by direct column fill (the
+    tableau enumerator the library once used)."""
+    width = t.d - 1
+    remaining = list(t.a)
+    out = []
+    top: list[int] = []
+    bottom: list[int] = []
+
+    def fill(col: int):
+        if col == width:
+            if all(r == 0 for r in remaining):
+                out.append(bg.Tableau2Row((tuple(top), tuple(bottom))))
+            return
+        lo_top = top[-1] if top else 1
+        for x in range(lo_top, t.n + 1):
+            if remaining[x - 1] == 0:
+                continue
+            remaining[x - 1] -= 1
+            lo_bottom = max(bottom[-1] if bottom else 1, x + 1)
+            for y in range(lo_bottom, t.n + 1):
+                if remaining[y - 1] == 0:
+                    continue
+                remaining[y - 1] -= 1
+                top.append(x)
+                bottom.append(y)
+                fill(col + 1)
+                top.pop()
+                bottom.pop()
+                remaining[y - 1] += 1
+            remaining[x - 1] += 1
+
+    fill(0)
+    return sorted(out, key=lambda tb: tb.rows)

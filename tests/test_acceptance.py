@@ -14,7 +14,7 @@ import pytest
 import balancedgraphs as bg
 from balancedgraphs.cli import main as cli_main
 from helpers import all_mirror_graphs
-from oracles import region_invariants_hold
+from oracles import column_fill_ssyt, region_invariants_hold
 from test_labeling import CHARGE_FAMILIES
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -51,6 +51,8 @@ def test_criterion_2_triple_enumerator_agreement():
         for d in range(2, 6):
             for row in bg.count_coverage_check(d):
                 assert row.pairings == row.tableaux == row.kostka
+                # the three share one table; the column fill shares nothing
+                assert row.kostka == len(column_fill_ssyt(bg.WeightComposition(d, row.a)))
                 assert row.bijection_ok
                 rows += 1
         assert rows > 0

@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -158,6 +159,33 @@ def test_pullback_without_permutations_allocates_nothing_of_size_d(capsys, tmp_p
         tracemalloc.stop()
     assert (code, capsys.readouterr().out) == (1, EMPTY_PERMS_FAILURE)
     assert peak < 1_000_000
+
+
+def test_pullback_of_degree_one_without_permutations_fails_verification(capsys, tmp_path):
+    # the document verifies, but there is no branch-point curve to build on
+    path = tmp_path / "c.json"
+    path.write_text('{"d":1,"perms":[]}')
+    assert run(capsys, "pullback", "--input", str(path)) == (
+        1,
+        "constellation failed verification: a pullback needs at least one permutation\n",
+        "",
+    )
+
+
+SINGLE_PAIRING = ("--d", "1000", "--a", ",".join(["999"] + ["1"] * 999))
+
+
+@pytest.mark.parametrize("command", ["count", "pairings", "ssyt"])
+def test_large_type_with_one_pairing(capsys, command):
+    # 999 arcs from point 1; a recursion per point or per arc overflows
+    code, out, err = run(capsys, command, *SINGLE_PAIRING)
+    assert (code, len(out.splitlines()), err) == (0, 1, "")
+
+
+def test_count_catalan_type_of_degree_400(capsys):
+    code, out, err = run(capsys, "count", "--d", "400", "--a", ",".join(["1"] * 798))
+    assert (code, err) == (0, "")
+    assert out.split("K=")[1] == f"{math.comb(798, 399) // 400}\n"
 
 
 def test_count_d3(capsys):

@@ -108,6 +108,10 @@ def test_pullback_rejects_unverified():
         bg.pullback_from_constellation(
             bg.Constellation.from_cycles(2, [[], []])
         )
+    # verified, but with no permutation there is nothing to pull back
+    assert bg.verify_constellation(bg.Constellation(1, ())).ok
+    with pytest.raises(bg.NotVerified, match="at least one permutation"):
+        bg.pullback_from_constellation(bg.Constellation(1, ()))
 
 
 def test_round_trip_constellations(constellation_corpus):

@@ -1,11 +1,11 @@
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import balancedgraphs as bg
 from helpers import all_mirror_graphs
-from oracles import arcs_cross
+from oracles import arcs_cross, column_fill_ssyt
 
 
 def test_weight_composition_validation():
@@ -78,6 +78,37 @@ def test_enumerate_ssyt_examples():
         ((1, 1, 2, 3), (4, 4, 5, 6)),
     ):
         assert shown in rows
+
+
+def test_enumerate_ssyt_matches_column_fill_oracle():
+    types = 0
+    for d in range(2, 7):
+        for a in bg.compositions(2 * d - 2, d - 1):
+            if not 2 <= len(a) <= 2 * d - 2:
+                continue
+            t = bg.WeightComposition(d, a)
+            assert bg.enumerate_ssyt(t) == column_fill_ssyt(t), t
+            types += 1
+    assert types == 602
+
+
+def test_compositions_match_product_filter():
+    for total in range(11):
+        for max_part in range(1, total + 2):
+            # length parts of at least 1 leave at most total - length + 1 for one
+            want = sorted(
+                parts
+                for length in range(total + 1)
+                for parts in product(
+                    range(1, min(max_part, total - length + 1) + 1), repeat=length
+                )
+                if sum(parts) == total
+            )
+            assert list(bg.compositions(total, max_part)) == want, (total, max_part)
+
+
+def test_compositions_start_without_recursion():
+    assert next(bg.compositions(1198, 599)) == (1,) * 1198
 
 
 def test_kostka_values():
