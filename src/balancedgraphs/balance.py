@@ -137,19 +137,14 @@ def region_from_faces(
         return None
 
     # connectivity through interior edges
-    adjacency: dict[int, list[int]] = {f: [] for f in inside}
-    for d, e in m.edges:
-        f, g = fod[d], fod[e]
-        if f in inside and g in inside:
-            adjacency[f].append(g)
-            adjacency[g].append(f)
+    neighbors = m.face_neighbors
     start = next(iter(inside))
     seen = {start}
     stack = [start]
     while stack:
         f = stack.pop()
-        for g in adjacency[f]:
-            if g not in seen:
+        for g in neighbors[f]:
+            if g in inside and g not in seen:
                 seen.add(g)
                 stack.append(g)
     if len(seen) != len(inside):
@@ -189,14 +184,7 @@ def _grown_face_sets(m: CombinatorialMap, coloring: FaceColoring):
     stack, so set size is not bounded by the recursion limit.
     """
     nf = m.face_count
-    fod = m.face_of_dart
-    neighbor_sets: list[set[int]] = [set() for _ in range(nf)]
-    for d, e in m.edges:
-        f, g = fod[d], fod[e]
-        if f != g:
-            neighbor_sets[f].add(g)
-            neighbor_sets[g].add(f)
-    neighbors = [tuple(sorted(s)) for s in neighbor_sets]
+    neighbors = m.face_neighbors
     is_a = [coloring.color(f) == COLOR_A for f in range(nf)]
 
     def doomed(root: int, inside: frozenset[int], forbidden: frozenset[int]) -> bool:
@@ -204,7 +192,7 @@ def _grown_face_sets(m: CombinatorialMap, coloring: FaceColoring):
         for f in inside:
             if is_a[f]:
                 continue
-            for g in neighbor_sets[f]:
+            for g in neighbors[f]:
                 if g not in inside and (g < root or g in forbidden):
                     return True
         return False
@@ -262,16 +250,16 @@ def positive_regions(
 def _witness_region(
     m: CombinatorialMap,
     coloring: FaceColoring,
-    neighbors: tuple[tuple[int, ...], ...],
     witness: tuple[int, ...],
 ) -> Region | None:
     """A region with at most as many A as B faces around the Hall witness.
 
-    The witness B faces and their ``neighbors`` (edge-adjacent faces, per
-    face) are split into face-connected components; the first, in order of
-    least face, that is a region with ``a_count <= b_count`` is returned,
-    or None if no component is one.
+    The witness B faces and their edge-adjacent faces are split into
+    face-connected components; the first, in order of least face, that is
+    a region with ``a_count <= b_count`` is returned, or None if no
+    component is one.
     """
+    neighbors = m.face_neighbors
     around = set(witness)
     for f in witness:
         around.update(neighbors[f])
@@ -316,16 +304,14 @@ def is_locally_balanced(
     # faces for valence 2k >= 4 and Euler characteristic 1 + k > 2.
     if not m.corners:
         return BalanceReport(gb.d, True, True)
-    dg = dot_graph(m, coloring)
-    hall = hall_check(dg)
+    hall = hall_check(dot_graph(m, coloring))
     if hall.ok:
         return BalanceReport(gb.d, True, True)
     for flipped, col in ((False, coloring), (True, coloring.flip())):
         if flipped:
             # the dot totals of the two colors agree, so Hall fails here too
-            dg = dot_graph(m, col)
-            hall = hall_check(dg)
-        region = _witness_region(m, col, dg.face_neighbors, hall.witness_faces())
+            hall = hall_check(dot_graph(m, col))
+        region = _witness_region(m, col, hall.witness)
         if region is not None:
             return BalanceReport(
                 gb.d,

@@ -58,8 +58,7 @@ def cmd_realize(args) -> int:
         try:
             matching = enrichment.perfect_matching(dg)
         except NoPerfectMatching as exc:
-            faces = sorted({f for f, _ in exc.witness})
-            print(f"not locally balanced; Hall witness B faces: {faces}")
+            print(f"not locally balanced; Hall witness B faces: {list(exc.witness)}")
             return EXIT_NEGATIVE
         enriched = enrichment.enrich(doc.map, matching)
     else:

@@ -4,8 +4,10 @@ Each face receives ``m - e_F`` dots, where ``m`` is the total corner count
 and ``e_F`` the number of corners on the face.  Dots in A faces may be
 matched with dots in edge-adjacent B faces; a perfect matching turns into
 2-valent vertices subdividing shared edges, after which every face carries
-exactly ``m`` vertices.  One maximum flow on faces decides the Hall
-condition and, when it holds, gives the perfect matching.
+exactly ``m`` vertices.  Dots of one face are interchangeable, so the
+layer works on faces: a dot count per face, a Hall witness of B faces, and
+a matching as dot counts per (A face, B face) pair, all from one maximum
+flow that decides the Hall condition and, when it holds, gives a matching.
 """
 
 from __future__ import annotations
@@ -13,13 +15,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import NegativeDotCount, NoPerfectMatching, TooFewCorners
+from .errors import NoPerfectMatching, TooFewCorners
 from .surface_map import (
     COLOR_A,
     COLOR_B,
     CombinatorialMap,
     FaceColoring,
-    face_adjacency,
     subdivide_edges,
 )
 
@@ -28,27 +29,38 @@ Dot = tuple[int, int]
 
 @dataclass(frozen=True)
 class DotGraph:
+    """``dot_counts[f]`` dots on face ``f``; the A and B faces carrying
+    dots; and for each face, the faces sharing an edge with it."""
+
     m: int
     dot_counts: tuple[int, ...]
-    dots_a: tuple[Dot, ...]
-    dots_b: tuple[Dot, ...]
-    # collapsed adjacency between faces, and the shared edges per face pair
+    a_faces: tuple[int, ...]
+    b_faces: tuple[int, ...]
     face_neighbors: tuple[tuple[int, ...], ...]
-    shared_edges: dict[tuple[int, int], tuple[int, ...]]
+
+    # every dot as (face, index); the layer itself never lists dots
+    @property
+    def dots_a(self) -> tuple[Dot, ...]:
+        return tuple((f, i) for f in self.a_faces for i in range(self.dot_counts[f]))
+
+    @property
+    def dots_b(self) -> tuple[Dot, ...]:
+        return tuple((f, i) for f in self.b_faces for i in range(self.dot_counts[f]))
 
 
 @dataclass(frozen=True)
 class HallResult:
-    ok: bool
-    witness: tuple[Dot, ...] = ()
+    """The verdict, and on failure the sorted B faces of the Hall witness."""
 
-    def witness_faces(self) -> tuple[int, ...]:
-        return tuple(sorted({face for face, _ in self.witness}))
+    ok: bool
+    witness: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
 class DotMatching:
-    pairs: tuple[tuple[Dot, Dot, int], ...]
+    """How many dots each ``(A face, B face)`` pair matches."""
+
+    counts: dict[tuple[int, int], int]
 
 
 def dot_graph(m: CombinatorialMap, coloring: FaceColoring) -> DotGraph:
@@ -63,35 +75,9 @@ def dot_graph(m: CombinatorialMap, coloring: FaceColoring) -> DotGraph:
     if total < 2:
         raise TooFewCorners(f"need at least 2 corners, found {total}")
     vod = m.vertex_of_dart
-    counts = []
-    for face in m.faces:
-        e_f = len({vod[d] for d in face} & corners)
-        if e_f > total:
-            raise NegativeDotCount(f"face has {e_f} corners but only {total} exist")
-        counts.append(total - e_f)
-    dots_a = tuple(
-        (f, i) for f in coloring.faces_of(COLOR_A) for i in range(counts[f])
-    )
-    dots_b = tuple(
-        (f, i) for f in coloring.faces_of(COLOR_B) for i in range(counts[f])
-    )
-    shared: dict[tuple[int, int], list[int]] = {}
-    neighbor_sets: list[set[int]] = [set() for _ in range(m.face_count)]
-    for f, g, edge_id in face_adjacency(m):
-        if f == g:
-            continue
-        key = (min(f, g), max(f, g))
-        shared.setdefault(key, []).append(edge_id)
-        neighbor_sets[f].add(g)
-        neighbor_sets[g].add(f)
-    return DotGraph(
-        total,
-        tuple(counts),
-        dots_a,
-        dots_b,
-        tuple(tuple(sorted(s)) for s in neighbor_sets),
-        {k: tuple(sorted(v)) for k, v in shared.items()},
-    )
+    counts = tuple(total - len({vod[d] for d in face} & corners) for face in m.faces)
+    a, b = (tuple(f for f in coloring.faces_of(c) if counts[f]) for c in (COLOR_A, COLOR_B))
+    return DotGraph(total, counts, a, b, m.face_neighbors)
 
 
 def _hall_flow(dg: DotGraph) -> tuple[tuple[int, ...], dict[int, dict[int, int]]]:
@@ -107,8 +93,8 @@ def _hall_flow(dg: DotGraph) -> tuple[tuple[int, ...], dict[int, dict[int, int]]
     Dulmage-Mendelsohn they carry exactly the B dots an alternating
     search from the unmatched dots of any maximum matching reaches.
     """
-    supply = {f: dg.dot_counts[f] for f, _ in dg.dots_b}
-    room = {g: dg.dot_counts[g] for g, _ in dg.dots_a}
+    supply = {f: dg.dot_counts[f] for f in dg.b_faces}
+    room = {g: dg.dot_counts[g] for g in dg.a_faces}
     out = {f: [g for g in dg.face_neighbors[f] if g in room] for f in supply}
     inflow: dict[int, dict[int, int]] = {g: {} for g in room}
     while True:
@@ -149,117 +135,96 @@ def _hall_flow(dg: DotGraph) -> tuple[tuple[int, ...], dict[int, dict[int, int]]
                     del back[b]
 
 
-def _witness(dg: DotGraph, faces: tuple[int, ...]) -> tuple[Dot, ...]:
-    return tuple((f, i) for f in faces for i in range(dg.dot_counts[f]))
-
-
 def hall_check(dg: DotGraph) -> HallResult:
     """Whether every set of B dots has at least as many A neighbors.
 
-    Decided by a maximum flow on faces; on failure the witness is a set
-    of B dots with a strictly smaller neighborhood: every dot of the B
-    faces that unsent supply reaches in the residual graph.
+    Decided by a maximum flow on faces; on failure the witness is the B
+    faces that unsent supply reaches in the residual graph, whose dots
+    have a strictly smaller neighborhood.
     """
     faces, _ = _hall_flow(dg)
-    if not faces:
-        return HallResult(True)
-    return HallResult(False, _witness(dg, faces))
-
-
-def _matching_from_counts(
-    dg: DotGraph, counts: dict[tuple[int, int], int]
-) -> DotMatching:
-    """The matching pairing ``counts[A face, B face]`` dots of each face pair.
-
-    Dots are numbered in sorted (A face, B face) order, and the pairs of
-    one face pair are spread round-robin over the edges it shares.
-    """
-    next_dot: dict[int, int] = {}
-    pairs = []
-    for (f, g), k in sorted(counts.items()):
-        hosts = dg.shared_edges[(min(f, g), max(f, g))]
-        for t in range(k):
-            a, b = next_dot.get(f, 0), next_dot.get(g, 0)
-            next_dot[f], next_dot[g] = a + 1, b + 1
-            pairs.append(((f, a), (g, b), hosts[t % len(hosts)]))
-    pairs.sort()
-    return DotMatching(tuple(pairs))
+    return HallResult(not faces, faces)
 
 
 def perfect_matching(dg: DotGraph) -> DotMatching:
-    """A perfect matching with host edges, read off the Hall flow.
+    """A perfect matching, read off the Hall flow as face-pair counts.
 
-    Dots within a face are interchangeable, so the flow's pair counts
-    fix the enriched map; :func:`_matching_from_counts` turns them into
-    dots and host edges.  Raises :class:`NoPerfectMatching` with the
-    Hall witness of :func:`hall_check` when none exists.
+    Dots within a face are interchangeable, so the counts fix the
+    enriched map.  Raises :class:`NoPerfectMatching` with the Hall
+    witness of :func:`hall_check` when none exists.
     """
-    if len(dg.dots_a) != len(dg.dots_b):
-        raise NoPerfectMatching(
-            f"{len(dg.dots_a)} A dots versus {len(dg.dots_b)} B dots"
-        )
+    a_total, b_total = (sum(dg.dot_counts[f] for f in fs) for fs in (dg.a_faces, dg.b_faces))
+    if a_total != b_total:
+        raise NoPerfectMatching(f"{a_total} A dots versus {b_total} B dots")
     faces, inflow = _hall_flow(dg)
     if faces:
-        raise NoPerfectMatching("Hall condition fails", witness=_witness(dg, faces))
-    return _matching_from_counts(
-        dg, {(a, b): k for a, row in inflow.items() for b, k in row.items()}
-    )
+        raise NoPerfectMatching("Hall condition fails", witness=faces)
+    return DotMatching({(a, b): k for a, row in inflow.items() for b, k in row.items()})
 
 
 def iter_perfect_matchings(dg: DotGraph):
-    """Yield one perfect matching per distinct pair-count matrix.
+    """Yield one perfect matching per distinct face-pair count matrix.
 
     Dots within a face are interchangeable, so two matchings produce the
     same enriched map exactly when they pair the same number of dots
-    between each face pair; each matrix becomes a matching the way
-    :func:`perfect_matching` turns the Hall flow into one.  Deterministic
-    order.
+    between each face pair.  A faces are filled in order, each splitting
+    its dots over its neighbors with B dots left, first neighbor's share
+    growing slowest.  An explicit stack keeps the recursion limit out of it.
     """
-    a_faces = sorted({f for f, _ in dg.dots_a})
-    b_remaining = {}
-    for f, _ in dg.dots_b:
-        b_remaining[f] = b_remaining.get(f, 0) + 1
-    counts = dg.dot_counts
-
-    def distribute(i: int, allocation: dict[tuple[int, int], int]):
-        if i == len(a_faces):
-            if all(v == 0 for v in b_remaining.values()):
-                yield dict(allocation)
+    a_faces, counts = dg.a_faces, dg.dot_counts
+    left = {g: counts[g] for g in dg.b_faces}
+    allocation: dict[tuple[int, int], int] = {}
+    stack: list[list] = []  # [A face index, its targets, target index, need, take]
+    i, targets, t, need = 0, None, 0, 0
+    while True:
+        while True:  # descend, taking nothing, to a leaf or a dead end
+            if targets is None:
+                if i == len(a_faces):
+                    if not any(left.values()):
+                        yield DotMatching(dict(allocation))
+                    break
+                targets = [g for g in dg.face_neighbors[a_faces[i]] if left.get(g, 0)]
+                t, need = 0, counts[a_faces[i]]
+            if t < len(targets):
+                stack.append([i, targets, t, need, 0])
+                t += 1
+            elif need:
+                break
+            else:
+                i, targets = i + 1, None
+        while stack:  # take one more dot on the deepest frame that can
+            frame = stack[-1]
+            i, targets, t, need, take = frame
+            key = (a_faces[i], targets[t])
+            if take < need and left[key[1]]:
+                allocation[key] = frame[4] = take + 1
+                left[key[1]] -= 1
+                t, need = t + 1, need - take - 1
+                break
+            stack.pop()
+            left[key[1]] += take
+            allocation.pop(key, None)
+        else:
             return
-        f = a_faces[i]
-        targets = [g for g in dg.face_neighbors[f] if b_remaining.get(g, 0) > 0]
-
-        def split(need: int, t: int):
-            if t == len(targets):
-                if need == 0:
-                    yield from distribute(i + 1, allocation)
-                return
-            g = targets[t]
-            top = min(need, b_remaining[g])
-            for take in range(top + 1):
-                if take:
-                    allocation[(f, g)] = take
-                    b_remaining[g] -= take
-                yield from split(need - take, t + 1)
-                if take:
-                    del allocation[(f, g)]
-                    b_remaining[g] += take
-
-        yield from split(counts[f], 0)
-
-    for allocation in distribute(0, {}):
-        yield _matching_from_counts(dg, allocation)
 
 
 def enrich(m: CombinatorialMap, matching: DotMatching) -> CombinatorialMap:
-    """Insert one 2-valent vertex per matched pair on its host edge.
+    """Insert one 2-valent vertex per matched dot pair.
 
-    Old dart, vertex and face ids survive; each pair adds one vertex, and
-    several pairs may subdivide the same edge.
+    The pairs of one face pair are spread round-robin over the edges the
+    two faces share, in edge-id order.  Old dart, vertex and face ids
+    survive, and several pairs may subdivide the same edge.
     """
-    counts: dict[int, int] = {}
-    for _, _, edge_id in matching.pairs:
-        counts[edge_id] = counts.get(edge_id, 0) + 1
-    if not counts:
+    if not matching.counts:
         return m
+    fod = m.face_of_dart
+    shared: dict[tuple[int, int], list[int]] = {}
+    for edge_id, (d, e) in enumerate(m.edges):
+        shared.setdefault(tuple(sorted((fod[d], fod[e]))), []).append(edge_id)
+    counts: dict[int, int] = {}
+    for pair, k in matching.counts.items():
+        hosts = shared[tuple(sorted(pair))]
+        q, r = divmod(k, len(hosts))
+        for j, edge_id in enumerate(hosts):
+            counts[edge_id] = q + (j < r)
     return subdivide_edges(m, counts)

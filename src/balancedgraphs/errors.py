@@ -37,10 +37,6 @@ class SizeLimitExceeded(BalancedGraphsError):
     """An enumeration hit its configured cap."""
 
 
-class NegativeDotCount(BalancedGraphsError):
-    """A face has more corners than the total corner count."""
-
-
 class TooFewCorners(BalancedGraphsError, ValueError):
     """A dot graph needs at least 2 corners.
 
@@ -52,8 +48,9 @@ class TooFewCorners(BalancedGraphsError, ValueError):
 class NoPerfectMatching(BalancedGraphsError):
     """The dot graph has no perfect matching.
 
-    The ``witness`` attribute holds a set of dots on the B side whose
-    neighborhood is too small.
+    The ``witness`` attribute holds the sorted Hall witness B faces, whose
+    dots have fewer A neighbors than they number; it is empty when the two
+    colors carry different dot totals.
     """
 
     def __init__(self, message, witness=()):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._documents import dump, is_int_list, load
-from .errors import NotVerified, NonIntegerGenus, ParseError
+from .errors import BadPermutation, NotVerified, NonIntegerGenus, ParseError
 from .labeling import Passport, VertexLabeling
 from .permutations import (
     Perm,
@@ -230,4 +230,7 @@ def deserialize_constellation(text: str) -> Constellation:
         raise ParseError("field d must be a positive integer, perms a list")
     if not all(is_int_list(p) for p in perms):
         raise ParseError("each permutation must be a list of integers")
+    for p in perms:
+        if len(p) != d or sorted(p) != list(range(1, d + 1)):
+            raise BadPermutation(f"{p} is not a permutation of 1..{d}")
     return Constellation(d, tuple(tuple(x - 1 for x in p) for p in perms))

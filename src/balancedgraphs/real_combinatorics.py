@@ -212,6 +212,8 @@ def pairing_to_tableau(p: NonCrossingPairing) -> Tableau2Row:
 def tableau_to_pairing(tb: Tableau2Row) -> NonCrossingPairing:
     """Rebuild the pairing: each closing matches the newest open arc."""
     top, bottom = tb.rows
+    if min(top + bottom, default=0) < 1:
+        raise InvariantViolation("not a semistandard two-row tableau")
     n = max(top + bottom)
     t = WeightComposition(len(top) + 1, tuple(_per_point(top + bottom, n)))
     if not _tableau_ok(tb.rows, t):
@@ -233,17 +235,18 @@ def _arc_events(p: NonCrossingPairing) -> list[Event]:
     return events
 
 
-def validate_pairing(p: NonCrossingPairing) -> None:
+def validate_pairing(p: NonCrossingPairing) -> list[Event]:
     """Degree, loop-freeness and crossing-freeness of the arc multiset.
 
-    Crossings are found by the stack replay of :func:`_arc_events`.
+    Crossings are found by the stack replay of :func:`_arc_events`, whose
+    events are returned.
     """
     for i, j in p.arcs:
         if not 1 <= i < j <= p.type.n:
             raise InvariantViolation(f"arc ({i}, {j}) is out of range or a loop")
     if tuple(_per_point((x for arc in p.arcs for x in arc), p.type.n)) != p.type.a:
         raise InvariantViolation("arc multiplicities do not match the type")
-    _arc_events(p)
+    return _arc_events(p)
 
 
 def mirror_graph(
@@ -256,9 +259,8 @@ def mirror_graph(
     2 a_k + 2, there are 2d faces, and the returned real cycle lists the
     forward dart of each real edge.
     """
-    validate_pairing(p)
+    arcs = validate_pairing(p)
     n = p.type.n
-    arcs = _arc_events(p)
     narcs = len(arcs)
     # darts: real edge k -> k+1 owns darts (2k, 2k+1); upper arc t owns
     # (2n + 2t) at its opening point and (2n + 2t + 1) at its closing

@@ -114,6 +114,18 @@ class CombinatorialMap:
             out[d] = out[e] = i
         return tuple(out)
 
+    @cached_property
+    def face_neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """For each face, the other faces sharing an edge with it, sorted."""
+        fod = self.face_of_dart
+        out: list[set[int]] = [set() for _ in range(self.face_count)]
+        for d, e in self.edges:
+            f, g = fod[d], fod[e]
+            if f != g:
+                out[f].add(g)
+                out[g].add(f)
+        return tuple(tuple(sorted(s)) for s in out)
+
     @property
     def vertex_count(self) -> int:
         return len(self.vertices)
@@ -258,19 +270,17 @@ def alternating_coloring(m: CombinatorialMap) -> FaceColoring:
     Raises :class:`NotBipartiteFaces` when the face adjacency graph has an
     odd cycle.  The only other proper coloring is the flip of this one.
     """
-    nf = m.face_count
-    colors = [None] * nf
-    adjacency = [[] for _ in range(nf)]
-    for f, g, _ in face_adjacency(m):
-        adjacency[f].append(g)
-        adjacency[g].append(f)
-    start = m.face_of_dart[0]
+    fod = m.face_of_dart
+    if any(fod[d] == fod[e] for d, e in m.edges):
+        raise NotBipartiteFaces("adjacent faces cannot be colored differently")
+    colors = [None] * m.face_count
+    start = fod[0]
     colors[start] = COLOR_A
     queue = [start]
     while queue:
         f = queue.pop()
         other = COLOR_B if colors[f] == COLOR_A else COLOR_A
-        for g in adjacency[f]:
+        for g in m.face_neighbors[f]:
             if colors[g] is None:
                 colors[g] = other
                 queue.append(g)

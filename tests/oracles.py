@@ -257,6 +257,42 @@ def alternating_hall_witness(dg, match_b):
     return tuple(sorted(reach_b))
 
 
+def recursive_perfect_matchings(dg):
+    """Face-pair count matrices of the perfect matchings, as dicts, by
+    nested recursive generators (the search the library once used)."""
+    a_faces = list(dg.a_faces)
+    b_remaining = {f: dg.dot_counts[f] for f in dg.b_faces}
+    counts = dg.dot_counts
+
+    def distribute(i, allocation):
+        if i == len(a_faces):
+            if all(v == 0 for v in b_remaining.values()):
+                yield dict(allocation)
+            return
+        f = a_faces[i]
+        targets = [g for g in dg.face_neighbors[f] if b_remaining.get(g, 0) > 0]
+
+        def split(need, t):
+            if t == len(targets):
+                if need == 0:
+                    yield from distribute(i + 1, allocation)
+                return
+            g = targets[t]
+            top = min(need, b_remaining[g])
+            for take in range(top + 1):
+                if take:
+                    allocation[(f, g)] = take
+                    b_remaining[g] -= take
+                yield from split(need - take, t + 1)
+                if take:
+                    del allocation[(f, g)]
+                    b_remaining[g] += take
+
+        yield from split(counts[f], 0)
+
+    yield from distribute(0, {})
+
+
 def arcs_cross(arcs) -> bool:
     """Whether two arcs (i, j) and (k, l) with i < k < j < l exist, by
     comparing every pair (the crossing check pairings once used)."""

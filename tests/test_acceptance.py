@@ -135,7 +135,7 @@ def test_criterion_5_theorem_a_suite(gb_corpus, counterexample):
                 assert bg.are_isomorphic(rebuilt, enriched)
                 succeeded += 1
             else:
-                assert _witness_yields_certificate(m, coloring, hall.witness_faces())
+                assert _witness_yields_certificate(m, coloring, hall.witness)
                 failed += 1
         assert succeeded > 0 and failed > 0
         assert time.perf_counter() - started < 600.0

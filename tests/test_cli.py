@@ -72,10 +72,23 @@ def test_realize_mirror(capsys, mirror_file):
     assert bg.verify_constellation(constellation).ok
 
 
+@pytest.mark.parametrize(
+    "fixture, golden",
+    [("b2_file", "realize_b2.txt"), ("mirror_file", "realize_mirror_1234.txt")],
+)
+def test_realize_golden(capsys, request, fixture, golden):
+    code, out, _ = run(capsys, "realize", "--input", request.getfixturevalue(fixture))
+    assert code == 0
+    assert out == (FIXTURES / golden).read_text()
+
+
 def test_realize_counterexample(capsys):
+    cert = json.loads((FIXTURES / "counterexample_certificate.json").read_text())
     code, out, _ = run(capsys, "realize", "--input", str(COUNTEREXAMPLE))
     assert code == 1
-    assert "Hall witness" in out
+    assert out.splitlines() == [
+        f"not locally balanced; Hall witness B faces: {cert['hall_witness_faces']}"
+    ]
 
 
 def test_realize_pullback_round_trip(capsys, mirror_file):
@@ -136,6 +149,19 @@ def test_pullback_rejects_nontransitive(capsys, tmp_path):
     code, out, _ = run(capsys, "pullback", "--input", str(path))
     assert code == 1
     assert "transitively" in out
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"d":1,"perms":[[0]]}', "[0] is not a permutation of 1..1"),
+        ('{"d":3,"perms":[[1,2,4],[1,2,3]]}', "[1, 2, 4] is not a permutation of 1..3"),
+    ],
+)
+def test_pullback_reports_the_documents_own_values(capsys, tmp_path, text, message):
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    assert run(capsys, "pullback", "--input", str(path)) == (2, "", f"error: {message}\n")
 
 
 EMPTY_PERMS_FAILURE = (

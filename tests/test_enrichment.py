@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 
 import balancedgraphs as bg
@@ -6,7 +8,19 @@ from oracles import (
     alternating_hall_witness,
     face_subset_hall_ok,
     recursive_maximum_matching,
+    recursive_perfect_matchings,
 )
+
+
+def _assert_perfect(dg, counts):
+    """Face-pair counts pairing every dot once, across shared edges."""
+    rows, columns = {}, {}
+    for (a, b), k in counts.items():
+        assert k > 0 and b in dg.face_neighbors[a]
+        rows[a] = rows.get(a, 0) + k
+        columns[b] = columns.get(b, 0) + k
+    assert rows == {f: dg.dot_counts[f] for f in dg.a_faces}
+    assert columns == {f: dg.dot_counts[f] for f in dg.b_faces}
 
 
 def test_dot_graph_b2(b2):
@@ -45,8 +59,8 @@ def test_hall_check_counterexample(counterexample):
     m, coloring, cert = counterexample
     result = bg.hall_check(bg.dot_graph(m, coloring))
     assert not result.ok
-    assert list(result.witness_faces()) == cert["hall_witness_faces"]
-    assert all(coloring.color(f) == bg.COLOR_B for f in result.witness_faces())
+    assert list(result.witness) == cert["hall_witness_faces"]
+    assert all(coloring.color(f) == bg.COLOR_B for f in result.witness)
 
 
 def test_hall_matches_face_subset_oracle(gb_corpus, counterexample):
@@ -59,22 +73,26 @@ def test_hall_matches_face_subset_oracle(gb_corpus, counterexample):
 def test_perfect_matching_b2_empty(b2):
     coloring = bg.alternating_coloring(b2)
     matching = bg.perfect_matching(bg.dot_graph(b2, coloring))
-    assert matching.pairs == ()
+    assert matching.counts == {}
 
 
 def test_perfect_matching_mirror(mirror_1234):
     _, m, coloring, _ = mirror_1234
     dg = bg.dot_graph(m, coloring)
     matching = bg.perfect_matching(dg)
-    assert len(matching.pairs) == 4
-    used_a = [a for a, _, _ in matching.pairs]
-    used_b = [b for _, b, _ in matching.pairs]
-    assert sorted(used_a) == sorted(dg.dots_a)
-    assert sorted(used_b) == sorted(dg.dots_b)
-    fod = m.face_of_dart
-    for a, b, edge_id in matching.pairs:
-        d, e = m.edges[edge_id]
-        assert {fod[d], fod[e]} == {a[0], b[0]}
+    assert sum(matching.counts.values()) == 4
+    _assert_perfect(dg, matching.counts)
+    # every inserted vertex sits on an edge between its face pair
+    enriched = bg.enrich(m, matching)
+    fod = enriched.face_of_dart
+    pairs = {}
+    for v in range(m.vertex_count, enriched.vertex_count):
+        d = enriched.vertices[v][0]
+        key = (fod[d], fod[enriched.alpha[d]])
+        if coloring.color(key[0]) == bg.COLOR_B:
+            key = key[::-1]
+        pairs[key] = pairs.get(key, 0) + 1
+    assert pairs == matching.counts
 
 
 def test_perfect_matching_counterexample_fails(counterexample):
@@ -94,7 +112,7 @@ def test_enrich_mirror(mirror_1234):
     _, m, coloring, _ = mirror_1234
     matching = bg.perfect_matching(bg.dot_graph(m, coloring))
     enriched = bg.enrich(m, matching)
-    assert enriched.vertex_count == m.vertex_count + len(matching.pairs)
+    assert enriched.vertex_count == m.vertex_count + sum(matching.counts.values())
     assert enriched.face_count == m.face_count
     assert enriched.genus() == m.genus()
     # every face now carries exactly m vertices
@@ -129,11 +147,7 @@ def test_enrich_every_corpus_map(gb_corpus):
 
 
 def _pair_counts(matching):
-    counts = {}
-    for a, b, _ in matching.pairs:
-        key = (a[0], b[0])
-        counts[key] = counts.get(key, 0) + 1
-    return tuple(sorted(counts.items()))
+    return tuple(sorted(matching.counts.items()))
 
 
 def test_iter_perfect_matchings_contains_canonical(mirror_1234):
@@ -176,11 +190,7 @@ def test_perfect_matching_agrees_with_recursive_oracle(gb_corpus, counterexample
             continue
         assert exists
         matched += 1
-        assert sorted(a for a, _, _ in matching.pairs) == sorted(dg.dots_a)
-        assert sorted(b for _, b, _ in matching.pairs) == sorted(dg.dots_b)
-        for a, b, edge_id in matching.pairs:
-            assert b[0] in dg.face_neighbors[a[0]]
-            assert edge_id in dg.shared_edges[(min(a[0], b[0]), max(a[0], b[0]))]
+        _assert_perfect(dg, matching.counts)
     assert matched > 0
 
 
@@ -190,7 +200,9 @@ def test_hall_witness_equals_alternating_search(gb_corpus, counterexample):
         want = alternating_hall_witness(dg, recursive_maximum_matching(dg))
         result = bg.hall_check(dg)
         assert result.ok == (not want)
-        assert result.witness == want
+        # the witness B faces carry exactly the dots the search reaches
+        dots = tuple((f, i) for f in result.witness for i in range(dg.dot_counts[f]))
+        assert dots == want
         failed += not result.ok
     assert failed > 0
 
@@ -206,7 +218,25 @@ def test_perfect_matching_on_long_augmenting_paths():
     # d=128: over 3000 dots, deep enough to exhaust a recursive search
     m, coloring, _ = fixed_point_free_pullback(128, 4)
     dg = bg.dot_graph(m, coloring)
-    assert len(dg.dots_a) + len(dg.dots_b) > 3000
-    matching = bg.perfect_matching(dg)
-    assert sorted(b for _, b, _ in matching.pairs) == sorted(dg.dots_b)
-    assert sorted(a for a, _, _ in matching.pairs) == sorted(dg.dots_a)
+    assert sum(dg.dot_counts) > 3000
+    _assert_perfect(dg, bg.perfect_matching(dg).counts)
+
+
+def test_iter_perfect_matchings_agrees_with_recursive_oracle():
+    # same matrices in the same order, on both colorings
+    for _, m, coloring, _ in all_mirror_graphs(5):
+        for col in (coloring, coloring.flip()):
+            dg = bg.dot_graph(m, col)
+            ours = [mt.counts for mt in islice(bg.iter_perfect_matchings(dg), 50)]
+            assert ours
+            assert ours == list(islice(recursive_perfect_matchings(dg), 50))
+
+
+def test_iter_perfect_matchings_is_not_bounded_by_recursion():
+    # d=400, arcs (1,2),(3,4),...: deeper than the recursive search reached
+    d = 400
+    t = bg.WeightComposition(d, (1,) * (2 * d - 2))
+    arcs = tuple((2 * k + 1, 2 * k + 2) for k in range(d - 1))
+    m, coloring, _ = bg.mirror_graph(bg.NonCrossingPairing(t, arcs))
+    dg = bg.dot_graph(m, coloring)
+    _assert_perfect(dg, next(bg.iter_perfect_matchings(dg)).counts)

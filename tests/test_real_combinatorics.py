@@ -152,6 +152,12 @@ def test_bijection_round_trip_everywhere():
             assert sorted(images) == [tb.rows for tb in bg.enumerate_ssyt(t)]
 
 
+@pytest.mark.parametrize("rows", [((-5,), (2,)), ((0,), (2,))])
+def test_tableau_entries_below_one_are_rejected(rows):
+    with pytest.raises(bg.InvariantViolation, match="not a semistandard two-row tableau"):
+        bg.tableau_to_pairing(bg.Tableau2Row(rows))
+
+
 @st.composite
 def _compositions(draw):
     # parts are capped at d - 1 < 2d - 2, so at least two parts arise
