@@ -14,7 +14,7 @@ import sys
 from . import balance, enrichment, labeling, monodromy, real_combinatorics, render
 from ._documents import read
 from .errors import BalancedGraphsError, NoPerfectMatching, NotVerified, ParseError
-from .surface_map import alternating_coloring, deserialize, serialize
+from .surface_map import FaceColoring, alternating_coloring, deserialize, serialize, splice
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -46,6 +46,19 @@ def cmd_check(args) -> int:
     return EXIT_NEGATIVE
 
 
+def _spliced(m, coloring):
+    """``m`` with its 2-valent vertices spliced out, and the coloring
+    carried across through the surviving darts (face ids can reorder)."""
+    twos = [v for v, valence in enumerate(m.vertex_valences) if valence == 2]
+    if not twos:
+        return m, coloring
+    spliced, dense = splice(m, twos)
+    colors = [""] * spliced.face_count
+    for d, e in dense.items():
+        colors[spliced.face_of_dart[e]] = coloring.color(m.face_of_dart[d])
+    return spliced, FaceColoring(tuple(colors))
+
+
 def cmd_realize(args) -> int:
     doc = deserialize(read(args.input))
     coloring = doc.colors if doc.colors is not None else alternating_coloring(doc.map)
@@ -54,13 +67,14 @@ def cmd_realize(args) -> int:
         print(f"not globally balanced: {gb.reason}")
         return EXIT_NEGATIVE
     if doc.map.corners:
-        dg = enrichment.dot_graph(doc.map, coloring)
+        m, coloring = _spliced(doc.map, coloring)
+        dg = enrichment.dot_graph(m, coloring)
         try:
             matching = enrichment.perfect_matching(dg)
         except NoPerfectMatching as exc:
             print(f"not locally balanced; Hall witness B faces: {list(exc.witness)}")
             return EXIT_NEGATIVE
-        enriched = enrichment.enrich(doc.map, matching)
+        enriched = enrichment.enrich(m, matching)
     else:
         # a globally balanced map without corners is a cycle: it has no
         # dots, and every vertex is its own branch point of the degree-1

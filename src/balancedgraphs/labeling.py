@@ -3,12 +3,16 @@
 On an enriched balanced graph whose faces all carry the same number ``m``
 of vertices, an admissible labeling assigns 1..m so that the labels read
 cyclically increasing around every A face (and reversed around B faces),
-and so that for every label the half-valences sum to the degree.
+and so that for every label the half-valences sum to the degree.  Read
+with its face on the left, an edge raises the label by one mod m when
+that face is A and lowers it when it is B, so an admissible labeling is a
+potential: one walk over the edges finds it or a contradiction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import InconsistentPropagation, InfeasibleWeighting
 from .surface_map import (
@@ -17,6 +21,7 @@ from .surface_map import (
     CombinatorialMap,
     FaceColoring,
     alternating_coloring,
+    splice,
 )
 from .enrichment import dot_graph, enrich, iter_perfect_matchings
 
@@ -28,11 +33,18 @@ class VertexLabeling:
     m: int
     labels: tuple[int, ...]
 
-    def of(self, vertex_id: int) -> int:
-        return self.labels[vertex_id]
+    @cached_property
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        """The vertices of each label 1..m in vertex order; labels out of
+        range belong to no class."""
+        out: list[list[int]] = [[] for _ in range(self.m)]
+        for v, lb in enumerate(self.labels):
+            if 1 <= lb <= self.m:
+                out[lb - 1].append(v)
+        return tuple(tuple(vs) for vs in out)
 
     def vertices_with(self, label: int) -> tuple[int, ...]:
-        return tuple(v for v, lb in enumerate(self.labels) if lb == label)
+        return self.classes[label - 1] if 1 <= label <= self.m else ()
 
 
 @dataclass(frozen=True)
@@ -41,11 +53,6 @@ class Passport:
 
     d: int
     parts: tuple[tuple[int, ...], ...]
-
-
-def _face_vertex_sequences(m: CombinatorialMap) -> list[tuple[int, ...]]:
-    vod = m.vertex_of_dart
-    return [tuple(vod[d] for d in face) for face in m.faces]
 
 
 def _is_cyclic_rotation_of_range(seq, mm: int) -> bool:
@@ -58,61 +65,39 @@ def _is_cyclic_rotation_of_range(seq, mm: int) -> bool:
 def admissible_labeling(
     m: CombinatorialMap, coloring: FaceColoring
 ) -> VertexLabeling:
-    """Construct an admissible labeling by propagation across corners.
+    """Construct an admissible labeling as a potential, in one edge walk.
 
-    The first A face (minimal face id) reads 1..m starting at its minimal
-    dart; labels spread to A faces sharing a corner until all vertices are
-    labeled, then the full labeling is verified rather than assumed.
+    The first vertex of the first A face (minimal face id) gets label 1.
+    From each labeled vertex, every dart sends its head the label one
+    above (A face on the left) or one below (B face) mod m; a head offered
+    two labels raises :class:`InconsistentPropagation`.  The result is
+    then verified against the definition rather than assumed.
     """
-    sequences = _face_vertex_sequences(m)
-    lengths = {len(seq) for seq in sequences}
+    lengths = {len(face) for face in m.faces}
     if len(lengths) != 1:
         raise InconsistentPropagation(
             f"faces carry different vertex counts: {sorted(lengths)}"
         )
     mm = lengths.pop()
-    for seq in sequences:
-        if len(set(seq)) != mm:
-            raise InconsistentPropagation("a vertex is incident twice to a face")
-
-    a_faces = [f for f in range(m.face_count) if coloring.color(f) == COLOR_A]
-    corners = set(m.corners)
-    a_faces_of_vertex: dict[int, list[int]] = {}
-    for f in a_faces:
-        for v in sequences[f]:
-            a_faces_of_vertex.setdefault(v, []).append(f)
-
+    vod, fod = m.vertex_of_dart, m.face_of_dart
+    first = next(f for f in range(m.face_count) if coloring.color(f) == COLOR_A)
     labels = [0] * m.vertex_count
-
-    def stamp(face: int, anchor_pos: int, anchor_label: int):
-        seq = sequences[face]
-        for t in range(mm):
-            v = seq[(anchor_pos + t) % mm]
-            want = (anchor_label - 1 + t) % mm + 1
-            if labels[v] == 0:
-                labels[v] = want
-            elif labels[v] != want:
+    start = vod[m.faces[first][0]]
+    labels[start] = 1
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        for d in m.vertices[v]:
+            w = vod[m.alpha[d]]
+            step = 1 if coloring.color(fod[d]) == COLOR_A else -1
+            want = (labels[v] - 1 + step) % mm + 1
+            if labels[w] == 0:
+                labels[w] = want
+                stack.append(w)
+            elif labels[w] != want:
                 raise InconsistentPropagation(
-                    f"vertex {v} receives labels {labels[v]} and {want}"
+                    f"vertex {w} receives labels {labels[w]} and {want}"
                 )
-
-    first = a_faces[0]
-    stamp(first, 0, 1)
-    done = {first}
-    queue = [first]
-    while queue:
-        f = queue.pop(0)
-        for v in sequences[f]:
-            if v not in corners:
-                continue
-            for g in a_faces_of_vertex[v]:
-                if g in done:
-                    continue
-                stamp(g, sequences[g].index(v), labels[v])
-                done.add(g)
-                queue.append(g)
-    if any(lb == 0 for lb in labels):
-        raise InconsistentPropagation("propagation did not reach every vertex")
 
     labeling = VertexLabeling(mm, tuple(labels))
     ok, why = verify_labeling(m, coloring, labeling)
@@ -129,18 +114,16 @@ def verify_labeling(
         return False, "one label per vertex required"
     if any(not 1 <= lb <= lab.m for lb in lab.labels):
         return False, "labels must lie in 1..m"
-    sequences = _face_vertex_sequences(m)
-    for f, seq in enumerate(sequences):
-        read = [lab.labels[v] for v in seq]
+    vod = m.vertex_of_dart
+    for f, face in enumerate(m.faces):
+        read = [lab.labels[vod[d]] for d in face]
         if coloring.color(f) == COLOR_B:
             read = read[::-1]
         if not _is_cyclic_rotation_of_range(read, lab.m):
             return False, f"face {f} reads labels {read}"
     d = m.face_count // 2
-    for j in range(1, lab.m + 1):
-        total = sum(
-            len(m.vertices[v]) // 2 for v in range(m.vertex_count) if lab.labels[v] == j
-        )
+    for j, vs in enumerate(lab.classes, 1):
+        total = sum(len(m.vertices[v]) // 2 for v in vs)
         if total != d:
             return False, f"label {j} has half-valence sum {total}, expected {d}"
     return True, None
@@ -148,16 +131,11 @@ def verify_labeling(
 
 def passport_of(m: CombinatorialMap, lab: VertexLabeling) -> Passport:
     """Partitions of the degree: half-valences per label, sorted decreasing."""
-    d = m.face_count // 2
-    parts = []
-    for j in range(1, lab.m + 1):
-        part = tuple(
-            sorted(
-                (len(m.vertices[v]) // 2 for v in lab.vertices_with(j)), reverse=True
-            )
-        )
-        parts.append(part)
-    return Passport(d, tuple(parts))
+    parts = tuple(
+        tuple(sorted((len(m.vertices[v]) // 2 for v in vs), reverse=True))
+        for vs in lab.classes
+    )
+    return Passport(m.face_count // 2, parts)
 
 
 def compress_labels(
@@ -165,51 +143,23 @@ def compress_labels(
 ) -> tuple[CombinatorialMap, VertexLabeling]:
     """Remove label classes made of 2-valent vertices only.
 
-    The vertices of the removed classes are spliced out (their edges merge)
-    and the remaining labels renumbered 1..m-p in the same cyclic order.
-    Requires at least one corner.
+    The vertices of the removed classes are spliced out with
+    :func:`~balancedgraphs.surface_map.splice` (their edges merge; vertex
+    order survives) and the remaining labels renumbered 1..m-p in the same
+    cyclic order.  Requires at least one corner.
     """
     if not m.corners:
         raise ValueError("compression requires at least one corner")
     valences = m.vertex_valences
-    removable = {
-        j
-        for j in range(1, lab.m + 1)
-        if all(valences[v] == 2 for v in lab.vertices_with(j))
+    gone = {
+        j for j, vs in enumerate(lab.classes, 1) if all(valences[v] == 2 for v in vs)
     }
-    if not removable:
+    if not gone:
         return m, lab
-    removed_vertices = {
-        v for v in range(m.vertex_count) if lab.labels[v] in removable
-    }
-    removed_darts = {d for v in removed_vertices for d in m.vertices[v]}
-
-    def survivor_partner(d: int) -> int:
-        partner = m.alpha[d]
-        hops = 0
-        while partner in removed_darts:
-            partner = m.alpha[m.sigma[partner]]
-            hops += 1
-            if hops > m.dart_count:
-                raise InconsistentPropagation("removed vertices form a closed cycle")
-        return partner
-
-    kept = sorted(set(range(m.dart_count)) - removed_darts)
-    dense = {d: i for i, d in enumerate(kept)}
-    alpha = [dense[survivor_partner(d)] for d in kept]
-    sigma = [dense[m.sigma[d]] for d in kept]
-    new_map = CombinatorialMap(alpha, sigma)
-
-    rank = {}
-    for j in range(1, lab.m + 1):
-        if j not in removable:
-            rank[j] = len(rank) + 1
-    new_labels = [
-        rank[lab.labels[v]]
-        for v in range(m.vertex_count)
-        if v not in removed_vertices
-    ]
-    return new_map, VertexLabeling(len(rank), tuple(new_labels))
+    new_map, _ = splice(m, [v for j in gone for v in lab.classes[j - 1]])
+    rank = {j: i for i, j in enumerate(sorted(set(range(1, lab.m + 1)) - gone), 1)}
+    new_labels = tuple(rank[lb] for lb in lab.labels if lb not in gone)
+    return new_map, VertexLabeling(len(rank), new_labels)
 
 
 def generic_labeling(

@@ -185,10 +185,10 @@ def constellation_from(
     d = len(a_faces)
     perms = []
     fod = m.face_of_dart
-    for j in range(1, lab.m + 1):
+    for j, vs in enumerate(lab.classes, 1):
         p = list(range(d))
         seen: set[int] = set()
-        for v in lab.vertices_with(j):
+        for v in vs:
             ring = [
                 sheet[fod[dart]]
                 for dart in m.vertices[v]

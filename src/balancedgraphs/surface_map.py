@@ -325,6 +325,35 @@ def subdivide_edges(m: CombinatorialMap, counts: dict[int, int]) -> Combinatoria
     return CombinatorialMap(alpha, sigma)
 
 
+def splice(m: CombinatorialMap, vertices) -> tuple[CombinatorialMap, dict[int, int]]:
+    """Remove the given 2-valent vertices, merging the two edges at each.
+
+    Surviving darts keep their order; ``dense`` sends each to its new id.
+    Raises :class:`InvariantViolation` on a vertex of another valence and
+    when nothing survives (the vertices form a closed cycle).
+    """
+    removed = set()
+    for v in vertices:
+        if len(m.vertices[v]) != 2:
+            raise InvariantViolation(f"vertex {v} is not 2-valent")
+        removed.update(m.vertices[v])
+    kept = [d for d in range(m.dart_count) if d not in removed]
+    if not kept:
+        raise InvariantViolation("the spliced vertices form a closed cycle")
+    dense = {d: i for i, d in enumerate(kept)}
+
+    def partner(d: int) -> int:
+        # cross the edge, then pass through each spliced vertex on the way
+        e = m.alpha[d]
+        while e in removed:
+            e = m.alpha[m.sigma[e]]
+        return dense[e]
+
+    alpha = [partner(d) for d in kept]
+    sigma = [dense[m.sigma[d]] for d in kept]
+    return CombinatorialMap(alpha, sigma), dense
+
+
 @dataclass(frozen=True)
 class MapDocument:
     """A deserialized map together with its optional decorations."""

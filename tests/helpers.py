@@ -288,3 +288,25 @@ def random_glued_map(rng, d, subdivide=False):
         edges = rng.sample(range(m.edge_count), min(m.edge_count, rng.randint(1, 3)))
         m = bg.subdivide_edges(m, {e: rng.randint(1, 2) for e in edges})
     return m if bg.is_globally_balanced(m).ok else None
+
+
+def random_genus_zero_constellation(rng):
+    """A random transitive genus-0 constellation (d 2..9, 3..6 branch
+    points) one of whose permutations fixes a sheet, by rejection: each
+    free permutation is a product of fewer than d random transpositions,
+    and the last one closes the product."""
+    while True:
+        d, m = rng.randint(2, 9), rng.randint(3, 6)
+        pre = []
+        for _ in range(m - 1):
+            p = list(range(d))
+            for _ in range(rng.randint(0, d - 1)):
+                i, j = rng.sample(range(d), 2)
+                p[i], p[j] = p[j], p[i]
+            pre.append(tuple(p))
+        perms = tuple(pre) + (inverse(compose_chain(pre, d)),)
+        c = bg.Constellation(d, perms)
+        report = bg.verify_constellation(c)
+        fixed = any(p[s] == s for p in perms for s in range(d))
+        if report.ok and report.genus == 0 and fixed:
+            return c

@@ -339,3 +339,68 @@ def column_fill_ssyt(t):
 
     fill(0)
     return sorted(out, key=lambda tb: tb.rows)
+
+
+def propagated_labeling(m, coloring):
+    """The face-stamping propagation ``admissible_labeling`` once used.
+
+    The first A face (minimal face id) reads 1..m starting at its minimal
+    dart; labels spread to A faces sharing a corner until all vertices are
+    labeled, then the full labeling is verified rather than assumed.
+    """
+    vod = m.vertex_of_dart
+    sequences = [tuple(vod[d] for d in face) for face in m.faces]
+    lengths = {len(seq) for seq in sequences}
+    if len(lengths) != 1:
+        raise bg.InconsistentPropagation(
+            f"faces carry different vertex counts: {sorted(lengths)}"
+        )
+    mm = lengths.pop()
+    for seq in sequences:
+        if len(set(seq)) != mm:
+            raise bg.InconsistentPropagation("a vertex is incident twice to a face")
+
+    a_faces = [f for f in range(m.face_count) if coloring.color(f) == bg.COLOR_A]
+    corners = set(m.corners)
+    a_faces_of_vertex: dict[int, list[int]] = {}
+    for f in a_faces:
+        for v in sequences[f]:
+            a_faces_of_vertex.setdefault(v, []).append(f)
+
+    labels = [0] * m.vertex_count
+
+    def stamp(face: int, anchor_pos: int, anchor_label: int):
+        seq = sequences[face]
+        for t in range(mm):
+            v = seq[(anchor_pos + t) % mm]
+            want = (anchor_label - 1 + t) % mm + 1
+            if labels[v] == 0:
+                labels[v] = want
+            elif labels[v] != want:
+                raise bg.InconsistentPropagation(
+                    f"vertex {v} receives labels {labels[v]} and {want}"
+                )
+
+    first = a_faces[0]
+    stamp(first, 0, 1)
+    done = {first}
+    queue = [first]
+    while queue:
+        f = queue.pop(0)
+        for v in sequences[f]:
+            if v not in corners:
+                continue
+            for g in a_faces_of_vertex[v]:
+                if g in done:
+                    continue
+                stamp(g, sequences[g].index(v), labels[v])
+                done.add(g)
+                queue.append(g)
+    if any(lb == 0 for lb in labels):
+        raise bg.InconsistentPropagation("propagation did not reach every vertex")
+
+    labeling = bg.VertexLabeling(mm, tuple(labels))
+    ok, why = bg.verify_labeling(m, coloring, labeling)
+    if not ok:
+        raise bg.InconsistentPropagation(f"propagated labeling is not admissible: {why}")
+    return labeling

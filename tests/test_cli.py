@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import tracemalloc
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 
 import balancedgraphs as bg
 from balancedgraphs.cli import main
-from helpers import fixed_point_free_pullback
+from helpers import fixed_point_free_pullback, random_genus_zero_constellation
 
 FIXTURES = Path(__file__).parent / "fixtures"
 COUNTEREXAMPLE = FIXTURES / "counterexample_gb_not_lb.json"
@@ -131,6 +132,26 @@ def test_realize_large_pullback_returns(capsys, tmp_path):
     assert code in (0, 1, 2)
     assert len(out.splitlines()) == {0: 2, 1: 1, 2: 0}[code]
     assert err.startswith("error: ") == (code == 2)
+
+
+def test_realize_genus_zero_pullbacks_round_trip(capsys, tmp_path):
+    # fixed points give 2-valent vertices, which realize splices out first
+    rng = random.Random(11)
+    path = tmp_path / "doc.json"
+    for _ in range(100):
+        c = random_genus_zero_constellation(rng)
+        m, coloring, lab = bg.pullback_from_constellation(c)
+        assert 2 in m.vertex_valences
+        path.write_text(bg.serialize(m, labels=lab.labels, coloring=coloring))
+        code, out, err = run(capsys, "realize", "--input", str(path))
+        assert (code, err) == (0, "")
+        map_line, constellation_line = out.splitlines()
+        path.write_text(constellation_line)
+        code, out, _ = run(capsys, "pullback", "--input", str(path))
+        assert code == 0
+        before, after = json.loads(map_line), json.loads(out)
+        for key in ("darts", "alpha", "sigma"):
+            assert before[key] == after[key]
 
 
 def test_pullback_t1(capsys, tmp_path, t1):

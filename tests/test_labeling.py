@@ -3,6 +3,8 @@ import random
 import pytest
 
 import balancedgraphs as bg
+from helpers import all_mirror_graphs, fixed_point_free_pullback
+from oracles import propagated_labeling
 
 
 def _realize(m, coloring):
@@ -176,6 +178,91 @@ def test_generic_labeling_rejects_high_valence():
     m, _, _ = bg.mirror_graph(p)
     with pytest.raises(ValueError):
         bg.generic_labeling(m)
+
+
+# the potential walk against the face-stamping propagation ---------------------
+
+
+def _enriched(m, coloring):
+    return bg.enrich(m, bg.perfect_matching(bg.dot_graph(m, coloring)))
+
+
+def _assert_walk_matches_propagation(m, coloring):
+    try:
+        want = propagated_labeling(m, coloring)
+    except bg.InconsistentPropagation:
+        with pytest.raises(bg.InconsistentPropagation):
+            bg.admissible_labeling(m, coloring)
+        return False
+    assert bg.admissible_labeling(m, coloring) == want
+    return True
+
+
+def test_walk_matches_propagation_on_enriched_gb_corpus(gb_corpus):
+    for m in gb_corpus:
+        coloring = bg.alternating_coloring(m)
+        if bg.hall_check(bg.dot_graph(m, coloring)).ok:
+            _assert_walk_matches_propagation(_enriched(m, coloring), coloring)
+
+
+def test_walk_matches_propagation_on_enriched_mirror_graphs():
+    labeled = 0
+    for _, m, coloring, _ in all_mirror_graphs(5):
+        for col in (coloring, coloring.flip()):
+            labeled += _assert_walk_matches_propagation(_enriched(m, col), col)
+    assert labeled > 0
+
+
+def test_walk_matches_propagation_on_corpus_pullbacks(constellation_corpus):
+    for c in constellation_corpus:
+        m, coloring, _ = bg.pullback_from_constellation(c)
+        assert _assert_walk_matches_propagation(m, coloring)
+
+
+def test_walk_matches_propagation_on_large_pullback():
+    m, coloring, _ = fixed_point_free_pullback(128, 4)
+    assert _assert_walk_matches_propagation(m, coloring)
+    _assert_walk_matches_propagation(_enriched(m, coloring), coloring)
+
+
+def test_walk_relabels_pullbacks_by_a_cyclic_shift(constellation_corpus):
+    # genus 0 to 3: a pullback's own labels are a potential, and the walk
+    # finds it up to the choice of the label at its starting vertex
+    assert {bg.verify_constellation(c).genus for c in constellation_corpus} == {0, 1, 2, 3}
+    for c in constellation_corpus:
+        m, coloring, own = bg.pullback_from_constellation(c)
+        lab = bg.admissible_labeling(m, coloring)
+        assert lab.m == own.m
+        shift = (lab.labels[0] - own.labels[0]) % own.m
+        assert lab.labels == tuple((lb - 1 + shift) % own.m + 1 for lb in own.labels)
+
+
+def test_walk_rejects_a_vertex_twice_on_a_face():
+    # one vertex, two edges, one face on the torus: the face passes the
+    # vertex four times, so no step of +1 around it can be consistent
+    torus = bg.build_map(4, [2, 3, 0, 1], [1, 2, 3, 0])
+    assert torus.faces == ((0, 3, 2, 1),)
+    coloring = bg.FaceColoring((bg.COLOR_A,))
+    with pytest.raises(bg.InconsistentPropagation, match="vertex 0 receives labels 1 and 2"):
+        bg.admissible_labeling(torus, coloring)
+
+
+def test_vertices_with_matches_a_scan():
+    labelings = [
+        bg.VertexLabeling(3, (1, 0, 3, 4, 3, -1, 2, 1)),
+        bg.VertexLabeling(2, (0, 3)),
+        bg.VertexLabeling(4, (2, 2, 2)),
+    ]
+    for lab in labelings:
+        for j in range(0, lab.m + 2):
+            scan = tuple(v for v, lb in enumerate(lab.labels) if lb == j)
+            assert lab.vertices_with(j) == (scan if 1 <= j <= lab.m else ())
+
+
+def test_verify_labeling_rejects_labels_out_of_range(b2):
+    coloring = bg.alternating_coloring(b2)
+    lab = bg.VertexLabeling(2, (0, 3))
+    assert bg.verify_labeling(b2, coloring, lab) == (False, "labels must lie in 1..m")
 
 
 # charge conservation ---------------------------------------------------------

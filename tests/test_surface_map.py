@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import balancedgraphs as bg
+from helpers import all_mirror_graphs
 from oracles import all_roots_canonical
 
 
@@ -199,6 +200,40 @@ def test_subdivide_edges(b2):
     assert m.face_count == b2.face_count
     assert m.genus() == b2.genus()
     assert sorted(m.vertex_valences) == [2, 2, 2, 4, 4]
+
+
+def test_splice_undoes_enrichment(gb_corpus):
+    spliced = 0
+    cases = [(m, bg.alternating_coloring(m)) for m in gb_corpus]
+    cases += [(m, coloring) for _, m, coloring, _ in all_mirror_graphs(5)]
+    for m, coloring in cases:
+        dg = bg.dot_graph(m, coloring)
+        if not bg.hall_check(dg).ok:
+            continue
+        enriched = bg.enrich(m, bg.perfect_matching(dg))
+        # enrichment appends its darts, so the inserted vertices come last
+        inserted = range(m.vertex_count, enriched.vertex_count)
+        restored, dense = bg.splice(enriched, inserted)
+        assert restored == m
+        assert dense == {d: d for d in range(m.dart_count)}
+        spliced += 1
+    assert spliced == 418
+
+
+def test_splice_keeps_dart_order(b2):
+    m = bg.subdivide_edges(b2, {0: 2, 3: 1})
+    middle = [v for v, valence in enumerate(m.vertex_valences) if valence == 2][1]
+    restored, dense = bg.splice(m, [middle])
+    kept = [d for d in range(m.dart_count) if d not in m.vertices[middle]]
+    assert dense == {d: i for i, d in enumerate(kept)}
+    assert sorted(restored.vertex_valences) == [2, 2, 4, 4]
+
+
+def test_splice_rejects_a_closed_cycle_and_corners(cycle_map, b2):
+    with pytest.raises(bg.InvariantViolation):
+        bg.splice(cycle_map, range(cycle_map.vertex_count))
+    with pytest.raises(bg.InvariantViolation):
+        bg.splice(b2, [0])
 
 
 def _random_map_strategy(max_edges=5):
