@@ -13,7 +13,6 @@ import json
 import sys
 
 from .errors import ParseError
-from .permutations import is_int
 
 
 def read(path: str) -> str:
@@ -40,11 +39,16 @@ def load(text: str, kind: str, fields: tuple[str, ...]) -> dict:
 
 
 def is_int_list(value, length: int | None = None) -> bool:
-    """Whether ``value`` is a list of integers, of ``length`` items if given."""
+    """Whether ``value`` is a list of integers, of ``length`` items if given.
+
+    ``value`` comes from :func:`load`, and ``json.loads`` makes no int
+    subclass other than ``bool``, so the exact type test accepts the same
+    entries as :func:`~balancedgraphs.permutations.is_int` at less cost.
+    """
     return (
         isinstance(value, list)
         and (length is None or len(value) == length)
-        and all(is_int(x) for x in value)
+        and all(type(x) is int for x in value)
     )
 
 

@@ -94,8 +94,8 @@ def is_globally_balanced(
     v = _corner_double_incidence(m)
     if v is not None:
         return GlobalBalance(False, None, f"corner {v} is incident twice to a face")
-    a = len(coloring.faces_of(COLOR_A))
-    b = len(coloring.faces_of(COLOR_B))
+    a = coloring.colors.count(COLOR_A)
+    b = coloring.colors.count(COLOR_B)
     if a != b:
         return GlobalBalance(False, None, f"{a} A faces versus {b} B faces")
     return GlobalBalance(True, a)

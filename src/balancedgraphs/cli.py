@@ -9,6 +9,7 @@ input or usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import balance, enrichment, labeling, monodromy, real_combinatorics, render
@@ -23,7 +24,7 @@ EXIT_ERROR = 2
 
 def _parse_weights(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(x) for x in text.split(","))
+        return tuple([int(x) for x in text.split(",")])
     except ValueError as exc:
         raise ParseError(f"--a expects comma-separated integers, got {text!r}") from exc
 
@@ -156,7 +157,14 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of :func:`main`.
+
+    Built on the first call and shared by every later one, so a process
+    may call :func:`main` many times and builds its parser once; parsing
+    leaves the parser as it was, so no state passes between calls.
+    """
     parser = argparse.ArgumentParser(
         prog="balancedgraphs",
         description="Balance checks, covering realization, and pairing counts for cell graphs.",

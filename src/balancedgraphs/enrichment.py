@@ -41,11 +41,11 @@ class DotGraph:
     # every dot as (face, index); the layer itself never lists dots
     @property
     def dots_a(self) -> tuple[Dot, ...]:
-        return tuple((f, i) for f in self.a_faces for i in range(self.dot_counts[f]))
+        return tuple([(f, i) for f in self.a_faces for i in range(self.dot_counts[f])])
 
     @property
     def dots_b(self) -> tuple[Dot, ...]:
-        return tuple((f, i) for f in self.b_faces for i in range(self.dot_counts[f]))
+        return tuple([(f, i) for f in self.b_faces for i in range(self.dot_counts[f])])
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,8 @@ def dot_graph(m: CombinatorialMap, coloring: FaceColoring) -> DotGraph:
     if total < 2:
         raise TooFewCorners(f"need at least 2 corners, found {total}")
     vod = m.vertex_of_dart
-    counts = tuple(total - len({vod[d] for d in face} & corners) for face in m.faces)
-    a, b = (tuple(f for f in coloring.faces_of(c) if counts[f]) for c in (COLOR_A, COLOR_B))
+    counts = tuple([total - len({vod[d] for d in face} & corners) for face in m.faces])
+    a, b = (tuple([f for f in coloring.faces_of(c) if counts[f]]) for c in (COLOR_A, COLOR_B))
     return DotGraph(total, counts, a, b, m.face_neighbors)
 
 

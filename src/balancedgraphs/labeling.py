@@ -41,7 +41,7 @@ class VertexLabeling:
         for v, lb in enumerate(self.labels):
             if 1 <= lb <= self.m:
                 out[lb - 1].append(v)
-        return tuple(tuple(vs) for vs in out)
+        return tuple([tuple(vs) for vs in out])
 
     def vertices_with(self, label: int) -> tuple[int, ...]:
         return self.classes[label - 1] if 1 <= label <= self.m else ()
@@ -131,10 +131,10 @@ def verify_labeling(
 
 def passport_of(m: CombinatorialMap, lab: VertexLabeling) -> Passport:
     """Partitions of the degree: half-valences per label, sorted decreasing."""
-    parts = tuple(
+    parts = tuple([
         tuple(sorted((len(m.vertices[v]) // 2 for v in vs), reverse=True))
         for vs in lab.classes
-    )
+    ])
     return Passport(m.face_count // 2, parts)
 
 
@@ -158,7 +158,7 @@ def compress_labels(
         return m, lab
     new_map, _ = splice(m, [v for j in gone for v in lab.classes[j - 1]])
     rank = {j: i for i, j in enumerate(sorted(set(range(1, lab.m + 1)) - gone), 1)}
-    new_labels = tuple(rank[lb] for lb in lab.labels if lb not in gone)
+    new_labels = tuple([rank[lb] for lb in lab.labels if lb not in gone])
     return new_map, VertexLabeling(len(rank), new_labels)
 
 

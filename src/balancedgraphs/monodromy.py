@@ -85,7 +85,7 @@ def verify_constellation(
     transitive = is_transitive(c.perms, c.d)
     if not transitive:
         failures.append("the permutations do not act transitively")
-    types = tuple(cycle_type(p) for p in c.perms)
+    types = tuple([cycle_type(p) for p in c.perms])
     try:
         g = rh_genus(Passport(c.d, types))
     except NonIntegerGenus:
@@ -97,10 +97,10 @@ def verify_constellation(
         for part in expected.parts:
             entries = tuple(sorted(part, reverse=True))
             if ignore_trivial_parts:
-                entries = tuple(x for x in entries if x != 1)
+                entries = tuple([x for x in entries if x != 1])
             want.append(entries)
         have = [
-            tuple(x for x in t if x != 1) if ignore_trivial_parts else t
+            tuple([x for x in t if x != 1]) if ignore_trivial_parts else t
             for t in types
         ]
         passport_match = list(have) == want
@@ -163,7 +163,7 @@ def pullback_from_constellation(
     built = CombinatorialMap(alpha, sigma)
 
     # every face is all-out or all-in darts; the out ones are the sheets
-    colors = tuple(COLOR_A if face[0] % 2 == 0 else COLOR_B for face in built.faces)
+    colors = tuple([COLOR_A if face[0] % 2 == 0 else COLOR_B for face in built.faces])
     labels = [0] * built.vertex_count
     for j in range(m):
         for s in range(d):
@@ -233,4 +233,4 @@ def deserialize_constellation(text: str) -> Constellation:
     for p in perms:
         if len(p) != d or sorted(p) != list(range(1, d + 1)):
             raise BadPermutation(f"{p} is not a permutation of 1..{d}")
-    return Constellation(d, tuple(tuple(x - 1 for x in p) for p in perms))
+    return Constellation(d, tuple([tuple([x - 1 for x in p]) for p in perms]))

@@ -44,7 +44,7 @@ def inverse(p: Perm) -> Perm:
 
 def compose(p: Perm, q: Perm) -> Perm:
     """Return the permutation mapping x to p[q[x]] (q acts first)."""
-    return tuple(p[q[x]] for x in range(len(q)))
+    return tuple([p[q[x]] for x in range(len(q))])
 
 
 def compose_chain(perms, n: int) -> Perm:
@@ -105,7 +105,7 @@ def is_transitive(perms, n: int) -> bool:
 def conjugate(perms, relabeling) -> tuple[Perm, ...]:
     """Relabel every permutation of ``perms``: point x becomes ``relabeling[x]``."""
     inv = inverse(relabeling)
-    return tuple(tuple(relabeling[p[y]] for y in inv) for p in perms)
+    return tuple([tuple([relabeling[p[y]] for y in inv]) for p in perms])
 
 
 def canonical_relabeling(perms, n: int, roots) -> tuple[tuple[Perm, ...], Perm]:
@@ -123,7 +123,7 @@ def canonical_relabeling(perms, n: int, roots) -> tuple[tuple[Perm, ...], Perm]:
     :class:`Disconnected` when the tuple is not transitive.
     """
     if n == 0:
-        return tuple(() for _ in perms), ()
+        return tuple([() for _ in perms]), ()
     first = perms[0] if perms else None
     best = None
     best_first = None

@@ -160,11 +160,11 @@ def _per_point(points, n: int) -> list[int]:
 
 def _points(counts) -> tuple[int, ...]:
     """The points 1..n, each as often as ``counts`` says, in order."""
-    return tuple(k for k, c in enumerate(counts, 1) for _ in range(c))
+    return tuple([k for k, c in enumerate(counts, 1) for _ in range(c)])
 
 
 def _arcs(events: list[Event]) -> tuple[Arc, ...]:
-    return tuple((i, j) for i, j, _, _ in events)
+    return tuple([(i, j) for i, j, _, _ in events])
 
 
 def enumerate_pairings(t: WeightComposition) -> list[NonCrossingPairing]:
@@ -298,7 +298,7 @@ def mirror_graph(
             sigma[dart] = ring[(i + 1) % len(ring)]
 
     m = CombinatorialMap(alpha, sigma)
-    real_cycle = tuple(2 * k for k in range(n))
+    real_cycle = tuple(range(0, 2 * n, 2))
     return m, alternating_coloring(m), real_cycle
 
 
@@ -383,7 +383,7 @@ def marked_canonical_key(m: CombinatorialMap, real_cycle) -> tuple:
     (alpha, sigma), relabel = canonical_relabeling(
         (m.alpha, m.sigma), m.dart_count, (real_cycle[0],)
     )
-    return (alpha, sigma, tuple(relabel[d] for d in real_cycle))
+    return (alpha, sigma, tuple([relabel[d] for d in real_cycle]))
 
 
 @dataclass(frozen=True)

@@ -90,14 +90,14 @@ class CombinatorialMap:
 
     @cached_property
     def faces(self) -> tuple[tuple[int, ...], ...]:
-        phi = tuple(self._sigma[self._alpha[d]] for d in range(self.dart_count))
+        phi = tuple([self._sigma[self._alpha[d]] for d in range(self.dart_count)])
         return cycles(phi)
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
+        return tuple([
             (d, self._alpha[d]) for d in range(self.dart_count) if d < self._alpha[d]
-        )
+        ])
 
     @cached_property
     def vertex_of_dart(self) -> tuple[int, ...]:
@@ -124,7 +124,29 @@ class CombinatorialMap:
             if f != g:
                 out[f].add(g)
                 out[g].add(f)
-        return tuple(tuple(sorted(s)) for s in out)
+        return tuple([tuple(sorted(s)) for s in out])
+
+    @cached_property
+    def _alternating_coloring(self) -> "FaceColoring":
+        # a cached_property stores no value when its body raises
+        fod = self.face_of_dart
+        if any(fod[d] == fod[e] for d, e in self.edges):
+            raise NotBipartiteFaces("adjacent faces cannot be colored differently")
+        colors = [None] * self.face_count
+        start = fod[0]
+        colors[start] = COLOR_A
+        queue = [start]
+        while queue:
+            f = queue.pop()
+            other = COLOR_B if colors[f] == COLOR_A else COLOR_A
+            for g in self.face_neighbors[f]:
+                if colors[g] is None:
+                    colors[g] = other
+                    queue.append(g)
+                elif colors[g] == colors[f]:
+                    raise NotBipartiteFaces("adjacent faces cannot be colored differently")
+        # the map is connected, so every face was reached
+        return FaceColoring(tuple(colors))
 
     @property
     def vertex_count(self) -> int:
@@ -140,12 +162,12 @@ class CombinatorialMap:
 
     @cached_property
     def vertex_valences(self) -> tuple[int, ...]:
-        return tuple(len(v) for v in self.vertices)
+        return tuple([len(v) for v in self.vertices])
 
     @cached_property
     def corners(self) -> tuple[int, ...]:
         """Vertex ids of valence greater than 2."""
-        return tuple(i for i, v in enumerate(self.vertices) if len(v) > 2)
+        return tuple([i for i, v in enumerate(self.vertices) if len(v) > 2])
 
     @cached_property
     def has_loops(self) -> bool:
@@ -235,11 +257,11 @@ class FaceColoring:
 
     def flip(self) -> "FaceColoring":
         return FaceColoring(
-            tuple(COLOR_B if c == COLOR_A else COLOR_A for c in self.colors)
+            tuple([COLOR_B if c == COLOR_A else COLOR_A for c in self.colors])
         )
 
     def faces_of(self, color: str) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.colors) if c == color)
+        return tuple([i for i, c in enumerate(self.colors) if c == color])
 
 
 @dataclass(frozen=True)
@@ -261,7 +283,7 @@ def face_adjacency(m: CombinatorialMap) -> tuple[tuple[int, int, int], ...]:
     the same pair of faces.
     """
     fod = m.face_of_dart
-    return tuple((fod[d], fod[e], i) for i, (d, e) in enumerate(m.edges))
+    return tuple([(fod[d], fod[e], i) for i, (d, e) in enumerate(m.edges)])
 
 
 def alternating_coloring(m: CombinatorialMap) -> FaceColoring:
@@ -269,25 +291,10 @@ def alternating_coloring(m: CombinatorialMap) -> FaceColoring:
 
     Raises :class:`NotBipartiteFaces` when the face adjacency graph has an
     odd cycle.  The only other proper coloring is the flip of this one.
+    The coloring is computed once per map and the same object returned
+    on every later call; a failure is raised again on every call.
     """
-    fod = m.face_of_dart
-    if any(fod[d] == fod[e] for d, e in m.edges):
-        raise NotBipartiteFaces("adjacent faces cannot be colored differently")
-    colors = [None] * m.face_count
-    start = fod[0]
-    colors[start] = COLOR_A
-    queue = [start]
-    while queue:
-        f = queue.pop()
-        other = COLOR_B if colors[f] == COLOR_A else COLOR_A
-        for g in m.face_neighbors[f]:
-            if colors[g] is None:
-                colors[g] = other
-                queue.append(g)
-            elif colors[g] == colors[f]:
-                raise NotBipartiteFaces("adjacent faces cannot be colored differently")
-    # the map is connected, so every face was reached
-    return FaceColoring(tuple(colors))
+    return m._alternating_coloring
 
 
 def are_isomorphic(m1: CombinatorialMap, m2: CombinatorialMap) -> bool:

@@ -209,6 +209,43 @@ def enumerated_balance_report(m, coloring):
     return True, None, None, False, None
 
 
+def counted_global_balance(m, coloring=None):
+    """``is_globally_balanced`` restated from its definition: the coloring
+    spread over the arcs of ``face_adjacency`` until nothing changes, the
+    structural defects read off the darts, and each color counted with
+    ``faces_of``."""
+    if coloring is None:
+        arcs = bg.face_adjacency(m)
+        colors = {m.face_of_dart[0]: bg.COLOR_A}
+        grown = True
+        while grown:
+            grown = False
+            for f, g, _ in arcs:
+                for x, y in ((f, g), (g, f)):
+                    if x in colors and y not in colors:
+                        colors[y] = bg.COLOR_B if colors[x] == bg.COLOR_A else bg.COLOR_A
+                        grown = True
+        if any(colors[f] == colors[g] for f, g, _ in arcs):
+            return bg.GlobalBalance(False, None, "no alternating face coloring exists")
+        coloring = bg.FaceColoring(tuple(colors[f] for f in range(m.face_count)))
+    vod = m.vertex_of_dart
+    if any(vod[d] == vod[e] for d, e in m.edges):
+        return bg.GlobalBalance(False, None, "the graph has a loop")
+    for face in m.faces:
+        seen = []
+        for d in face:
+            v = vod[d]
+            if m.vertex_valences[v] > 2:
+                if v in seen:
+                    return bg.GlobalBalance(False, None, f"corner {v} is incident twice to a face")
+                seen.append(v)
+    a = len(coloring.faces_of(bg.COLOR_A))
+    b = len(coloring.faces_of(bg.COLOR_B))
+    if a != b:
+        return bg.GlobalBalance(False, None, f"{a} A faces versus {b} B faces")
+    return bg.GlobalBalance(True, a)
+
+
 def recursive_maximum_matching(dg):
     """Kuhn's augmenting paths by recursion; B dot to A dot assignment."""
     a_by_face = {}

@@ -3,10 +3,11 @@ import random
 import pytest
 
 import balancedgraphs as bg
-from helpers import random_glued_map
+from helpers import all_mirror_graphs, map_from_rotations, random_glued_map
 from oracles import (
     brute_force_locally_balanced,
     brute_force_regions,
+    counted_global_balance,
     enumerated_balance_report,
     region_invariants_hold,
     thurston_single_cycle_balanced,
@@ -39,6 +40,30 @@ def test_loops_reported(cycle_map):
     m = bg.build_map(4, [1, 0, 3, 2], [1, 2, 3, 0])
     report = bg.is_globally_balanced(m)
     assert not report.ok and "loop" in report.reason
+
+
+def test_global_balance_matches_counted_oracle(gb_corpus, counterexample, tetrahedron):
+    # each map is rebuilt, so the first call finds no coloring cached on it
+    cases = [(m, bg.alternating_coloring(m).flip()) for m in gb_corpus]
+    cases.append(counterexample[:2])
+    cases += [(m, coloring) for _, m, coloring, _ in all_mirror_graphs(5)]
+    cases += [
+        (tetrahedron, None),
+        (bg.build_map(4, [1, 0, 3, 2], [1, 2, 3, 0]), None),
+        # a doubled triangle: 2 A faces against 3 B faces
+        (map_from_rotations(["abfe", "cdba", "efdc"]), None),
+        # two triangles sharing a corner, which the outer face passes twice
+        (map_from_rotations(["pqrs", "pt", "tq", "ru", "us"]), None),
+    ]
+    for m, explicit in cases:
+        fresh = bg.CombinatorialMap(m.alpha, m.sigma)
+        expected = counted_global_balance(fresh)
+        assert bg.is_globally_balanced(fresh) == expected
+        assert bg.is_globally_balanced(fresh) == expected
+        if explicit is not None:
+            expected = counted_global_balance(fresh, explicit)
+            assert bg.is_globally_balanced(fresh, explicit) == expected
+    assert sum(counted_global_balance(m).ok for m, _ in cases) == len(cases) - 4
 
 
 def test_positive_regions_b2_match_oracle(b2):

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import balancedgraphs as bg
+from balancedgraphs import cli
 from balancedgraphs.cli import main
 from helpers import fixed_point_free_pullback, random_genus_zero_constellation
 
@@ -320,6 +321,35 @@ def test_outputs_byte_identical_across_runs(capsys, mirror_file, b2_file):
         assert first == second
 
 
+def _exit_and_output(capsys, argv):
+    """(exit code, stdout, stderr) of one call, usage errors and help included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_shared_parser_carries_no_state_between_calls(capsys, monkeypatch, tmp_path):
+    constellation = tmp_path / "c.json"
+    constellation.write_text('{"d":2,"perms":[[2,1],[2,1],[2,1],[2,1]]}')
+    calls = [
+        ["check", "--bogus"],
+        ["--help"],
+        ["count", "--d", "3"],
+        ["check", "--input", str(COUNTEREXAMPLE)],
+        ["pullback", "--input", str(constellation)],
+        ["check", "--bogus"],
+    ]
+    assert cli.build_parser() is cli.build_parser()
+    shared = [_exit_and_output(capsys, argv) for argv in calls]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [_exit_and_output(capsys, argv) for argv in calls]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [2, 0, 0, 1, 0, 2]
+
+
 def _nested(prefix, depth=100_000):
     """``prefix`` followed by a JSON value nested ``depth`` lists deep."""
     return prefix + "[" * depth + "]" * depth + "}"
@@ -347,6 +377,15 @@ def _nested(prefix, depth=100_000):
             '{"darts":' + "1" * 5000 + ',"alpha":[],"sigma":[]}',
             id="check-5000-digit-integer",
         ),
+        (
+            "check",
+            '{"darts":8,"alpha":[1,0,3,2,5,4,7,6],"sigma":[2,7,4,1,6,3,0,5],'
+            '"labels":[1.0,2]}',
+        ),
+        ("pullback", '{"d":2,"perms":[[2,true],[2,1]]}'),
+        ("pullback", '{"d":2,"perms":[[2,1.0],[2,1]]}'),
+        ("mirror", '{"n":2,"a":[1,1],"arcs":[[1,true]]}'),
+        ("mirror", '{"n":2,"a":[1,1],"arcs":[[1,2.0]]}'),
     ],
 )
 def test_malformed_documents_exit_2(capsys, tmp_path, command, document):

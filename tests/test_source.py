@@ -1,0 +1,25 @@
+import ast
+from pathlib import Path
+
+import balancedgraphs as bg
+
+SOURCES = sorted(Path(bg.__file__).parent.glob("*.py"))
+
+
+def test_no_tuple_built_from_a_generator():
+    # tuple(<generator>) starts at 10 slots and resizes; CPython keeps freed
+    # tuples of up to 20 slots on per-size free lists (2000 each) that only
+    # a full collection empties, so a long run of CLI calls parks thousands
+    # of them and peak_rss_mb grows.  tuple([...]) allocates the final size.
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "tuple"
+                and len(node.args) == 1
+                and isinstance(node.args[0], ast.GeneratorExp)
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert SOURCES and not found, found

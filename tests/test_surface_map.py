@@ -74,6 +74,17 @@ def test_alternating_coloring_tetrahedron(tetrahedron):
         bg.alternating_coloring(tetrahedron)
 
 
+def test_alternating_coloring_is_computed_once_per_map(gb_corpus):
+    m = bg.CombinatorialMap(gb_corpus[0].alpha, gb_corpus[0].sigma)
+    assert bg.alternating_coloring(m) is bg.alternating_coloring(m)
+
+
+def test_odd_face_cycle_raises_on_every_call(tetrahedron):
+    for _ in range(2):
+        with pytest.raises(bg.NotBipartiteFaces):
+            bg.alternating_coloring(tetrahedron)
+
+
 def test_coloring_flip_is_only_other_proper_coloring(b2, cycle_map, t1):
     for m in (b2, cycle_map, t1):
         coloring = bg.alternating_coloring(m)
