@@ -111,47 +111,122 @@ def conjugate(perms, relabeling) -> tuple[Perm, ...]:
 def canonical_relabeling(perms, n: int, roots) -> tuple[tuple[Perm, ...], Perm]:
     """Least breadth-first relabeling of a transitive tuple on 0..n-1.
 
-    From each root, points are numbered in the order a breadth-first
-    search reaches them, following ``perms[0]``, ``perms[1]``, ... from
-    each point.  The relabeled tuples are compared lexicographically,
-    ``perms[0]`` first; the first root reaching the least one wins.
-    Returns that tuple and its relabeling (point x becomes
+    From a root, points are numbered in the order a breadth-first search
+    reaches them, following ``perms[0]``, ``perms[1]``, ... from each
+    point.  The relabeled tuples are compared lexicographically,
+    ``perms[0]`` first; among ``roots`` the first root reaching the least
+    tuple wins.  Returns that tuple and its relabeling (point x becomes
     ``relabeling[x]``).
 
-    A root is abandoned as soon as its partial ``perms[0]`` exceeds the
-    best one; this prunes work without changing the result.  Raises
-    :class:`Disconnected` when the tuple is not transitive.
+    Every search stops as soon as its outcome is known.  The leader (the
+    best root so far) is expanded one point at a time, only when a
+    challenger reaches a position the leader has not numbered yet.  A
+    challenger is dropped at the first position where its ``perms[0]``
+    code exceeds the leader's, and becomes the leader, paused there, at
+    the first position where it is smaller.  Only the last leader is
+    searched to the end.  A challenger tying the leader on all of
+    ``perms[0]`` is compared on the rest; if it ties there too, the map
+    from its numbering to the leader's is an automorphism, whose orbits
+    are merged in a union-find, and every later root in an orbit that
+    already holds a tried root is skipped (McKay's orbit pruning): it
+    would reach the same tuple as the earlier root.  A leader is replaced
+    only by a strictly smaller challenger, so the first root still wins.
+
+    Raises :class:`Disconnected` when the tuple is not transitive.
     """
     if n == 0:
         return tuple([() for _ in perms]), ()
-    first = perms[0] if perms else None
-    best = None
-    best_first = None
-    best_relabeling = None
+    if not perms:
+        if n > 1:
+            raise _intransitive(n)
+        return (), (0,)
+    first = perms[0]
+    lead = [-1] * n  # the leader's numbering
+    chal = [-1] * n  # the challenger's, reset after each root
+    tried = bytearray(n)  # per union-find class: holds a tried root
+    parent = None  # union-find of automorphism orbits, built at the first one
+    roots = iter(roots)
+    root = next(roots)
+    lead[root] = 0
+    lead_order = [root]
+    tried[root] = 1
+    done = 0  # leader points expanded
     for root in roots:
-        new = [-1] * n
-        new[root] = 0
+        orbit = root if parent is None else _find(parent, root)
+        if tried[orbit]:
+            continue
+        tried[orbit] = 1
+        chal[root] = 0
         order = [root]
-        tied = best_first is not None  # equal to the best perms[0] so far
+        push = order.append
+        size = 1
         i = 0
-        while i < len(order):
+        while i < size:
             x = order[i]
             for p in perms:
                 y = p[x]
-                if new[y] < 0:
-                    new[y] = len(order)
-                    order.append(y)
-            if tied:
-                code, code_best = new[first[x]], best_first[i]
-                if code > code_best:
-                    break
-                tied = code == code_best
+                if chal[y] < 0:
+                    chal[y] = size
+                    size += 1
+                    push(y)
+            if i == done:
+                if done == len(lead_order):
+                    raise _intransitive(n)
+                z = lead_order[done]
+                for p in perms:
+                    y = p[z]
+                    if lead[y] < 0:
+                        lead[y] = len(lead_order)
+                        lead_order.append(y)
+                done += 1
+            delta = chal[first[x]] - lead[first[lead_order[i]]]
+            if delta:
+                if delta < 0:
+                    lead, chal, lead_order, order = chal, lead, order, lead_order
+                    done = i + 1
+                break
             i += 1
         else:
-            if len(order) < n:
-                raise Disconnected(f"the permutations do not act transitively on {n} points")
-            candidate = conjugate(perms, new)
-            if best is None or candidate < best:
-                best, best_relabeling = candidate, new
-                best_first = best[0] if perms else None
-    return best, tuple(best_relabeling)
+            if i < n:
+                raise _intransitive(n)
+            for p in perms[1:]:
+                ours = [chal[p[x]] for x in order]
+                theirs = [lead[p[x]] for x in lead_order]
+                if ours != theirs:
+                    if ours < theirs:
+                        lead, chal, lead_order, order = chal, lead, order, lead_order
+                    break
+            else:
+                # x -> lead_order[chal[x]] commutes with every permutation
+                if parent is None:
+                    parent = list(range(n))
+                for x in range(n):
+                    a = _find(parent, x)
+                    b = _find(parent, lead_order[chal[x]])
+                    if a != b:
+                        parent[a] = b
+                        tried[b] |= tried[a]
+        for x in order:
+            chal[x] = -1
+    while done < len(lead_order):
+        z = lead_order[done]
+        for p in perms:
+            y = p[z]
+            if lead[y] < 0:
+                lead[y] = len(lead_order)
+                lead_order.append(y)
+        done += 1
+    if done < n:
+        raise _intransitive(n)
+    return tuple([tuple([lead[p[x]] for x in lead_order]) for p in perms]), tuple(lead)
+
+
+def _intransitive(n: int) -> Disconnected:
+    return Disconnected(f"the permutations do not act transitively on {n} points")
+
+
+def _find(parent: list[int], x: int) -> int:
+    """Union-find root of x, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x

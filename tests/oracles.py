@@ -171,6 +171,51 @@ def all_roots_canonical(m):
     return best, best_map
 
 
+def sequential_canonical_relabeling(perms, n, roots):
+    """Least breadth-first relabeling, every root searched in turn.
+
+    The library routine without leader pausing or orbit pruning: roots
+    are tried in the given order, each from a fresh label array,
+    and a root is abandoned once its partial ``perms[0]`` exceeds the
+    best one; a root completing its search is relabeled in full and
+    compared as a tuple.  Raises ``Disconnected`` when the first root's
+    search covers fewer than n points.
+    """
+    if n == 0:
+        return tuple(() for _ in perms), ()
+    first = perms[0] if perms else None
+    best = None
+    best_first = None
+    best_relabeling = None
+    for root in roots:
+        new = [-1] * n
+        new[root] = 0
+        order = [root]
+        tied = best_first is not None  # equal to the best perms[0] so far
+        i = 0
+        while i < len(order):
+            x = order[i]
+            for p in perms:
+                y = p[x]
+                if new[y] < 0:
+                    new[y] = len(order)
+                    order.append(y)
+            if tied:
+                code, code_best = new[first[x]], best_first[i]
+                if code > code_best:
+                    break
+                tied = code == code_best
+            i += 1
+        else:
+            if len(order) < n:
+                raise bg.Disconnected(f"not transitive on {n} points")
+            candidate = tuple(tuple(new[p[x]] for x in order) for p in perms)
+            if best is None or candidate < best:
+                best, best_relabeling = candidate, new
+                best_first = best[0] if perms else None
+    return best, tuple(best_relabeling)
+
+
 def factorial_conjugation_canonical(c):
     """Least permutation tuple over all d! simultaneous sheet relabelings."""
     best = None
