@@ -129,15 +129,15 @@ def _composition_from_args(args) -> real_combinatorics.WeightComposition:
 
 def cmd_pairings(args) -> int:
     t = _composition_from_args(args)
-    for p in real_combinatorics.enumerate_pairings(t):
-        print(real_combinatorics.serialize_pairing(p))
+    pairings = real_combinatorics.enumerate_pairings(t)
+    sys.stdout.write("".join([f"{real_combinatorics.serialize_pairing(p)}\n" for p in pairings]))
     return EXIT_OK
 
 
 def cmd_ssyt(args) -> int:
     t = _composition_from_args(args)
-    for tb in real_combinatorics.enumerate_ssyt(t):
-        print(real_combinatorics.serialize_tableau(tb))
+    tableaux = real_combinatorics.enumerate_ssyt(t)
+    sys.stdout.write("".join([f"{real_combinatorics.serialize_tableau(tb)}\n" for tb in tableaux]))
     return EXIT_OK
 
 

@@ -8,23 +8,28 @@ whose vertices all lie on the distinguished real cycle.
 
 A pairing is fixed by how many of its arcs close at each point, each
 closing taking the newest open arc.  Pairings, tableaux and the Kostka
-count all come from one table over these close counts, every conversion
-is the same stack replay, and nothing recurses.
+count all come from one table over these close counts, and nothing
+recurses.  The enumeration walks, per point, the list of close counts
+the later points can complete; a list is built the first time the walk
+reaches its (point, open count) state, so a long type with few pairings
+builds few.  Every conversion from counts to arcs, and every crossing
+check, is one stack replay that keeps only the opening point of each
+open arc and returns the sorted arcs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 
-from ._documents import dump, is_int_list, load
+from ._documents import is_int_list, load
 from .errors import InvariantViolation, NotBipartiteFaces, ParseError
 from .permutations import canonical_relabeling, is_int
 from .surface_map import CombinatorialMap, FaceColoring, alternating_coloring
 
 Arc = tuple[int, int]
-Event = tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -58,6 +63,12 @@ class NonCrossingPairing:
 
     type: WeightComposition
     arcs: tuple[Arc, ...]
+
+    @cached_property
+    def _replayed_arcs(self) -> tuple[Arc, ...]:
+        # validated once per pairing; a cached_property stores no value
+        # when its body raises, so an invalid pairing raises on every call
+        return tuple(validate_pairing(self))
 
 
 @dataclass(frozen=True)
@@ -96,58 +107,73 @@ def _completions(a) -> list[list[int]]:
 def _close_counts(a):
     """Every close-count vector of a pairing of weight ``a``, in increasing order.
 
-    ``closes[k]`` arcs close at point k + 1.  The walk enters a count only
-    when :func:`_completions` says the later points can close what is then
-    open, so every branch it enters ends in a pairing.
+    ``closes[k]`` arcs close at point k + 1.  The walk offers a point only
+    the counts after which :func:`_completions` says the later points can
+    close what is then open, so every branch it enters ends in a pairing.
+    The offered counts are listed once per (point, open count) state the
+    walk reaches.  The last point closes all its arcs.
     """
     ways, n = _completions(a), len(a)
-    closes = [0] * n
-    opened = [0] * (n + 1)  # arcs open before point k + 1
-    k = c = 0
+    listed: list[dict[int, list[int]]] = [{} for _ in range(n)]
+
+    def offered(k: int, m: int) -> list[int]:
+        # counts c <= min(m, x) leaving an open count m + x - 2c that row
+        # k + 1 holds and can complete
+        x, nxt = a[k], ways[k + 1]
+        least = max(0, (m + x - len(nxt) + 2) // 2)
+        return [c for c in range(least, min(m, x) + 1) if nxt[m + x - 2 * c]]
+
+    closes = list(a)
+    opened = [0] * n  # arcs open before point k + 1
+    offers = [offered(0, 0)] + [[]] * (n - 1)
+    at = [0] * n  # the count taken at point k + 1, as an index into its offer
+    last = n - 2
+    k = 0
     while True:
-        m, x, nxt = opened[k], a[k], ways[k + 1]
-        most = min(m, x)
-        # the least count >= c leaving an open count that row k + 1 holds
-        c = max(c, (m + x - len(nxt) + 2) // 2)
-        while c <= most and not nxt[m + x - 2 * c]:
-            c += 1
-        if c > most:
-            if k == 0:
-                return
-            k -= 1
-            c = closes[k] + 1
+        if k == last:
+            for c in offers[k]:
+                closes[k] = c
+                yield tuple(closes)
+        elif at[k] < len(offers[k]):
+            c = closes[k] = offers[k][at[k]]
+            m = opened[k] + a[k] - 2 * c
+            k += 1
+            opened[k], at[k] = m, 0
+            offer = listed[k].get(m)
+            if offer is None:
+                offer = listed[k][m] = offered(k, m)
+            offers[k] = offer
             continue
-        closes[k] = c
-        opened[k + 1] = m + x - 2 * c
-        if k + 1 < n:
-            k, c = k + 1, 0
-        else:
-            yield tuple(closes)
-            c += 1
+        if k == 0:
+            return
+        k -= 1
+        at[k] += 1
 
 
-def _replay(n: int, opens, closes) -> list[Event] | None:
+def _replay(opens, closes) -> list[Arc] | None:
     """Arcs with ``opens[k]`` openings and ``closes[k]`` closings at point k + 1.
 
     At each point the closings take the newest open arcs, then the point's
-    own arcs open.  Returns the sorted (i, j, open rank, close rank), or
-    None when a closing finds no open arc or arcs are left open.
+    own arcs open.  Returns the arcs (i, j) sorted, or None when a closing
+    finds too few open arcs or arcs are left open.
     """
-    stack: list[tuple[int, int]] = []  # (point, open rank)
-    events: list[Event] = []
-    opened = 0
-    for k in range(1, n + 1):
-        for _ in range(closes[k - 1]):
-            if not stack:
+    stack: list[int] = []  # the opening point of each open arc, newest last
+    arcs: list[Arc] = []
+    k = 0
+    for o, c in zip(opens, closes):
+        k += 1
+        if c:
+            if c > len(stack):
                 return None
-            i, rank = stack.pop()
-            events.append((i, k, rank, len(events)))
-        stack.extend((k, opened + t) for t in range(opens[k - 1]))
-        opened += opens[k - 1]
+            while c:
+                arcs.append((stack.pop(), k))
+                c -= 1
+        if o:
+            stack += [k] * o
     if stack:
         return None
-    events.sort()
-    return events
+    arcs.sort()
+    return arcs
 
 
 def _per_point(points, n: int) -> list[int]:
@@ -158,22 +184,30 @@ def _per_point(points, n: int) -> list[int]:
     return counts
 
 
-def _points(counts) -> tuple[int, ...]:
-    """The points 1..n, each as often as ``counts`` says, in order."""
-    return tuple([k for k, c in enumerate(counts, 1) for _ in range(c)])
-
-
-def _arcs(events: list[Event]) -> tuple[Arc, ...]:
-    return tuple([(i, j) for i, j, _, _ in events])
+def _rows(a, closes) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The tableau rows of close counts ``closes``: each point k as often
+    as it opens arcs on top, and as often as it closes arcs below."""
+    top: list[int] = []
+    bottom: list[int] = []
+    k = 0
+    for x, c in zip(a, closes):
+        k += 1
+        if c:
+            bottom += [k] * c
+        if x > c:
+            top += [k] * (x - c)
+    return tuple(top), tuple(bottom)
 
 
 def enumerate_pairings(t: WeightComposition) -> list[NonCrossingPairing]:
     """All pairings of the given type, sorted lexicographically."""
-    found = (
-        _arcs(_replay(t.n, [x - c for x, c in zip(t.a, closes)], closes))
-        for closes in _close_counts(t.a)
-    )
-    return [NonCrossingPairing(t, arcs) for arcs in sorted(found)]
+    a = t.a
+    found = [
+        tuple(_replay([x - c for x, c in zip(a, closes)], closes))
+        for closes in _close_counts(a)
+    ]
+    found.sort()
+    return [NonCrossingPairing(t, arcs) for arcs in found]
 
 
 def enumerate_ssyt(t: WeightComposition) -> list[Tableau2Row]:
@@ -181,10 +215,8 @@ def enumerate_ssyt(t: WeightComposition) -> list[Tableau2Row]:
     top, closings below.  A larger close count at the first point where two
     vectors differ means a larger top row, so the walk's order is the rows'.
     """
-    return [
-        Tableau2Row((_points(x - c for x, c in zip(t.a, closes)), _points(closes)))
-        for closes in _close_counts(t.a)
-    ]
+    a = t.a
+    return [Tableau2Row(_rows(a, closes)) for closes in _close_counts(a)]
 
 
 def kostka(t: WeightComposition) -> int:
@@ -218,35 +250,28 @@ def tableau_to_pairing(tb: Tableau2Row) -> NonCrossingPairing:
     t = WeightComposition(len(top) + 1, tuple(_per_point(top + bottom, n)))
     if not _tableau_ok(tb.rows, t):
         raise InvariantViolation("not a semistandard two-row tableau")
-    return NonCrossingPairing(t, _arcs(_replay(n, _per_point(top, n), _per_point(bottom, n))))
+    return NonCrossingPairing(t, tuple(_replay(_per_point(top, n), _per_point(bottom, n))))
 
 
-def _arc_events(p: NonCrossingPairing) -> list[Event]:
-    """Arcs with their opening and closing event ranks: (i, j, open, close).
-
-    The arcs are non-crossing exactly when they are the replay of their
-    own endpoint counts; anything else is a crossing.
-    """
-    n = p.type.n
-    opens = _per_point((i for i, _ in p.arcs), n)
-    events = _replay(n, opens, _per_point((j for _, j in p.arcs), n))
-    if events is None or list(_arcs(events)) != sorted(p.arcs):
-        raise InvariantViolation("arcs are not a non-crossing pairing")
-    return events
-
-
-def validate_pairing(p: NonCrossingPairing) -> list[Event]:
+def validate_pairing(p: NonCrossingPairing) -> list[Arc]:
     """Degree, loop-freeness and crossing-freeness of the arc multiset.
 
-    Crossings are found by the stack replay of :func:`_arc_events`, whose
-    events are returned.
+    The arcs are non-crossing exactly when they are the :func:`_replay` of
+    their own endpoint counts; anything else is a crossing.  Returns the
+    replayed arcs, which are ``p.arcs`` sorted.
     """
+    n = p.type.n
     for i, j in p.arcs:
-        if not 1 <= i < j <= p.type.n:
+        if not 1 <= i < j <= n:
             raise InvariantViolation(f"arc ({i}, {j}) is out of range or a loop")
-    if tuple(_per_point((x for arc in p.arcs for x in arc), p.type.n)) != p.type.a:
+    opens = _per_point((i for i, _ in p.arcs), n)
+    closes = _per_point((j for _, j in p.arcs), n)
+    if tuple([o + c for o, c in zip(opens, closes)]) != p.type.a:
         raise InvariantViolation("arc multiplicities do not match the type")
-    return _arc_events(p)
+    arcs = _replay(opens, closes)
+    if arcs is None or arcs != sorted(p.arcs):
+        raise InvariantViolation("arcs are not a non-crossing pairing")
+    return arcs
 
 
 def mirror_graph(
@@ -259,7 +284,7 @@ def mirror_graph(
     2 a_k + 2, there are 2d faces, and the returned real cycle lists the
     forward dart of each real edge.
     """
-    arcs = validate_pairing(p)
+    arcs = p._replayed_arcs
     n = p.type.n
     narcs = len(arcs)
     # darts: real edge k -> k+1 owns darts (2k, 2k+1); upper arc t owns
@@ -278,22 +303,25 @@ def mirror_graph(
 
     opening: list[list[int]] = [[] for _ in range(n + 1)]
     closing: list[list[int]] = [[] for _ in range(n + 1)]
-    for t, (i, j, _, _) in enumerate(arcs):
+    for t, (i, j) in enumerate(arcs):
         opening[i].append(t)
         closing[j].append(t)
     sigma = [0] * total
     for k in range(1, n + 1):
         east = 2 * (k - 1)
         west = 2 * ((k - 2) % n) + 1
+        # forward arcs innermost first: the nearest closing point, and of
+        # parallel arcs the latest opened, which the sorted list puts last
+        forward = sorted(opening[k], key=lambda t: (arcs[t][1], -t))
+        # backward arcs outermost first: the earliest opened, listed first
+        backward = closing[k]
         ring = [east]
-        # upper forward arcs, innermost first (latest opened)
-        ring += [upper + 2 * t for t in sorted(opening[k], key=lambda t: -arcs[t][2])]
-        # upper backward arcs, outermost first (earliest opened)
-        ring += [upper + 2 * t + 1 for t in sorted(closing[k], key=lambda t: arcs[t][2])]
+        ring += [upper + 2 * t for t in forward]
+        ring += [upper + 2 * t + 1 for t in backward]
         ring.append(west)
         # lower mirror: reversed relative to the upper half
-        ring += [lower + 2 * t + 1 for t in sorted(closing[k], key=lambda t: -arcs[t][2])]
-        ring += [lower + 2 * t for t in sorted(opening[k], key=lambda t: arcs[t][2])]
+        ring += [lower + 2 * t + 1 for t in reversed(backward)]
+        ring += [lower + 2 * t for t in reversed(forward)]
         for i, dart in enumerate(ring):
             sigma[dart] = ring[(i + 1) % len(ring)]
 
@@ -461,7 +489,11 @@ def count_coverage_check(d: int) -> list[CoverageRow]:
 
 
 def serialize_pairing(p: NonCrossingPairing) -> str:
-    return dump({"n": p.type.n, "a": list(p.type.a), "arcs": [list(arc) for arc in p.arcs]})
+    """The pairing document, formatted directly since its shape is fixed:
+    the text :func:`~balancedgraphs._documents.dump` gives for it."""
+    a = ",".join(map(str, p.type.a))
+    arcs = ",".join([f"[{i},{j}]" for i, j in p.arcs])
+    return f'{{"a":[{a}],"arcs":[{arcs}],"n":{p.type.n}}}'
 
 
 def deserialize_pairing(text: str) -> NonCrossingPairing:
@@ -475,9 +507,12 @@ def deserialize_pairing(text: str) -> NonCrossingPairing:
     t = WeightComposition(d, tuple(a))
     arcs = tuple(sorted(tuple(arc) for arc in arcs))
     p = NonCrossingPairing(t, arcs)
-    validate_pairing(p)
+    p._replayed_arcs  # raises unless the arcs are a pairing of the type
     return p
 
 
 def serialize_tableau(tb: Tableau2Row) -> str:
-    return dump({"rows": [list(r) for r in tb.rows]})
+    """The tableau document, formatted directly since its shape is fixed:
+    the text :func:`~balancedgraphs._documents.dump` gives for it."""
+    top, bottom = tb.rows
+    return f'{{"rows":[[{",".join(map(str, top))}],[{",".join(map(str, bottom))}]]}}'

@@ -486,3 +486,118 @@ def propagated_labeling(m, coloring):
     if not ok:
         raise bg.InconsistentPropagation(f"propagated labeling is not admissible: {why}")
     return labeling
+
+
+def table_walk_close_counts(a):
+    """Every close-count vector of weight ``a`` in increasing order, by the
+    walk the library once used: it searches the completion table for the
+    next count at every step instead of keeping each state's counts."""
+    ways, n = bg.real_combinatorics._completions(a), len(a)
+    closes = [0] * n
+    opened = [0] * (n + 1)
+    k = c = 0
+    while True:
+        m, x, nxt = opened[k], a[k], ways[k + 1]
+        most = min(m, x)
+        c = max(c, (m + x - len(nxt) + 2) // 2)
+        while c <= most and not nxt[m + x - 2 * c]:
+            c += 1
+        if c > most:
+            if k == 0:
+                return
+            k -= 1
+            c = closes[k] + 1
+            continue
+        closes[k] = c
+        opened[k + 1] = m + x - 2 * c
+        if k + 1 < n:
+            k, c = k + 1, 0
+        else:
+            yield tuple(closes)
+            c += 1
+
+
+def event_replay(n, opens, closes):
+    """The arcs of the given per-point counts as sorted events (i, j, open
+    rank, close rank), or None, by the replay the library once used: its
+    stack holds (point, open rank) pairs."""
+    stack = []
+    events = []
+    opened = 0
+    for k in range(1, n + 1):
+        for _ in range(closes[k - 1]):
+            if not stack:
+                return None
+            i, rank = stack.pop()
+            events.append((i, k, rank, len(events)))
+        stack.extend((k, opened + t) for t in range(opens[k - 1]))
+        opened += opens[k - 1]
+    if stack:
+        return None
+    events.sort()
+    return events
+
+
+def event_enumerate_pairings(t, close_vectors):
+    """The pairings of the type with the given close vectors, sorted, as
+    the library once enumerated them from :func:`event_replay`."""
+    found = (
+        tuple((i, j) for i, j, _, _ in event_replay(
+            t.n, [x - c for x, c in zip(t.a, closes)], closes
+        ))
+        for closes in close_vectors
+    )
+    return [bg.NonCrossingPairing(t, arcs) for arcs in sorted(found)]
+
+
+def close_vector_ssyt(t, close_vectors):
+    """The two-row tableaux of the type with the given close vectors, in
+    their order: openings on top, closings below."""
+
+    def points(counts):
+        return tuple([k for k, c in enumerate(counts, 1) for _ in range(c)])
+
+    return [
+        bg.Tableau2Row((points(x - c for x, c in zip(t.a, closes)), points(closes)))
+        for closes in close_vectors
+    ]
+
+
+def rank_sorted_mirror_graph(p):
+    """(alpha, sigma) of the mirror graph of a valid pairing, ordering each
+    point's arcs by the open ranks of :func:`event_replay`, as the library
+    once did."""
+    n = p.type.n
+    opens = [0] * n
+    closes = [0] * n
+    for i, j in p.arcs:
+        opens[i - 1] += 1
+        closes[j - 1] += 1
+    arcs = event_replay(n, opens, closes)
+    narcs = len(arcs)
+    upper = 2 * n
+    lower = 2 * n + 2 * narcs
+    total = lower + 2 * narcs
+    alpha = list(range(total))
+    for k in range(n):
+        alpha[2 * k], alpha[2 * k + 1] = 2 * k + 1, 2 * k
+    for t in range(narcs):
+        for base in (upper, lower):
+            alpha[base + 2 * t] = base + 2 * t + 1
+            alpha[base + 2 * t + 1] = base + 2 * t
+    opening = [[] for _ in range(n + 1)]
+    closing = [[] for _ in range(n + 1)]
+    for t, (i, j, _, _) in enumerate(arcs):
+        opening[i].append(t)
+        closing[j].append(t)
+    sigma = [0] * total
+    for k in range(1, n + 1):
+        ring = [2 * (k - 1)]
+        ring += [upper + 2 * t for t in sorted(opening[k], key=lambda t: -arcs[t][2])]
+        ring += [upper + 2 * t + 1 for t in sorted(closing[k], key=lambda t: arcs[t][2])]
+        ring.append(2 * ((k - 2) % n) + 1)
+        ring += [lower + 2 * t + 1 for t in sorted(closing[k], key=lambda t: -arcs[t][2])]
+        ring += [lower + 2 * t for t in sorted(opening[k], key=lambda t: arcs[t][2])]
+        for i, dart in enumerate(ring):
+            sigma[dart] = ring[(i + 1) % len(ring)]
+    return alpha, sigma

@@ -278,6 +278,13 @@ def test_pairings_and_ssyt(capsys):
     ]
 
 
+@pytest.mark.parametrize("command", ["pairings", "ssyt"])
+def test_listing_golden(capsys, command):
+    code, out, err = run(capsys, command, "--d", "5", "--a", "2,1,1,2,1,1")
+    assert (code, err) == (0, "")
+    assert out == (FIXTURES / f"{command}_d5_211211.txt").read_text()
+
+
 def test_mirror_command(capsys, tmp_path, mirror_1234):
     p, expected, _, expected_cycle = mirror_1234
     path = tmp_path / "pairing.json"

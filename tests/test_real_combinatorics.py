@@ -1,11 +1,44 @@
+import random
 from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import balancedgraphs as bg
+from balancedgraphs import cli, real_combinatorics
+from balancedgraphs._documents import dump
 from helpers import all_mirror_graphs
-from oracles import arcs_cross, column_fill_ssyt
+from oracles import (
+    arcs_cross,
+    close_vector_ssyt,
+    column_fill_ssyt,
+    event_enumerate_pairings,
+    rank_sorted_mirror_graph,
+    table_walk_close_counts,
+)
+
+# 999 arcs from point 1: one pairing, and a walk through 1000 points
+STAR = bg.WeightComposition(1000, (999,) + (1,) * 999)
+
+
+def _types(max_d):
+    """Every weight type of degree 2..max_d."""
+    for d in range(2, max_d + 1):
+        for a in bg.compositions(2 * d - 2, d - 1):
+            if 2 <= len(a) <= 2 * d - 2:
+                yield bg.WeightComposition(d, a)
+
+
+def _random_types(seed, count, max_d):
+    """``count`` seeded random weight types of degree up to ``max_d``."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        d = rng.randint(2, max_d)
+        total, parts = 2 * d - 2, []
+        while total:
+            parts.append(rng.randint(1, min(d - 1, total)))
+            total -= parts[-1]
+        yield bg.WeightComposition(d, tuple(parts))
 
 
 def test_weight_composition_validation():
@@ -90,6 +123,79 @@ def test_enumerate_ssyt_matches_column_fill_oracle():
             assert bg.enumerate_ssyt(t) == column_fill_ssyt(t), t
             types += 1
     assert types == 602
+
+
+@pytest.mark.parametrize(
+    "types",
+    [
+        pytest.param(lambda: _types(8), id="every type with d <= 8"),
+        pytest.param(lambda: _random_types(1201, 30, 12), id="random types with d <= 12"),
+        pytest.param(lambda: [STAR], id="star type of degree 1000"),
+    ],
+)
+def test_enumeration_matches_table_walk_and_event_replay_oracles(types):
+    for t in types():
+        vectors = list(table_walk_close_counts(t.a))
+        assert list(real_combinatorics._close_counts(t.a)) == vectors, t
+        assert bg.enumerate_pairings(t) == event_enumerate_pairings(t, vectors), t
+        assert bg.enumerate_ssyt(t) == close_vector_ssyt(t, vectors), t
+
+
+def test_mirror_graph_matches_rank_sorted_oracle():
+    pairings = 0
+    for t in _types(7):
+        for p in bg.enumerate_pairings(t):
+            m, _, _ = bg.mirror_graph(p)
+            alpha, sigma = rank_sorted_mirror_graph(p)
+            assert (m.alpha, m.sigma) == (tuple(alpha), tuple(sigma)), p
+            pairings += 1
+    assert pairings == 32459
+
+
+def test_serializers_match_document_dump():
+    for t in [*_types(6), STAR]:
+        for p in bg.enumerate_pairings(t):
+            doc = {"n": p.type.n, "a": list(p.type.a), "arcs": [list(arc) for arc in p.arcs]}
+            assert bg.serialize_pairing(p) == dump(doc)
+        for tb in bg.enumerate_ssyt(t):
+            assert bg.serialize_tableau(tb) == dump({"rows": [list(r) for r in tb.rows]})
+
+
+def test_validate_pairing_returns_sorted_arcs():
+    t = bg.WeightComposition(4, (2, 1, 1, 2))
+    p = bg.NonCrossingPairing(t, ((2, 3), (1, 4), (1, 4)))
+    assert bg.validate_pairing(p) == [(1, 4), (1, 4), (2, 3)]
+
+
+def test_replay_rejects_counts_no_pairing_has():
+    replay = real_combinatorics._replay
+    assert replay([2, 0, 0], [0, 1, 1]) == [(1, 2), (1, 3)]
+    assert replay([0, 1], [1, 0]) is None  # a closing before any opening
+    assert replay([1, 0], [0, 0]) is None  # an arc left open
+
+
+def test_mirror_command_replays_the_pairing_once(monkeypatch, tmp_path, capsys):
+    calls = []
+    replay = real_combinatorics._replay
+
+    def counted(*args):
+        calls.append(args)
+        return replay(*args)
+
+    monkeypatch.setattr(real_combinatorics, "_replay", counted)
+    path = tmp_path / "pairing.json"
+    path.write_text('{"a":[2,1,1,2,1,1],"arcs":[[1,2],[1,3],[4,5],[4,6]],"n":6}')
+    assert cli.main(["mirror", "--input", str(path)]) == 0
+    assert capsys.readouterr().out.startswith('{"alpha":')
+    assert len(calls) == 1
+
+
+def test_invalid_pairing_raises_on_every_call():
+    t = bg.WeightComposition(3, (1, 1, 1, 1))
+    crossing = bg.NonCrossingPairing(t, ((1, 3), (2, 4)))
+    for _ in range(2):
+        with pytest.raises(bg.InvariantViolation, match="not a non-crossing pairing"):
+            bg.mirror_graph(crossing)
 
 
 def test_compositions_match_product_filter():
