@@ -101,6 +101,20 @@ def is_globally_balanced(
     return GlobalBalance(True, a)
 
 
+def _face_component(m: CombinatorialMap, faces, start: int) -> set[int]:
+    """The faces of ``faces`` reached from ``start`` across shared edges
+    without leaving ``faces``."""
+    neighbors = m.face_neighbors
+    seen = {start}
+    stack = [start]
+    while stack:
+        for g in neighbors[stack.pop()]:
+            if g in faces and g not in seen:
+                seen.add(g)
+                stack.append(g)
+    return seen
+
+
 def region_from_faces(
     m: CombinatorialMap, coloring: FaceColoring, face_set
 ) -> Region | None:
@@ -137,17 +151,7 @@ def region_from_faces(
         return None
 
     # connectivity through interior edges
-    neighbors = m.face_neighbors
-    start = next(iter(inside))
-    seen = {start}
-    stack = [start]
-    while stack:
-        f = stack.pop()
-        for g in neighbors[f]:
-            if g in inside and g not in seen:
-                seen.add(g)
-                stack.append(g)
-    if len(seen) != len(inside):
+    if len(_face_component(m, inside, next(iter(inside)))) != len(inside):
         return None
 
     # chain the inside darts into boundary cycles
@@ -267,13 +271,7 @@ def _witness_region(
     for start in sorted(around):
         if start in placed:
             continue
-        component = {start}
-        stack = [start]
-        while stack:
-            for g in neighbors[stack.pop()]:
-                if g in around and g not in component:
-                    component.add(g)
-                    stack.append(g)
+        component = _face_component(m, around, start)
         placed |= component
         region = region_from_faces(m, coloring, component)
         if region is not None and region.a_count <= region.b_count:

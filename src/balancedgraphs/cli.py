@@ -121,8 +121,6 @@ def cmd_count(args) -> int:
 
 
 def _composition_from_args(args) -> real_combinatorics.WeightComposition:
-    if args.a is None:
-        raise ParseError("--a is required")
     weights = _parse_weights(args.a)
     return real_combinatorics.WeightComposition(args.d, weights)
 

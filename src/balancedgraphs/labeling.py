@@ -43,9 +43,6 @@ class VertexLabeling:
                 out[lb - 1].append(v)
         return tuple([tuple(vs) for vs in out])
 
-    def vertices_with(self, label: int) -> tuple[int, ...]:
-        return self.classes[label - 1] if 1 <= label <= self.m else ()
-
 
 @dataclass(frozen=True)
 class Passport:

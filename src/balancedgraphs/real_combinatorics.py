@@ -26,8 +26,8 @@ from itertools import accumulate
 
 from ._documents import is_int_list, load
 from .errors import InvariantViolation, NotBipartiteFaces, ParseError
-from .permutations import canonical_relabeling, is_int
-from .surface_map import CombinatorialMap, FaceColoring, alternating_coloring
+from .permutations import canonical_relabeling, inverse, is_int
+from .surface_map import CombinatorialMap, FaceColoring, alternating_coloring, real_cycle_order
 
 Arc = tuple[int, int]
 
@@ -336,52 +336,32 @@ def conjugation_involution(
     """The reflection fixing the real cycle, or None if there is none.
 
     A reflection is a dart bijection that commutes with alpha, conjugates
-    sigma to its inverse, and fixes every real-cycle dart.  It is found by
-    propagation and is unique when it exists.
+    sigma to its inverse, and fixes every real-cycle dart.  It carries the
+    breadth-first numbering of ``(alpha, sigma)`` from the first real-cycle
+    dart onto that of ``(alpha, sigma^-1)`` from the same dart, so it exists
+    exactly when the two relabeled tuples agree, and is unique.  Its square
+    is an automorphism fixing a dart, so on a connected map the identity.
     """
-    n = m.dart_count
-    sigma_inv = [0] * n
-    for d in range(n):
-        sigma_inv[m.sigma[d]] = d
-    iota = [-1] * n
-    queue = []
-    for d in real_cycle:
-        for seed in (d, m.alpha[d]):
-            if iota[seed] == -1:
-                iota[seed] = seed
-                queue.append(seed)
-            elif iota[seed] != seed:
-                return None
-    while queue:
-        d = queue.pop()
-        for e, want in ((m.alpha[d], m.alpha[iota[d]]), (m.sigma[d], sigma_inv[iota[d]])):
-            if iota[e] == -1:
-                iota[e] = want
-                queue.append(e)
-            elif iota[e] != want:
-                return None
-    if -1 in iota:
+    if not real_cycle:
         return None
-    if any(iota[iota[d]] != d for d in range(n)):
+    n, root = m.dart_count, real_cycle[:1]
+    relabeled, ours = canonical_relabeling((m.alpha, m.sigma), n, root)
+    reflected, theirs = canonical_relabeling((m.alpha, inverse(m.sigma)), n, root)
+    if relabeled != reflected:
         return None
-    return tuple(iota)
+    back = inverse(theirs)
+    iota = tuple([back[ours[x]] for x in range(n)])
+    if any(iota[d] != d for d in real_cycle):
+        return None
+    return iota
 
 
 def is_real_balanced(m: CombinatorialMap, real_cycle) -> bool:
-    """Planar, all vertices on the real cycle, with a color-swapping reflection."""
+    """Planar, the real cycle a closed walk through every vertex once, with
+    a color-swapping reflection."""
     real_cycle = tuple(real_cycle)
-    if m.genus() != 0 or not real_cycle:
+    if real_cycle_order(m, real_cycle) is None:
         return False
-    if len(set(real_cycle)) != len(real_cycle):
-        return False
-    vod = m.vertex_of_dart
-    visited = [vod[d] for d in real_cycle]
-    if sorted(visited) != list(range(m.vertex_count)):
-        return False
-    for i, d in enumerate(real_cycle):
-        nxt = real_cycle[(i + 1) % len(real_cycle)]
-        if vod[m.alpha[d]] != vod[nxt]:
-            return False
     iota = conjugation_involution(m, real_cycle)
     if iota is None:
         return False

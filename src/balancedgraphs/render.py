@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .errors import UnsupportedFormat
-from .surface_map import CombinatorialMap, FaceColoring
+from .surface_map import CombinatorialMap, FaceColoring, real_cycle_order
 
 
 def to_dot(m: CombinatorialMap) -> str:
@@ -33,17 +33,20 @@ def to_svg(
     The vertices are spread along the x axis in real-cycle order; the real
     edge closing the cycle and the two halves of every doubled arc are
     drawn as semicircles above and below the axis.  Positive-genus maps
-    and maps without a real cycle are not supported.
+    and maps without a real cycle are not supported, nor is a real cycle
+    that is not a closed walk through every vertex once.
     """
     if m.genus() != 0:
         raise UnsupportedFormat("SVG export needs a planar map")
     if not real_cycle:
         raise UnsupportedFormat("SVG export needs a real cycle")
     real_cycle = tuple(real_cycle)
+    order = real_cycle_order(m, real_cycle)
+    if order is None:
+        raise UnsupportedFormat(
+            "the real cycle must be a closed walk through every vertex once"
+        )
     vod = m.vertex_of_dart
-    order = [vod[d] for d in real_cycle]
-    if sorted(order) != list(range(m.vertex_count)):
-        raise UnsupportedFormat("the real cycle must pass through every vertex once")
     pos = {v: 60.0 * i for i, v in enumerate(order)}
     real_edges = {m.edge_of_dart[d] for d in real_cycle}
 
@@ -51,22 +54,12 @@ def to_svg(
     # between the outgoing and incoming real darts at each vertex (in sigma
     # order) are on one side of the axis
     upper_darts = set()
-    out_dart = {vod[d]: d for d in real_cycle}
-    in_dart = {
-        vod[m.alpha[real_cycle[i - 1]]]: m.alpha[real_cycle[i - 1]]
-        for i in range(len(real_cycle))
-    }
-    for v in order:
-        start = out_dart[v]
-        stop = in_dart[v]
-        d = m.sigma[start]
-        steps = 0
+    for i, d in enumerate(real_cycle):
+        stop = m.alpha[real_cycle[i - 1]]
+        d = m.sigma[d]
         while d != stop:
             upper_darts.add(d)
             d = m.sigma[d]
-            steps += 1
-            if steps > m.dart_count:
-                raise UnsupportedFormat("real cycle darts are inconsistent")
 
     n = len(order)
     width = 60.0 * (n - 1)

@@ -237,15 +237,6 @@ def build_map(dart_count: int, alpha, sigma) -> CombinatorialMap:
     return CombinatorialMap(alpha, sigma)
 
 
-def faces(m: CombinatorialMap) -> tuple[tuple[int, ...], ...]:
-    """Face cycles of ``m`` (orbits of ``sigma circ alpha``)."""
-    return m.faces
-
-
-def genus(m: CombinatorialMap) -> int:
-    return m.genus()
-
-
 @dataclass(frozen=True)
 class FaceColoring:
     """A proper two-coloring of the faces, values ``"A"`` and ``"B"``."""
@@ -262,18 +253,6 @@ class FaceColoring:
 
     def faces_of(self, color: str) -> tuple[int, ...]:
         return tuple([i for i, c in enumerate(self.colors) if c == color])
-
-
-@dataclass(frozen=True)
-class DegreeProfile:
-    """Vertex valences and the corner subset (valence above 2)."""
-
-    valences: tuple[int, ...]
-    corners: tuple[int, ...]
-
-
-def degree_profile(m: CombinatorialMap) -> DegreeProfile:
-    return DegreeProfile(m.vertex_valences, m.corners)
 
 
 def face_adjacency(m: CombinatorialMap) -> tuple[tuple[int, int, int], ...]:
@@ -369,6 +348,24 @@ class MapDocument:
     labels: tuple[int, ...] | None = None
     colors: FaceColoring | None = None
     real_cycle: tuple[int, ...] | None = None
+
+
+def real_cycle_order(m: CombinatorialMap, real_cycle) -> list[int] | None:
+    """The vertices the real cycle passes, in its order.
+
+    None unless ``m`` is planar and ``real_cycle`` is a closed walk of
+    darts through every vertex once: the edge of each dart ends at the
+    vertex of the next, the last dart's at the first's.
+    """
+    if m.genus() != 0 or not real_cycle:
+        return None
+    vod = m.vertex_of_dart
+    order = [vod[d] for d in real_cycle]
+    if sorted(order) != list(range(m.vertex_count)):
+        return None
+    if [vod[m.alpha[d]] for d in real_cycle] != order[1:] + order[:1]:
+        return None
+    return order
 
 
 def serialize(

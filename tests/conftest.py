@@ -83,3 +83,15 @@ def mirror_1234():
         bg.WeightComposition(3, (1, 1, 1, 1)), ((1, 2), (3, 4))
     )
     return p, *bg.mirror_graph(p)
+
+
+@pytest.fixture
+def open_real_cycle_documents(mirror_1234):
+    """Planar map documents whose real cycle meets every vertex once but is
+    not a closed walk: the edge of some dart does not end where the next
+    dart starts."""
+    _, m, coloring, (a, b, *rest) = mirror_1234
+    return [
+        '{"darts":4,"alpha":[1,0,3,2],"sigma":[0,3,1,2],"real_cycle":[0,3]}',
+        bg.serialize(m, coloring=coloring, real_cycle=(b, a, *rest)),
+    ]

@@ -601,3 +601,39 @@ def rank_sorted_mirror_graph(p):
         for i, dart in enumerate(ring):
             sigma[dart] = ring[(i + 1) % len(ring)]
     return alpha, sigma
+
+
+def propagated_involution(m, real_cycle):
+    """The reflection fixing the real cycle, or None, by propagation from
+    every real-cycle dart and its partner, as the library once found it.
+
+    Each known image fixes the images of its alpha and sigma neighbours
+    (alpha commutes, sigma goes to its inverse); a clash, an unreached
+    dart or an image that is not an involution gives None.
+    """
+    n = m.dart_count
+    sigma_inv = [0] * n
+    for d in range(n):
+        sigma_inv[m.sigma[d]] = d
+    iota = [-1] * n
+    queue = []
+    for d in real_cycle:
+        for seed in (d, m.alpha[d]):
+            if iota[seed] == -1:
+                iota[seed] = seed
+                queue.append(seed)
+            elif iota[seed] != seed:
+                return None
+    while queue:
+        d = queue.pop()
+        for e, want in ((m.alpha[d], m.alpha[iota[d]]), (m.sigma[d], sigma_inv[iota[d]])):
+            if iota[e] == -1:
+                iota[e] = want
+                queue.append(e)
+            elif iota[e] != want:
+                return None
+    if -1 in iota:
+        return None
+    if any(iota[iota[d]] != d for d in range(n)):
+        return None
+    return tuple(iota)

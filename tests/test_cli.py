@@ -279,6 +279,13 @@ def test_pairings_and_ssyt(capsys):
 
 
 @pytest.mark.parametrize("command", ["pairings", "ssyt"])
+def test_listing_requires_weights(capsys, command):
+    code, out, err = _exit_and_output(capsys, [command, "--d", "3"])
+    assert (code, out) == (2, "")
+    assert "the following arguments are required: --a" in err
+
+
+@pytest.mark.parametrize("command", ["pairings", "ssyt"])
 def test_listing_golden(capsys, command):
     code, out, err = run(capsys, command, "--d", "5", "--a", "2,1,1,2,1,1")
     assert (code, err) == (0, "")
@@ -307,6 +314,15 @@ def test_export_svg_golden(capsys, mirror_file):
     code, out, _ = run(capsys, "export", "--input", mirror_file, "--format", "svg")
     assert code == 0
     assert out == (FIXTURES / "mirror_1234.svg").read_text()
+
+
+def test_export_svg_rejects_an_open_real_cycle(capsys, tmp_path, open_real_cycle_documents):
+    path = tmp_path / "doc.json"
+    for text in open_real_cycle_documents:
+        path.write_text(text)
+        code, out, err = run(capsys, "export", "--input", str(path), "--format", "svg")
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert "closed walk" in err
 
 
 def test_export_svg_rejects_positive_genus(capsys, tmp_path, t1):

@@ -147,7 +147,7 @@ def test_compress_never_leaves_cornerless_class(gb_corpus):
         new_map, new_lab = bg.compress_labels(enriched, lab)
         valences = new_map.vertex_valences
         for j in range(1, new_lab.m + 1):
-            assert any(valences[v] > 2 for v in new_lab.vertices_with(j))
+            assert any(valences[v] > 2 for v in new_lab.classes[j - 1])
         ok, why = bg.verify_labeling(new_map, coloring, new_lab)
         assert ok, why
         # corner count bounded by the branch-point maximum
@@ -248,15 +248,18 @@ def test_walk_rejects_a_vertex_twice_on_a_face():
 
 
 def test_vertices_with_matches_a_scan():
+    # classes lists the vertices with each label 1..m; labels out of range
+    # belong to no class
     labelings = [
         bg.VertexLabeling(3, (1, 0, 3, 4, 3, -1, 2, 1)),
         bg.VertexLabeling(2, (0, 3)),
         bg.VertexLabeling(4, (2, 2, 2)),
     ]
     for lab in labelings:
-        for j in range(0, lab.m + 2):
+        assert len(lab.classes) == lab.m
+        for j in range(1, lab.m + 1):
             scan = tuple(v for v, lb in enumerate(lab.labels) if lb == j)
-            assert lab.vertices_with(j) == (scan if 1 <= j <= lab.m else ())
+            assert lab.classes[j - 1] == scan
 
 
 def test_verify_labeling_rejects_labels_out_of_range(b2):

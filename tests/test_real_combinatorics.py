@@ -7,12 +7,14 @@ from hypothesis import given, settings, strategies as st
 import balancedgraphs as bg
 from balancedgraphs import cli, real_combinatorics
 from balancedgraphs._documents import dump
+from balancedgraphs.surface_map import real_cycle_order
 from helpers import all_mirror_graphs
 from oracles import (
     arcs_cross,
     close_vector_ssyt,
     column_fill_ssyt,
     event_enumerate_pairings,
+    propagated_involution,
     rank_sorted_mirror_graph,
     table_walk_close_counts,
 )
@@ -339,6 +341,59 @@ def test_is_real_balanced_rejections(b2, t1):
     # two edges of the bigon map that are not mirror images of each other
     assert bg.is_real_balanced(b2, (0, 5))
     assert not bg.is_real_balanced(b2, (0, 3))
+
+
+def _trial_cycles(m, real_cycle, rng):
+    """The real cycle as given, rotated, reversed and empty, and three
+    seeded random dart triples."""
+    yield real_cycle
+    yield real_cycle[1:] + real_cycle[:1]
+    yield real_cycle[::-1]
+    yield ()
+    for _ in range(3):
+        yield tuple(rng.randrange(m.dart_count) for _ in range(3))
+
+
+def test_conjugation_involution_matches_propagation_oracle(gb_corpus):
+    rng = random.Random(13)
+    found = 0
+    cases = 0
+    for _, m, _, real_cycle in all_mirror_graphs(5):
+        for cycle in _trial_cycles(m, real_cycle, rng):
+            iota = bg.conjugation_involution(m, cycle)
+            assert iota == propagated_involution(m, cycle)
+            found += iota is not None
+            cases += 1
+    # the given, rotated and reversed cycles all have the reflection
+    assert 3 * cases // 7 <= found < cases
+    # maps that are not mirror graphs, most without a reflection
+    for m in gb_corpus:
+        cycle = tuple(rng.randrange(m.dart_count) for _ in range(rng.randint(1, 3)))
+        assert bg.conjugation_involution(m, cycle) == propagated_involution(m, cycle)
+
+
+def test_real_cycle_order_on_mirror_graphs():
+    for _, m, _, real_cycle in all_mirror_graphs(4):
+        vod = m.vertex_of_dart
+        assert real_cycle_order(m, real_cycle) == [vod[d] for d in real_cycle]
+        # walked backwards the cycle runs along the partner darts
+        back = tuple([m.alpha[d] for d in reversed(real_cycle)])
+        assert real_cycle_order(m, back) == [vod[d] for d in back]
+        if len(real_cycle) > 2:
+            assert real_cycle_order(m, real_cycle[::-1]) is None
+        assert real_cycle_order(m, ()) is None
+
+
+def test_open_real_cycles_are_rejected(open_real_cycle_documents):
+    for text in open_real_cycle_documents:
+        doc = bg.deserialize(text)
+        assert sorted(doc.map.vertex_of_dart[d] for d in doc.real_cycle) == list(
+            range(doc.map.vertex_count)
+        )
+        assert real_cycle_order(doc.map, doc.real_cycle) is None
+        assert not bg.is_real_balanced(doc.map, doc.real_cycle)
+        with pytest.raises(bg.UnsupportedFormat, match="closed walk"):
+            bg.to_svg(doc.map, doc.real_cycle, doc.colors)
 
 
 def test_count_coverage_check_d3():

@@ -128,10 +128,9 @@ def test_face_adjacency_mirror(mirror_1234):
 
 
 def test_degree_profile(b2, cycle_map):
-    profile = bg.degree_profile(b2)
-    assert profile.valences == (4, 4)
-    assert profile.corners == (0, 1)
-    assert bg.degree_profile(cycle_map).corners == ()
+    assert b2.vertex_valences == (4, 4)
+    assert b2.corners == (0, 1)
+    assert cycle_map.corners == ()
 
 
 def test_serialize_round_trip(b2):
