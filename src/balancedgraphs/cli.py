@@ -151,7 +151,7 @@ def cmd_export(args) -> int:
     if args.format == "dot":
         sys.stdout.write(render.to_dot(doc.map))
         return EXIT_OK
-    sys.stdout.write(render.to_svg(doc.map, doc.real_cycle, doc.colors))
+    sys.stdout.write(render.to_svg(doc.map, doc.real_cycle))
     return EXIT_OK
 
 

@@ -222,9 +222,11 @@ class ChargeReport:
     equal: bool
 
 
-def charge_conservation_check(
-    cg: ChargeableGraph, w: Weighting, tol: float = 1e-9
-) -> ChargeReport:
+# absolute slack allowed between float sums of weights that should agree
+_CHARGE_TOLERANCE = 1e-9
+
+
+def charge_conservation_check(cg: ChargeableGraph, w: Weighting) -> ChargeReport:
     """Input and output values of a feasible weighting, and their equality.
 
     Feasibility (strict positivity, interior sums equal to capacity) is
@@ -243,7 +245,7 @@ def charge_conservation_check(
         cap = cg.capacity.get(v)
         if cap is None:
             raise InfeasibleWeighting(f"interior vertex {v} has no capacity")
-        if abs(sums.get(v, 0.0) - cap) > tol:
+        if abs(sums.get(v, 0.0) - cap) > _CHARGE_TOLERANCE:
             raise InfeasibleWeighting(
                 f"vertex {v} carries {sums.get(v, 0.0)}, capacity is {cap}"
             )
@@ -253,4 +255,4 @@ def charge_conservation_check(
     out_value = sum(
         weight for (_, y), weight in zip(cg.edges, w.weights) if y in cg.outputs
     )
-    return ChargeReport(in_value, out_value, abs(in_value - out_value) <= tol)
+    return ChargeReport(in_value, out_value, abs(in_value - out_value) <= _CHARGE_TOLERANCE)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._documents import dump, is_int_list, load
-from .errors import BadPermutation, NotVerified, NonIntegerGenus, ParseError
+from .errors import BadPermutation, InvariantViolation, NotVerified, NonIntegerGenus, ParseError
 from .labeling import Passport, VertexLabeling
 from .permutations import (
     Perm,
@@ -35,6 +35,8 @@ class Constellation:
     perms: tuple[Perm, ...]
 
     def __post_init__(self):
+        if self.d < 1:
+            raise InvariantViolation(f"degree must be positive, got {self.d}")
         for p in self.perms:
             check_permutation(p, self.d)
 
@@ -67,14 +69,12 @@ class ConstellationReport:
 
 
 def verify_constellation(
-    c: Constellation,
-    expected: Passport | None = None,
-    ignore_trivial_parts: bool = False,
+    c: Constellation, expected: Passport | None = None
 ) -> ConstellationReport:
     """Check the product-identity and transitivity invariants.
 
-    When ``expected`` is given, the cycle types (fixed points included, or
-    stripped with ``ignore_trivial_parts``) are compared against it.  The
+    When ``expected`` is given, the cycle types, fixed points included,
+    are compared with its parts, each sorted in decreasing order.  The
     genus comes from the Euler count of the would-be pullback surface.
     """
     failures = []
@@ -93,17 +93,7 @@ def verify_constellation(
         failures.append("branching total is inconsistent with an integer genus")
     passport_match = None
     if expected is not None:
-        want = []
-        for part in expected.parts:
-            entries = tuple(sorted(part, reverse=True))
-            if ignore_trivial_parts:
-                entries = tuple([x for x in entries if x != 1])
-            want.append(entries)
-        have = [
-            tuple([x for x in t if x != 1]) if ignore_trivial_parts else t
-            for t in types
-        ]
-        passport_match = list(have) == want
+        passport_match = list(types) == [tuple(sorted(p, reverse=True)) for p in expected.parts]
         if not passport_match:
             failures.append("cycle types do not match the expected passport")
     ok = product_ok and transitive and g is not None and passport_match is not False
@@ -180,7 +170,7 @@ def constellation_from(
     the incident A faces, read in sigma order, contribute one cycle to the
     j-th permutation.
     """
-    a_faces = [f for f in range(m.face_count) if coloring.color(f) == COLOR_A]
+    a_faces = coloring.faces_of(COLOR_A)
     sheet = {f: i for i, f in enumerate(a_faces)}
     d = len(a_faces)
     perms = []

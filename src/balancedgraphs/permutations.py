@@ -7,15 +7,13 @@ from .errors import BadPermutation, Disconnected
 Perm = tuple[int, ...]
 
 
-def check_permutation(values, n=None) -> Perm:
+def check_permutation(values, n: int) -> Perm:
     """Validate one-line notation and return it as a tuple.
 
     Raises :class:`BadPermutation` if ``values`` is not a bijection on
-    ``0..n-1`` (``n`` defaults to ``len(values)``).
+    ``0..n-1``.
     """
     p = tuple(values)
-    if n is None:
-        n = len(p)
     if len(p) != n:
         raise BadPermutation(f"expected length {n}, got {len(p)}")
     seen = [False] * n

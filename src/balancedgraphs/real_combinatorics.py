@@ -12,9 +12,9 @@ count all come from one table over these close counts, and nothing
 recurses.  The enumeration walks, per point, the list of close counts
 the later points can complete; a list is built the first time the walk
 reaches its (point, open count) state, so a long type with few pairings
-builds few.  Every conversion from counts to arcs, and every crossing
-check, is one stack replay that keeps only the opening point of each
-open arc and returns the sorted arcs.
+builds few.  Every conversion from counts to arcs, and every check of a
+pairing or a tableau, is one stack replay that keeps only the opening
+point of each open arc and returns the sorted arcs.
 """
 
 from __future__ import annotations
@@ -74,18 +74,6 @@ class NonCrossingPairing:
 @dataclass(frozen=True)
 class Tableau2Row:
     rows: tuple[tuple[int, ...], tuple[int, ...]]
-
-
-def _tableau_ok(rows, t: WeightComposition) -> bool:
-    top, bottom = rows
-    if len(top) != t.d - 1 or len(bottom) != t.d - 1:
-        return False
-    points = top + bottom
-    if any(not 1 <= x <= t.n for x in points) or _per_point(points, t.n) != list(t.a):
-        return False
-    if any(top[i] > top[i + 1] or bottom[i] > bottom[i + 1] for i in range(t.d - 2)):
-        return False
-    return all(bottom[i] > top[i] for i in range(t.d - 1))
 
 
 def _completions(a) -> list[list[int]]:
@@ -232,25 +220,26 @@ def catalan(d: int) -> int:
 
 
 def pairing_to_tableau(p: NonCrossingPairing) -> Tableau2Row:
-    """Top row lists arc openings, bottom row arc closings, per point."""
-    top = tuple(sorted(i for i, _ in p.arcs))
-    bottom = tuple(sorted(j for _, j in p.arcs))
-    tableau = Tableau2Row((top, bottom))
-    if not _tableau_ok(tableau.rows, p.type):
-        raise InvariantViolation("pairing does not convert to a valid tableau")
-    return tableau
+    """Top row lists arc openings, bottom row arc closings, per point.
+
+    Raises :class:`InvariantViolation` unless ``p`` is a pairing of its type.
+    """
+    closes = _per_point((j for _, j in p._replayed_arcs), p.type.n)
+    return Tableau2Row(_rows(p.type.a, closes))
 
 
 def tableau_to_pairing(tb: Tableau2Row) -> NonCrossingPairing:
-    """Rebuild the pairing: each closing matches the newest open arc."""
+    """Rebuild the pairing: each closing matches the newest open arc.  Sorted
+    rows are a tableau exactly when that :func:`_replay` finds a pairing."""
     top, bottom = tb.rows
     if min(top + bottom, default=0) < 1:
         raise InvariantViolation("not a semistandard two-row tableau")
     n = max(top + bottom)
     t = WeightComposition(len(top) + 1, tuple(_per_point(top + bottom, n)))
-    if not _tableau_ok(tb.rows, t):
+    arcs = _replay(_per_point(top, n), _per_point(bottom, n))
+    if arcs is None or list(top) != sorted(top) or list(bottom) != sorted(bottom):
         raise InvariantViolation("not a semistandard two-row tableau")
-    return NonCrossingPairing(t, tuple(_replay(_per_point(top, n), _per_point(bottom, n))))
+    return NonCrossingPairing(t, tuple(arcs))
 
 
 def validate_pairing(p: NonCrossingPairing) -> list[Arc]:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .errors import UnsupportedFormat
-from .surface_map import CombinatorialMap, FaceColoring, real_cycle_order
+from .surface_map import CombinatorialMap, real_cycle_order
 
 
 def to_dot(m: CombinatorialMap) -> str:
@@ -23,18 +23,15 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def to_svg(
-    m: CombinatorialMap,
-    real_cycle,
-    coloring: FaceColoring | None = None,
-) -> str:
+def to_svg(m: CombinatorialMap, real_cycle) -> str:
     """Render a planar map with its real cycle on the horizontal axis.
 
     The vertices are spread along the x axis in real-cycle order; the real
     edge closing the cycle and the two halves of every doubled arc are
-    drawn as semicircles above and below the axis.  Positive-genus maps
-    and maps without a real cycle are not supported, nor is a real cycle
-    that is not a closed walk through every vertex once.
+    drawn as semicircles above and below the axis, all in black, so the
+    face colors play no part.  Positive-genus maps and maps without a real
+    cycle are not supported, nor is a real cycle that is not a closed walk
+    through every vertex once.
     """
     if m.genus() != 0:
         raise UnsupportedFormat("SVG export needs a planar map")

@@ -80,10 +80,6 @@ class CombinatorialMap:
     def dart_count(self) -> int:
         return len(self._alpha)
 
-    def phi(self, dart: int) -> int:
-        """Next dart along the face on the left of ``dart``."""
-        return self._sigma[self._alpha[dart]]
-
     @cached_property
     def vertices(self) -> tuple[tuple[int, ...], ...]:
         return cycles(self._sigma)

@@ -387,6 +387,26 @@ def arcs_cross(arcs) -> bool:
     return False
 
 
+def _per_point(points, n: int) -> list[int]:
+    """How often each of the points 1..n occurs in ``points``."""
+    return [points.count(k) for k in range(1, n + 1)]
+
+
+def rowwise_tableau_ok(rows, t) -> bool:
+    """Whether ``rows`` form a semistandard two-row tableau of type ``t``,
+    by testing lengths, weight, sorted rows and columns one by one (the
+    tableau check the library once used beside its stack replay)."""
+    top, bottom = rows
+    if len(top) != t.d - 1 or len(bottom) != t.d - 1:
+        return False
+    points = top + bottom
+    if any(not 1 <= x <= t.n for x in points) or _per_point(points, t.n) != list(t.a):
+        return False
+    if any(top[i] > top[i + 1] or bottom[i] > bottom[i + 1] for i in range(t.d - 2)):
+        return False
+    return all(bottom[i] > top[i] for i in range(t.d - 1))
+
+
 def column_fill_ssyt(t):
     """All two-row tableaux of the given type, by direct column fill (the
     tableau enumerator the library once used)."""

@@ -58,7 +58,11 @@ def test_verify_constellation_passport_flag():
     stripped = bg.Passport(3, ((2,), (2,)))
     assert bg.verify_constellation(c, full).passport_match
     assert not bg.verify_constellation(c, stripped).passport_match
-    assert bg.verify_constellation(c, stripped, ignore_trivial_parts=True).passport_match
+
+
+def test_constellation_degree_must_be_positive():
+    with pytest.raises(bg.InvariantViolation, match="degree must be positive, got 0"):
+        bg.Constellation(0, ())
 
 
 def test_rh_genus():

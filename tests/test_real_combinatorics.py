@@ -16,6 +16,7 @@ from oracles import (
     event_enumerate_pairings,
     propagated_involution,
     rank_sorted_mirror_graph,
+    rowwise_tableau_ok,
     table_walk_close_counts,
 )
 
@@ -196,8 +197,9 @@ def test_invalid_pairing_raises_on_every_call():
     t = bg.WeightComposition(3, (1, 1, 1, 1))
     crossing = bg.NonCrossingPairing(t, ((1, 3), (2, 4)))
     for _ in range(2):
-        with pytest.raises(bg.InvariantViolation, match="not a non-crossing pairing"):
-            bg.mirror_graph(crossing)
+        for convert in (bg.mirror_graph, bg.pairing_to_tableau):
+            with pytest.raises(bg.InvariantViolation, match="not a non-crossing pairing"):
+                convert(crossing)
 
 
 def test_compositions_match_product_filter():
@@ -258,6 +260,35 @@ def test_bijection_round_trip_everywhere():
                 assert bg.tableau_to_pairing(tb) == p
                 images.append(tb.rows)
             assert sorted(images) == [tb.rows for tb in bg.enumerate_ssyt(t)]
+
+
+def test_tableau_check_matches_rowwise_oracle():
+    # every pair of rows of length d - 1 with entries in 1..n, 2 <= n <= 2d - 2
+    checked = 0
+    for d in (2, 3, 4):
+        for n in range(2, 2 * d - 1):
+            row_list = list(product(range(1, n + 1), repeat=d - 1))
+            for top in row_list:
+                for bottom in row_list:
+                    rows = (top, bottom)
+                    checked += 1
+                    points = top + bottom
+                    try:
+                        t = bg.WeightComposition(
+                            d, tuple(points.count(k) for k in range(1, max(points) + 1))
+                        )
+                    except bg.InvariantViolation:
+                        t = None
+                    want = t is not None and rowwise_tableau_ok(rows, t)
+                    try:
+                        p = bg.tableau_to_pairing(bg.Tableau2Row(rows))
+                    except bg.InvariantViolation:
+                        assert not want, rows
+                        continue
+                    assert want, rows
+                    assert p.type == t
+                    assert bg.pairing_to_tableau(p).rows == rows
+    assert checked == 67_527
 
 
 @pytest.mark.parametrize("rows", [((-5,), (2,)), ((0,), (2,))])
@@ -393,7 +424,7 @@ def test_open_real_cycles_are_rejected(open_real_cycle_documents):
         assert real_cycle_order(doc.map, doc.real_cycle) is None
         assert not bg.is_real_balanced(doc.map, doc.real_cycle)
         with pytest.raises(bg.UnsupportedFormat, match="closed walk"):
-            bg.to_svg(doc.map, doc.real_cycle, doc.colors)
+            bg.to_svg(doc.map, doc.real_cycle)
 
 
 def test_count_coverage_check_d3():
