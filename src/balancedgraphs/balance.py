@@ -7,9 +7,9 @@ every such region, for both alternating colorings.
 
 The local-balance decision takes its verdict from the Hall condition on
 the dot graph, one maximum flow, and reads the certificate of a negative
-verdict off the flow's witness, so it is polynomial.  The exhaustive
-region enumerator :func:`positive_regions` is kept as a library function
-and is not on that path.
+verdict off the flow's witness, so it is polynomial; a cycle has no
+corners, hence no dots, and passes vacuously.  The exhaustive region
+enumerator :func:`positive_regions` is off every decision path.
 """
 
 from __future__ import annotations
@@ -123,42 +123,34 @@ def region_from_faces(
     Checks: proper nonempty subset, face-connected through interior edges,
     every boundary edge has its A side inside, and the boundary meets every
     vertex in 0 or 2 edge ends (so it splits into vertex-disjoint simple
-    cycles).
+    cycles).  Round a vertex, boundary ends alternate between an inside
+    dart leaving it and one arriving, so that holds exactly when no two
+    inside darts leave one vertex; the one leaving each vertex chains them.
     """
     inside = frozenset(face_set)
     if not inside or len(inside) >= m.face_count:
         return None
-    fod = m.face_of_dart
-    vod = m.vertex_of_dart
+    fod, vod = m.face_of_dart, m.vertex_of_dart
 
     boundary = []
-    inside_darts = []
-    vertex_ends: dict[int, int] = {}
+    leaving: dict[int, int] = {}
     for i, (d, e) in enumerate(m.edges):
         fin_d = fod[d] in inside
-        fin_e = fod[e] in inside
-        if fin_d == fin_e:
+        if fin_d == (fod[e] in inside):
             continue
         din = d if fin_d else e
         if coloring.color(fod[din]) != COLOR_A:
             return None
         boundary.append(i)
-        inside_darts.append(din)
-        for dart in (d, e):
-            v = vod[dart]
-            vertex_ends[v] = vertex_ends.get(v, 0) + 1
-    if any(c != 2 for c in vertex_ends.values()):
+        leaving[vod[din]] = din
+    if len(leaving) != len(boundary):
         return None
 
     # connectivity through interior edges
     if len(_face_component(m, inside, next(iter(inside)))) != len(inside):
         return None
 
-    # chain the inside darts into boundary cycles
-    by_vertex: dict[int, list[int]] = {}
-    for din in inside_darts:
-        by_vertex.setdefault(vod[din], []).append(din)
-    remaining = set(inside_darts)
+    remaining = set(leaving.values())
     cycles = []
     while remaining:
         d = min(remaining)
@@ -166,11 +158,7 @@ def region_from_faces(
         while d in remaining:
             remaining.discard(d)
             cyc.append(d)
-            w = vod[m.alpha[d]]
-            nxt = [x for x in by_vertex.get(w, ()) if x != d and x in remaining]
-            if not nxt:
-                break
-            d = nxt[0]
+            d = leaving[vod[m.alpha[d]]]
         cycles.append(tuple(cyc))
 
     a = sum(1 for f in inside if coloring.color(f) == COLOR_A)
@@ -179,9 +167,9 @@ def region_from_faces(
 
 
 def _grown_face_sets(m: CombinatorialMap, coloring: FaceColoring):
-    """Connected face sets in growth order, as ``(root, faces, A count)``.
+    """Connected face sets in growth order.
 
-    Each set is grown from its least face ``root`` by adding larger
+    Each set is grown from its least face, its root, by adding larger
     neighbors, so roots come in increasing order and no set repeats.
     Branches whose boundary exposes a B face inside against a face that
     can no longer be absorbed are pruned.  The growth keeps an explicit
@@ -203,14 +191,14 @@ def _grown_face_sets(m: CombinatorialMap, coloring: FaceColoring):
 
     for root in range(nf):
         inside = frozenset({root})
-        yield root, inside, int(is_a[root])
+        yield inside
         if doomed(root, inside, frozenset()):
             continue
-        # frame: faces, A count, extension list, forbidden faces, next index
-        stack = [[inside, int(is_a[root]), [g for g in neighbors[root] if g > root], frozenset(), 0]]
+        # frame: faces, extension list, forbidden faces, next index
+        stack = [[inside, [g for g in neighbors[root] if g > root], frozenset(), 0]]
         while stack:
             frame = stack[-1]
-            inside, a, ext, forbidden, i = frame
+            inside, ext, forbidden, i = frame
             if i == len(ext):
                 stack.pop()
                 continue
@@ -219,34 +207,28 @@ def _grown_face_sets(m: CombinatorialMap, coloring: FaceColoring):
             present = inside | set(rest) | forbidden | {v}
             extra = [w for w in neighbors[v] if w > root and w not in present]
             child = inside | {v}
-            child_a = a + is_a[v]
-            frame[3] = forbidden | {v}
-            frame[4] = i + 1
-            yield root, child, child_a
+            frame[2] = forbidden | {v}
+            frame[3] = i + 1
+            yield child
             if not doomed(root, child, forbidden):
-                stack.append([child, child_a, rest + extra, forbidden, 0])
+                stack.append([child, rest + extra, forbidden, 0])
 
 
-def positive_regions(
-    m: CombinatorialMap,
-    coloring: FaceColoring,
-    cap: int = DEFAULT_REGION_CAP,
-) -> list[Region]:
+def positive_regions(m: CombinatorialMap, coloring: FaceColoring) -> list[Region]:
     """All regions, in sorted face-set order.
 
     Enumerates connected face subsets by growth, pruning branches whose
     boundary exposes a B face inside against an A face that can no longer
-    be absorbed, so it is exponential in the face count; the local-balance
-    decision does not call it.  Raises :class:`SizeLimitExceeded` past
-    ``cap`` regions.
+    be absorbed, so it is exponential in the face count.  Raises
+    :class:`SizeLimitExceeded` past ``DEFAULT_REGION_CAP`` regions.
     """
     found: list[Region] = []
-    for _, inside, _ in _grown_face_sets(m, coloring):
+    for inside in _grown_face_sets(m, coloring):
         region = region_from_faces(m, coloring, inside)
         if region is not None:
             found.append(region)
-            if len(found) > cap:
-                raise SizeLimitExceeded(f"more than {cap} regions")
+            if len(found) > DEFAULT_REGION_CAP:
+                raise SizeLimitExceeded(f"more than {DEFAULT_REGION_CAP} regions")
     found.sort(key=lambda r: r.sorted_faces())
     return found
 
@@ -297,11 +279,6 @@ def is_locally_balanced(
         return BalanceReport(None, False, False, reason=gb.reason)
     if coloring is None:
         coloring = alternating_coloring(m)
-    # without corners there are no dots.  A globally balanced map never
-    # has exactly one: every face would pass that corner once, giving 2k
-    # faces for valence 2k >= 4 and Euler characteristic 1 + k > 2.
-    if not m.corners:
-        return BalanceReport(gb.d, True, True)
     hall = hall_check(dot_graph(m, coloring))
     if hall.ok:
         return BalanceReport(gb.d, True, True)

@@ -49,9 +49,10 @@ def cmd_check(args) -> int:
 
 def _spliced(m, coloring):
     """``m`` with its 2-valent vertices spliced out, and the coloring
-    carried across through the surviving darts (face ids can reorder)."""
+    carried across through the surviving darts (face ids can reorder); a
+    cycle, which splicing would leave empty, comes back unchanged."""
     twos = [v for v, valence in enumerate(m.vertex_valences) if valence == 2]
-    if not twos:
+    if not twos or not m.corners:
         return m, coloring
     spliced, dense = splice(m, twos)
     colors = [""] * spliced.face_count
@@ -67,20 +68,13 @@ def cmd_realize(args) -> int:
     if not gb.ok:
         print(f"not globally balanced: {gb.reason}")
         return EXIT_NEGATIVE
-    if doc.map.corners:
-        m, coloring = _spliced(doc.map, coloring)
-        dg = enrichment.dot_graph(m, coloring)
-        try:
-            matching = enrichment.perfect_matching(dg)
-        except NoPerfectMatching as exc:
-            print(f"not locally balanced; Hall witness B faces: {list(exc.witness)}")
-            return EXIT_NEGATIVE
-        enriched = enrichment.enrich(m, matching)
-    else:
-        # a globally balanced map without corners is a cycle: it has no
-        # dots, and every vertex is its own branch point of the degree-1
-        # covering
-        enriched = doc.map
+    m, coloring = _spliced(doc.map, coloring)
+    try:
+        matching = enrichment.perfect_matching(enrichment.dot_graph(m, coloring))
+    except NoPerfectMatching as exc:
+        print(f"not locally balanced; Hall witness B faces: {list(exc.witness)}")
+        return EXIT_NEGATIVE
+    enriched = enrichment.enrich(m, matching)
     lab = labeling.admissible_labeling(enriched, coloring)
     constellation = monodromy.constellation_from(enriched, coloring, lab)
     passport = labeling.passport_of(enriched, lab)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import NoPerfectMatching, TooFewCorners
+from .errors import NoPerfectMatching
 from .surface_map import (
     COLOR_A,
     COLOR_B,
@@ -64,16 +64,17 @@ class DotMatching:
 
 
 def dot_graph(m: CombinatorialMap, coloring: FaceColoring) -> DotGraph:
-    """Dot graph of a globally balanced map with at least 2 corners.
+    """Dot graph of a globally balanced map.
 
     The counts assume the input carries no 2-valent vertices yet; those
-    are exactly what enrichment inserts afterwards.  Raises
-    :class:`TooFewCorners` below 2 corners.
+    are exactly what enrichment inserts afterwards.  Without corners,
+    every face gets 0 dots, so the Hall condition holds vacuously and the
+    matching is empty.  A globally balanced map never has exactly one
+    corner: every face would pass it once, giving 2k faces for valence
+    2k >= 4 and Euler characteristic 1 + k > 2.
     """
     corners = set(m.corners)
     total = len(corners)
-    if total < 2:
-        raise TooFewCorners(f"need at least 2 corners, found {total}")
     vod = m.vertex_of_dart
     counts = tuple([total - len({vod[d] for d in face} & corners) for face in m.faces])
     a, b = (tuple([f for f in coloring.faces_of(c) if counts[f]]) for c in (COLOR_A, COLOR_B))

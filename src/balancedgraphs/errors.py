@@ -37,14 +37,6 @@ class SizeLimitExceeded(BalancedGraphsError):
     """An enumeration hit its configured cap."""
 
 
-class TooFewCorners(BalancedGraphsError, ValueError):
-    """A dot graph needs at least 2 corners.
-
-    Also a :class:`ValueError`, which callers caught before this class
-    existed.
-    """
-
-
 class NoPerfectMatching(BalancedGraphsError):
     """The dot graph has no perfect matching.
 

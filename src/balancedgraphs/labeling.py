@@ -53,10 +53,11 @@ class Passport:
 
 
 def _is_cyclic_rotation_of_range(seq, mm: int) -> bool:
-    if len(seq) != mm or sorted(seq) != list(range(1, mm + 1)):
+    # a reading equal to 1..m from its 1 on is already a permutation
+    if len(seq) != mm or 1 not in seq:
         return False
     start = seq.index(1)
-    return all(seq[(start + t) % mm] == t + 1 for t in range(mm))
+    return seq[start:] + seq[:start] == list(range(1, mm + 1))
 
 
 def admissible_labeling(

@@ -234,8 +234,11 @@ def tableau_to_pairing(tb: Tableau2Row) -> NonCrossingPairing:
     top, bottom = tb.rows
     if min(top + bottom, default=0) < 1:
         raise InvariantViolation("not a semistandard two-row tableau")
-    n = max(top + bottom)
-    t = WeightComposition(len(top) + 1, tuple(_per_point(top + bottom, n)))
+    n, d = max(top + bottom), len(top) + 1
+    # fail as WeightComposition would, degree first, before allocating n counts
+    if d >= 2 and n > 2 * d - 2:
+        raise InvariantViolation(f"need 2..{2 * d - 2} points, got {n}")
+    t = WeightComposition(d, tuple(_per_point(top + bottom, n)) if top else ())
     arcs = _replay(_per_point(top, n), _per_point(bottom, n))
     if arcs is None or list(top) != sorted(top) or list(bottom) != sorted(bottom):
         raise InvariantViolation("not a semistandard two-row tableau")
@@ -347,7 +350,9 @@ def conjugation_involution(
 
 def is_real_balanced(m: CombinatorialMap, real_cycle) -> bool:
     """Planar, the real cycle a closed walk through every vertex once, with
-    a color-swapping reflection."""
+    a color-swapping reflection.  The reflection is an automorphism of the
+    connected face-adjacency graph, so it keeps or swaps the two colors as
+    a whole, and one dart decides which."""
     real_cycle = tuple(real_cycle)
     if real_cycle_order(m, real_cycle) is None:
         return False
@@ -360,11 +365,8 @@ def is_real_balanced(m: CombinatorialMap, real_cycle) -> bool:
         coloring = alternating_coloring(m)
     except NotBipartiteFaces:
         return False
-    fod = m.face_of_dart
-    return all(
-        coloring.color(fod[d]) != coloring.color(fod[m.alpha[iota[d]]])
-        for d in range(m.dart_count)
-    )
+    fod, d = m.face_of_dart, real_cycle[0]
+    return coloring.color(fod[d]) != coloring.color(fod[m.alpha[iota[d]]])
 
 
 def marked_canonical_key(m: CombinatorialMap, real_cycle) -> tuple:

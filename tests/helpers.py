@@ -173,6 +173,18 @@ def all_mirror_graphs(max_d):
     return out
 
 
+def cycle_of_length(k):
+    """The map of one cycle through ``k`` 2-valent vertices: no corners,
+    two faces, the degree-1 covering with ``k`` branch points."""
+    n = 2 * k
+    sigma = [0] * n
+    for i in range(k):
+        # vertex i + 1 joins the end of edge i and the start of edge i + 1
+        a, b = 2 * i + 1, (2 * i + 2) % n
+        sigma[a], sigma[b] = b, a
+    return bg.build_map(n, [d ^ 1 for d in range(n)], sigma)
+
+
 def fixed_point_free_pullback(d, branch_points):
     """Pullback of the first seeded transitive constellation whose
     permutations fix no sheet, so the map has corners only."""

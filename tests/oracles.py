@@ -657,3 +657,101 @@ def propagated_involution(m, real_cycle):
     if any(iota[iota[d]] != d for d in range(n)):
         return None
     return tuple(iota)
+
+
+def ends_counted_region(m, coloring, face_set):
+    """The region on ``face_set`` or None, as the library once built it:
+    boundary edge ends counted per vertex, then each boundary cycle
+    chained by searching the inside darts at the vertex reached."""
+    inside = frozenset(face_set)
+    if not inside or len(inside) >= m.face_count:
+        return None
+    fod = m.face_of_dart
+    vod = m.vertex_of_dart
+
+    boundary = []
+    inside_darts = []
+    vertex_ends: dict[int, int] = {}
+    for i, (d, e) in enumerate(m.edges):
+        fin_d = fod[d] in inside
+        fin_e = fod[e] in inside
+        if fin_d == fin_e:
+            continue
+        din = d if fin_d else e
+        if coloring.color(fod[din]) != bg.COLOR_A:
+            return None
+        boundary.append(i)
+        inside_darts.append(din)
+        for dart in (d, e):
+            v = vod[dart]
+            vertex_ends[v] = vertex_ends.get(v, 0) + 1
+    if any(c != 2 for c in vertex_ends.values()):
+        return None
+
+    # connectivity through interior edges
+    if len(bg.balance._face_component(m, inside, next(iter(inside)))) != len(inside):
+        return None
+
+    # chain the inside darts into boundary cycles
+    by_vertex: dict[int, list[int]] = {}
+    for din in inside_darts:
+        by_vertex.setdefault(vod[din], []).append(din)
+    remaining = set(inside_darts)
+    cycles = []
+    while remaining:
+        d = min(remaining)
+        cyc = []
+        while d in remaining:
+            remaining.discard(d)
+            cyc.append(d)
+            w = vod[m.alpha[d]]
+            nxt = [x for x in by_vertex.get(w, ()) if x != d and x in remaining]
+            if not nxt:
+                break
+            d = nxt[0]
+        cycles.append(tuple(cyc))
+
+    a = sum(1 for f in inside if coloring.color(f) == bg.COLOR_A)
+    b = len(inside) - a
+    return bg.Region(inside, frozenset(boundary), tuple(cycles), a, b)
+
+
+def all_darts_real_balanced(m, real_cycle) -> bool:
+    """Real balance with the color swap checked at every dart, as the
+    library once checked it."""
+    real_cycle = tuple(real_cycle)
+    if bg.surface_map.real_cycle_order(m, real_cycle) is None:
+        return False
+    iota = bg.conjugation_involution(m, real_cycle)
+    if iota is None:
+        return False
+    # orientation reversal sends the face left of d to the face left of
+    # alpha(iota(d)); the two colors must swap
+    try:
+        coloring = bg.alternating_coloring(m)
+    except bg.NotBipartiteFaces:
+        return False
+    fod = m.face_of_dart
+    return all(
+        coloring.color(fod[d]) != coloring.color(fod[m.alpha[iota[d]]])
+        for d in range(m.dart_count)
+    )
+
+
+def jacobi_trudi_kostka(t) -> int:
+    """Tableaux of shape (d-1, d-1) and weight ``t.a``, from the two-row
+    Jacobi-Trudi identity s_(N,N) = h_N h_N - h_(N+1) h_(N-1).
+
+    The coefficient of x^a in h_i h_j counts the vectors b with
+    0 <= b_k <= a_k summing to i, and b -> a - b shows h_(N+1) h_(N-1)
+    contributes as many as vectors summing to N - 1.  So the count is
+    c(d-1) - c(d-2), with c(j) the number of such vectors summing to j.
+    """
+    top = t.d - 1
+    c = [1] + [0] * top  # c[j]: vectors over the parts so far summing to j
+    for x in t.a:
+        prefix = [0]
+        for v in c:
+            prefix.append(prefix[-1] + v)
+        c = [prefix[j + 1] - prefix[max(0, j - x)] for j in range(top + 1)]
+    return c[top] - c[top - 1]

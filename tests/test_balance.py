@@ -8,6 +8,7 @@ from oracles import (
     brute_force_locally_balanced,
     brute_force_regions,
     counted_global_balance,
+    ends_counted_region,
     enumerated_balance_report,
     region_invariants_hold,
     thurston_single_cycle_balanced,
@@ -109,13 +110,70 @@ def test_region_boundaries_are_disjoint_simple_cycles(gb_corpus, counterexample)
                     assert vod[m.alpha[d]] == vod[cyc[(i + 1) % len(cyc)]]
 
 
-def test_region_cap():
+def test_region_cap(monkeypatch):
     p = bg.NonCrossingPairing(
         bg.WeightComposition(4, (1, 1, 1, 1, 1, 1)), ((1, 2), (3, 4), (5, 6))
     )
     m, coloring, _ = bg.mirror_graph(p)
+    monkeypatch.setattr(bg.balance, "DEFAULT_REGION_CAP", 1)
     with pytest.raises(bg.SizeLimitExceeded):
-        bg.positive_regions(m, coloring, cap=1)
+        bg.positive_regions(m, coloring)
+
+
+def _random_small_map(rng):
+    """A connected map on at most 8 darts with random alpha and sigma, so
+    loops and faces meeting themselves are common."""
+    while True:
+        n = 2 * rng.randint(1, 4)
+        darts = rng.sample(range(n), n)
+        alpha = [0] * n
+        for d, e in zip(darts[::2], darts[1::2]):
+            alpha[d], alpha[e] = e, d
+        try:
+            return bg.CombinatorialMap(alpha, rng.sample(range(n), n))
+        except bg.Disconnected:
+            continue
+
+
+def _random_face_sets(rng, m, count):
+    """Face sets of ``m``: alternately an arbitrary subset and a connected
+    set grown from a random face."""
+    for i in range(count):
+        if i % 2:
+            yield {f for f in range(m.face_count) if rng.random() < 0.5}
+            continue
+        inside = {rng.randrange(m.face_count)}
+        for _ in range(rng.randrange(m.face_count)):
+            options = sorted({g for f in inside for g in m.face_neighbors[f]} - inside)
+            if not options:
+                break
+            inside.add(rng.choice(options))
+        yield inside
+
+
+def test_region_from_faces_matches_ends_counted_oracle():
+    rng = random.Random(15)
+    cases = []
+    for i in range(150):
+        m = None
+        while m is None:
+            m = random_glued_map(rng, rng.randint(3, 8), subdivide=i % 2 == 1)
+        coloring = bg.alternating_coloring(m)
+        cases += [(m, coloring), (m, coloring.flip())]
+    glued = len(cases)
+    for _ in range(400):
+        # any coloring: the function is public and takes what it is given
+        m = _random_small_map(rng)
+        colors = tuple([rng.choice((bg.COLOR_A, bg.COLOR_B)) for _ in range(m.face_count)])
+        cases.append((m, bg.FaceColoring(colors)))
+    regions = [0, 0, 0]  # on glued maps, small maps, small maps with loops
+    for i, (m, coloring) in enumerate(cases):
+        for faces in _random_face_sets(rng, m, 80):
+            ours = bg.region_from_faces(m, coloring, faces)
+            assert ours == ends_counted_region(m, coloring, faces)
+            if ours is not None:
+                regions[0 if i < glued else 2 if m.has_loops else 1] += 1
+    assert min(regions) >= 300, regions
 
 
 def test_b2_locally_balanced(b2):
@@ -373,7 +431,7 @@ def test_witness_certificates_on_random_glued_maps():
             m = random_glued_map(rng, rng.randint(3, 12), subdivide=i % 2 == 1)
         coloring = bg.alternating_coloring(m)
         report = bg.is_locally_balanced(m, coloring)
-        hall = bg.hall_check(bg.dot_graph(m, coloring)).ok if m.corners else True
+        hall = bg.hall_check(bg.dot_graph(m, coloring)).ok
         assert report.locally_balanced == hall
         if m.face_count <= 12:
             assert hall == brute_force_locally_balanced(m, coloring)

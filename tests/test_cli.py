@@ -9,10 +9,16 @@ import pytest
 import balancedgraphs as bg
 from balancedgraphs import cli
 from balancedgraphs.cli import main
-from helpers import fixed_point_free_pullback, random_genus_zero_constellation
+from helpers import (
+    cycle_of_length,
+    fixed_point_free_pullback,
+    random_genus_zero_constellation,
+    random_glued_map,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 COUNTEREXAMPLE = FIXTURES / "counterexample_gb_not_lb.json"
+FLIPPED = FIXTURES / "flipped_certificate.json"
 
 
 @pytest.fixture
@@ -122,6 +128,63 @@ def test_realize_cycle_map_round_trip(capsys, tmp_path):
     before, after = json.loads(map_line), json.loads(out)
     for key in ("darts", "alpha", "sigma"):
         assert before[key] == after[key]
+
+
+# realize on the cycle through k vertices: the enriched map, then the
+# degree-1 constellation with one trivial permutation per vertex
+CYCLE_REALIZED = {
+    2: (
+        '{"alpha":[1,0,3,2],"colors":["A","B"],"darts":4,"labels":[1,2],"sigma":[2,3,0,1]}',
+        '{"d":1,"perms":[[1],[1]]}',
+    ),
+    3: (
+        '{"alpha":[1,0,4,5,2,3],"colors":["A","B"],"darts":6,"labels":[1,2,3],'
+        '"sigma":[2,3,0,1,5,4]}',
+        '{"d":1,"perms":[[1],[1],[1]]}',
+    ),
+    5: (
+        '{"alpha":[1,0,4,5,2,3,8,9,6,7],"colors":["A","B"],"darts":10,"labels":[1,2,5,3,4],'
+        '"sigma":[2,3,0,1,6,7,4,5,9,8]}',
+        '{"d":1,"perms":[[1],[1],[1],[1],[1]]}',
+    ),
+}
+
+
+@pytest.mark.parametrize("k", sorted(CYCLE_REALIZED))
+def test_cycle_check_realize_and_pullback(capsys, tmp_path, k):
+    path = tmp_path / "cycle.json"
+    path.write_text(bg.serialize(cycle_of_length(k)))
+    assert run(capsys, "check", "--input", str(path)) == (
+        0,
+        "globally balanced, d=1, g=0\ncorner bound holds: True\nlocally balanced\n",
+        "",
+    )
+    map_line, constellation_line = CYCLE_REALIZED[k]
+    assert run(capsys, "realize", "--input", str(path)) == (
+        0,
+        f"{map_line}\n{constellation_line}\n",
+        "",
+    )
+    path.write_text(constellation_line)
+    assert run(capsys, "pullback", "--input", str(path)) == (0, f"{map_line}\n", "")
+
+
+def test_flipped_certificate_is_pinned(capsys):
+    rng = random.Random(1309)
+    m = random_glued_map(rng, rng.randint(3, 6))
+    text = bg.serialize(m, coloring=bg.alternating_coloring(m))
+    assert FLIPPED.read_text() == f"{text}\n"
+    code, out, err = run(capsys, "check", "--input", str(FLIPPED))
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-2:] == [
+        "not locally balanced (flipped coloring): region with 2 A faces and 2 B faces",
+        "certificate faces: [0, 1, 2, 3]",
+    ]
+    assert run(capsys, "realize", "--input", str(FLIPPED)) == (
+        1,
+        "not locally balanced; Hall witness B faces: [6, 8]\n",
+        "",
+    )
 
 
 def test_realize_large_pullback_returns(capsys, tmp_path):

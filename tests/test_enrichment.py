@@ -3,7 +3,7 @@ from itertools import islice
 import pytest
 
 import balancedgraphs as bg
-from helpers import all_mirror_graphs, fixed_point_free_pullback
+from helpers import all_mirror_graphs, cycle_of_length, fixed_point_free_pullback
 from oracles import (
     alternating_hall_witness,
     face_subset_hall_ok,
@@ -39,10 +39,18 @@ def test_dot_graph_mirror(mirror_1234):
     assert sorted(set(dg.dot_counts)) == [0, 2]
 
 
-def test_dot_graph_needs_corners(cycle_map):
-    coloring = bg.alternating_coloring(cycle_map)
-    with pytest.raises(ValueError):
-        bg.dot_graph(cycle_map, coloring)
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_cycle_has_no_dots(k):
+    m = cycle_of_length(k)
+    assert not m.corners
+    for coloring in (bg.alternating_coloring(m), bg.alternating_coloring(m).flip()):
+        dg = bg.dot_graph(m, coloring)
+        assert dg.m == 0 and dg.dot_counts == (0, 0)
+        assert dg.dots_a == () and dg.dots_b == ()
+        assert bg.hall_check(dg).ok
+        matching = bg.perfect_matching(dg)
+        assert matching.counts == {}
+        assert bg.enrich(m, matching) is m
 
 
 def test_hall_check_b2_vacuous(b2):
@@ -158,13 +166,6 @@ def test_iter_perfect_matchings_contains_canonical(mirror_1234):
     matrices = {_pair_counts(mt) for mt in bg.iter_perfect_matchings(dg)}
     assert matrices
     assert _pair_counts(bg.perfect_matching(dg)) in matrices
-
-
-def test_dot_graph_corner_error_is_a_library_error(cycle_map):
-    coloring = bg.alternating_coloring(cycle_map)
-    with pytest.raises(bg.TooFewCorners) as info:
-        bg.dot_graph(cycle_map, coloring)
-    assert isinstance(info.value, bg.BalancedGraphsError)
 
 
 def _corpus_dot_graphs(gb_corpus, counterexample):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations, combinations_with_replacement, product
 
 import pytest
@@ -10,10 +11,12 @@ from balancedgraphs._documents import dump
 from balancedgraphs.surface_map import real_cycle_order
 from helpers import all_mirror_graphs
 from oracles import (
+    all_darts_real_balanced,
     arcs_cross,
     close_vector_ssyt,
     column_fill_ssyt,
     event_enumerate_pairings,
+    jacobi_trudi_kostka,
     propagated_involution,
     rank_sorted_mirror_graph,
     rowwise_tableau_ok,
@@ -233,6 +236,15 @@ def test_kostka_values():
     assert ((1, 2, 2, 3, 3, 3, 4), (2, 4, 4, 4, 4, 5, 5)) in rows
 
 
+def test_kostka_matches_jacobi_trudi_oracle():
+    types = list(_types(8))
+    assert len(types) == 10_474
+    types += list(_random_types(14, 30, 14))
+    types.append(STAR)
+    for t in types:
+        assert bg.kostka(t) == jacobi_trudi_kostka(t), t.a
+
+
 def test_catalan():
     assert [bg.catalan(d) for d in range(1, 9)] == [1, 1, 2, 5, 14, 42, 132, 429]
 
@@ -295,6 +307,44 @@ def test_tableau_check_matches_rowwise_oracle():
 def test_tableau_entries_below_one_are_rejected(rows):
     with pytest.raises(bg.InvariantViolation, match="not a semistandard two-row tableau"):
         bg.tableau_to_pairing(bg.Tableau2Row(rows))
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (((1,), (10**7,)), "need 2..2 points, got 10000000"),
+        (((), (5,)), "degree must be at least 2, got 1"),
+        (((), (10**7,)), "degree must be at least 2, got 1"),
+    ],
+)
+def test_tableau_entry_size_costs_no_memory(rows, message):
+    tracemalloc.start()
+    try:
+        with pytest.raises(bg.InvariantViolation) as info:
+            bg.tableau_to_pairing(bg.Tableau2Row(rows))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == message
+    assert peak < 1_000_000
+
+
+def test_tableau_type_errors_are_weight_composition_errors():
+    # one bottom entry n after k ones on top: whatever WeightComposition
+    # says of those point counts, tableau_to_pairing says too
+    raised = 0
+    for k in range(4):
+        for n in range(1, 2 * k + 4):
+            rows = ((1,) * k, (n,))
+            counts = tuple(((1,) * k + (n,)).count(x) for x in range(1, n + 1))
+            try:
+                bg.WeightComposition(k + 1, counts)
+            except bg.InvariantViolation as exc:
+                with pytest.raises(bg.InvariantViolation) as info:
+                    bg.tableau_to_pairing(bg.Tableau2Row(rows))
+                assert str(info.value) == str(exc)
+                raised += 1
+    assert raised >= 10
 
 
 @st.composite
@@ -372,6 +422,23 @@ def test_is_real_balanced_rejections(b2, t1):
     # two edges of the bigon map that are not mirror images of each other
     assert bg.is_real_balanced(b2, (0, 5))
     assert not bg.is_real_balanced(b2, (0, 3))
+
+
+def test_is_real_balanced_matches_all_darts_oracle(b2, t1):
+    cases = balanced = 0
+    for _, m, _, real_cycle in all_mirror_graphs(5):
+        back = tuple([m.alpha[d] for d in reversed(real_cycle)])
+        rotated = real_cycle[1:] + real_cycle[:1]
+        for cycle in (real_cycle, rotated, real_cycle[::-1], back):
+            ours = bg.is_real_balanced(m, cycle)
+            assert ours == all_darts_real_balanced(m, cycle)
+            balanced += ours
+            cases += 1
+    # the given, rotated and backwards-walked cycles are balanced; the
+    # reversed dart order is no closed walk once it has three darts
+    assert cases // 2 < balanced < cases
+    for m, cycle in ((b2, (0, 5)), (b2, (0, 3)), (t1, (0, 2))):
+        assert bg.is_real_balanced(m, cycle) == all_darts_real_balanced(m, cycle)
 
 
 def _trial_cycles(m, real_cycle, rng):
