@@ -310,13 +310,3 @@ def corner_bound_check(m: CombinatorialMap) -> bool:
     if not gb.ok:
         raise InvariantViolation(f"map is not globally balanced: {gb.reason}")
     return len(m.corners) <= 2 * (m.genus() + gb.d - 1)
-
-
-def is_generic_thurston(m: CombinatorialMap) -> bool:
-    """Planar, 4-regular, with 2d - 2 vertices for d = F/2."""
-    if m.genus() != 0 or m.face_count % 2 != 0:
-        return False
-    d = m.face_count // 2
-    if any(val != 4 for val in m.vertex_valences):
-        return False
-    return m.vertex_count == 2 * d - 2

@@ -350,23 +350,25 @@ def conjugation_involution(
 
 def is_real_balanced(m: CombinatorialMap, real_cycle) -> bool:
     """Planar, the real cycle a closed walk through every vertex once, with
-    a color-swapping reflection.  The reflection is an automorphism of the
-    connected face-adjacency graph, so it keeps or swaps the two colors as
-    a whole, and one dart decides which."""
+    a reflection, and the faces two-colorable.
+
+    The reflection then always swaps the two colors.  It is an automorphism
+    of the connected face-adjacency graph, so it keeps or swaps the colors
+    as a whole.  Reversing orientation, it sends the face left of a dart d
+    to the face left of alpha(iota(d)), and it fixes every real-cycle dart,
+    so for d on the real cycle that is the face left of alpha(d): the face
+    across d's edge, which an alternating coloring colors differently.
+    """
     real_cycle = tuple(real_cycle)
     if real_cycle_order(m, real_cycle) is None:
         return False
-    iota = conjugation_involution(m, real_cycle)
-    if iota is None:
+    if conjugation_involution(m, real_cycle) is None:
         return False
-    # orientation reversal sends the face left of d to the face left of
-    # alpha(iota(d)); the two colors must swap
     try:
-        coloring = alternating_coloring(m)
+        alternating_coloring(m)
     except NotBipartiteFaces:
         return False
-    fod, d = m.face_of_dart, real_cycle[0]
-    return coloring.color(fod[d]) != coloring.color(fod[m.alpha[iota[d]]])
+    return True
 
 
 def marked_canonical_key(m: CombinatorialMap, real_cycle) -> tuple:

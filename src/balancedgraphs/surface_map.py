@@ -186,7 +186,7 @@ class CombinatorialMap:
     def _canonical(self) -> tuple["CombinatorialMap", tuple[int, ...]]:
         n = self.dart_count
         (alpha, sigma), dart_map = canonical_relabeling(
-            (self._alpha, self._sigma), n, range(n)
+            (self._alpha, self._sigma), n, _least_prefix_roots(self._alpha, self._sigma)
         )
         return CombinatorialMap(alpha, sigma, check=False), dart_map
 
@@ -222,6 +222,241 @@ def _index_of(orbits, n: int) -> tuple[int, ...]:
         for d in orbit:
             out[d] = i
     return tuple(out)
+
+
+# Root selection for the canonical form.
+#
+# ``canonical_relabeling`` numbers the darts breadth-first from a root,
+# following alpha then sigma, and compares roots by the alpha code: the
+# number given to alpha(x) for the dart x at each position.  From a dart at
+# a 2-valent vertex of a chain long enough in both directions the code is
+#
+#     P = 1, 0, 4, 5, 2, 3, 8, 9, 6, 7, 12, 13, 10, 11, ...
+#
+# (the dart q steps ahead of the root along the chain is numbered 2q - 1,
+# the one q steps behind it 2q).  A root is keyed by the first position L
+# where its code leaves P and its value v there.  Leaving P downwards at L
+# beats every code still on P at L and leaving it upwards loses to them,
+# so the key order never contradicts the order of the codes: every root
+# reaching the least code has the least key, and handing only those roots
+# to ``canonical_relabeling`` gives the same winner, the first of them in
+# dart order.
+#
+# A dart at a 2-valent vertex lies on a run ``s, alpha(s), sigma(alpha(s)),
+# ..., t`` between two corner darts.  If the root is F edges from the end
+# ahead of it (the way alpha leads) and B from the end behind, its code is
+# P before position h = min(4F - 3, 4B), where the search first expands a
+# corner dart.  Near an ordinary corner it then leaves P upwards after a
+# fixed number of steps: at h + 5 with value h + 8 when the end ahead is
+# reached first (F <= B), at h + 3 with value h + 6 otherwise.
+# ``_run_keys`` checks the few darts around the corners that those steps
+# number; roots where a check fails are searched directly.
+
+_CORNER_KEY = (2, -3, 6)  # a dart at an ordinary corner leaves P upwards at 3
+
+
+def _pattern(i: int) -> int:
+    """Entry ``i`` of the chain pattern P."""
+    if i < 2:
+        return 1 - i
+    return i + 2 if i & 2 else i - 2
+
+
+class _OverBudget(Exception):
+    """The direct searches on one map went past their budget."""
+
+
+class _Search:
+    """Direct searches of root codes against P on one map.
+
+    The searches share one numbering array and a budget of sixteen
+    positions per dart, several times what a run of 2-valent vertices
+    needs (a few searches from its middle).  Past it the map keeps every
+    root: codes that follow P far beyond a corner (a corner with a
+    one-edge loop can pass for a 2-valent vertex) would otherwise cost a
+    long search per root.
+    """
+
+    def __init__(self, alpha: Perm, sigma: Perm):
+        self.alpha = alpha
+        self.sigma = sigma
+        self.label = [-1] * len(alpha)
+        self.budget = 16 * len(alpha)
+
+    def key(self, root: int, watch: int) -> tuple[tuple, bool]:
+        """Sort key of the root's alpha code against P, and whether the
+        search numbered the dart ``watch`` before the code left P.
+
+        The key is ``(0, L, v)`` when the code first leaves P downwards at
+        position L with value v, ``(2, -L, v)`` when it leaves upwards and
+        ``(1, 0, 0)`` when it never leaves.
+        """
+        alpha, label = self.alpha, self.label
+        label[root] = 0
+        order = [root]
+        push = order.append
+        size = 1
+        i = 0
+        key = (1, 0, 0)
+        while i < size:
+            x = order[i]
+            for p in (alpha, self.sigma):
+                y = p[x]
+                if label[y] < 0:
+                    label[y] = size
+                    size += 1
+                    push(y)
+            v = label[alpha[x]]
+            expected = _pattern(i)
+            if v != expected:
+                key = (0, i, v) if v < expected else (2, -i, v)
+                break
+            i += 1
+        seen = label[watch] >= 0
+        for x in order:
+            label[x] = -1
+        self.budget -= i + 1
+        if self.budget < 0:
+            raise _OverBudget
+        return key, seen
+
+
+def _least_prefix_roots(alpha: Perm, sigma: Perm):
+    """The roots with the least key against P, in dart order."""
+    keyed = _root_keys(alpha, sigma)
+    if keyed is None:
+        return range(len(alpha))
+    best = min(keyed)[0]
+    return sorted([root for key, root in keyed if key == best])
+
+
+def _root_keys(alpha: Perm, sigma: Perm) -> list[tuple[tuple, int]] | None:
+    """(key, root) for every root that may have the least key.
+
+    Along each run of 2-valent vertices, roots whose key trails another one
+    of the same run are left out.  None, to keep every root, for maps
+    without 2-valent vertices, cycles, and maps whose direct searches go
+    past their budget.
+    """
+    n = len(alpha)
+    two = [sigma[y] == x != y for x, y in enumerate(sigma)]
+    if all(two) or not any(two):
+        return None
+    run_of = [-1] * n
+    runs = []
+    for e in range(n):
+        if not two[e] and run_of[e] < 0 and two[alpha[e]]:
+            run = [e]
+            x = alpha[e]
+            while two[x]:
+                run.append(x)
+                x = sigma[x]
+                run.append(x)
+                x = alpha[x]
+            run.append(x)
+            for x in run:
+                run_of[x] = len(runs)
+            runs.append(run)
+    search = _Search(alpha, sigma)
+    keyed = []
+    try:
+        for r in range(n):
+            if not two[r]:
+                x = alpha[r]
+                y = sigma[r]
+                z = sigma[x]
+                # the four darts numbered first and the three their alpha and
+                # sigma reach next: all new means the code leaves P at 3 with 6
+                if len({r, x, y, z, alpha[y], sigma[y], alpha[z]}) == 7:
+                    keyed.append((_CORNER_KEY, r))
+                else:
+                    keyed.append((search.key(r, r)[0], r))
+        for run in runs:
+            keyed += _run_keys(search, run_of, run)
+            keyed += _run_keys(search, run_of, run[::-1])
+    except _OverBudget:
+        return None
+    return keyed
+
+
+def _run_keys(search: _Search, run_of: list[int], run: list[int]):
+    """Keys of the roots on ``run`` whose search first numbers ``run[0]``.
+
+    ``run`` has m 2-valent vertices.  From the root ``run[2F - 1]`` the
+    corner dart ``run[0]`` is F edges ahead and ``run[-1]`` is B = m + 1 - F
+    behind; from ``run[2B]``, ``run[0]`` is B edges behind and ``run[-1]``
+    is F = m + 1 - B ahead.  The closed form holds when the darts the
+    search numbers at the corner of ``run[0]`` (``near``) are distinct and
+    not yet numbered: off this run, except darts at the far end that the
+    search along the run cannot have reached, and, for the innermost
+    roots, which reach both corners at about the same time, off the first
+    darts numbered at the far corner.
+    """
+    m = len(run) // 2 - 1
+    this = run_of[run[0]]
+    near = _corner_darts(search.alpha, search.sigma, run[0])
+    far = _corner_darts(search.alpha, search.sigma, run[-1])
+
+    def new(darts, spare):
+        # distinct, and on this run only among its last ``spare`` darts
+        tail = run[len(run) - spare:]
+        return len(set(darts)) == len(darts) and all(
+            [x in tail for x in darts if run_of[x] == this]
+        )
+
+    # ahead first (F <= B), from F = (m + 1) // 2 out: the innermost root
+    # has B - F = 0 or 1, the others B - F >= 2; the code leaves P at
+    # h + 5 = 4F + 2
+    f = (m + 1) // 2
+    inner = new(near + far[:1], 0) if m % 2 else new(near, 1)
+    out = _side_keys(search, run, run[2 * f - 1::-2], 4 * f + 2, inner, new(near, 3))
+    # behind first (B < F), from B = m // 2 out: the innermost root has
+    # F - B = 1 or 2, the others F - B >= 3; the code leaves P at
+    # h + 3 = 4B + 3
+    b = m // 2
+    inner = new(near[:3], 0) if m % 2 else new(near[:3] + far[:2], 0)
+    out += _side_keys(search, run, run[2 * b:0:-2], 4 * b + 3, inner, new(near[:3], 2))
+    return out
+
+
+def _side_keys(search: _Search, run: list[int], roots, departs: int, inner, outer):
+    """Keys of the roots along one side of ``run``, innermost first, whose
+    closed forms leave P at ``departs``, four positions earlier per root.
+
+    ``inner`` and ``outer`` tell whether the closed form holds for the
+    innermost root and for the rest.  Closed-form keys improve towards the
+    middle, so one for the rest ends the walk.  A root where the closed
+    form does not hold is searched directly.  If that search never numbers
+    ``run[-2]``, it neither met the far corner nor entered the run from
+    there, so each root further out searches the same darts around the
+    near corner four positions earlier and numbers them four lower: an
+    upward key then beats theirs, and a downward one is beaten by the
+    outermost root's, which is kept.
+    """
+    out = []
+    for i, root in enumerate(roots):
+        if outer if i else inner:
+            out.append(((2, -departs, departs + 3), root))
+            if outer:
+                break
+        else:
+            key, far = search.key(root, run[-2])
+            out.append((key, root))
+            if not far:
+                if key[0] == 0 and i < len(roots) - 1:
+                    shift = 4 * (len(roots) - 1 - i)
+                    out.append(((0, key[1] - shift, key[2] - shift), roots[-1]))
+                break
+        departs -= 4
+    return out
+
+
+def _corner_darts(alpha: Perm, sigma: Perm, e: int) -> list[int]:
+    """The darts a search numbers first at the corner of ``e``."""
+    e1 = sigma[e]
+    y = alpha[e1]
+    e2 = sigma[e1]
+    return [e1, y, e2, sigma[y], alpha[e2]]
 
 
 def build_map(dart_count: int, alpha, sigma) -> CombinatorialMap:
@@ -304,7 +539,8 @@ def subdivide_edges(m: CombinatorialMap, counts: dict[int, int]) -> Combinatoria
             prev = q
         alpha[prev] = d1
         alpha[d1] = prev
-    return CombinatorialMap(alpha, sigma)
+    # each new vertex sits on an edge of ``m``, so the map stays valid
+    return CombinatorialMap(alpha, sigma, check=False)
 
 
 def splice(m: CombinatorialMap, vertices) -> tuple[CombinatorialMap, dict[int, int]]:
@@ -372,10 +608,14 @@ def serialize(
 ) -> str:
     """Canonical text document for ``m`` and optional decorations.
 
-    The map is put into canonical form first, so serialization is stable
-    across runs and across isomorphic dart labelings of the same input.
-    ``labels`` is a per-vertex array (vertex ids in canonical order) and
-    ``colors`` a per-face array.
+    The map is put into canonical form first, so ``darts``, ``alpha`` and
+    ``sigma`` are stable across runs and across isomorphic dart labelings
+    of the same input.  The decorations are carried over by the relabeling
+    of the first root reaching that form; on a map with automorphisms
+    another labeling of the input may carry them differently, so
+    ``labels``, ``colors`` and ``real_cycle`` are stable across runs but
+    not yet across labelings.  ``labels`` is a per-vertex array (vertex
+    ids in canonical order) and ``colors`` a per-face array.
     """
     canon = m.canonical()
     dart_map = m.canonical_dart_map()

@@ -110,6 +110,22 @@ def _connected(alpha, sigma) -> bool:
     return cnt == n
 
 
+def random_rotation_map(rng, valences, loops=True) -> bg.CombinatorialMap:
+    """A random connected map with these vertex valences (an even sum), by
+    rejection; without ``loops``, no edge joins a vertex to itself."""
+    sigma = standard_sigma(valences)
+    vertex = [v for v, val in enumerate(valences) for _ in range(val)]
+    n = len(sigma)
+    while True:
+        darts = rng.sample(range(n), n)
+        alpha = [0] * n
+        for d, e in zip(darts[::2], darts[1::2]):
+            alpha[d], alpha[e] = e, d
+        if loops or all(vertex[d] != vertex[alpha[d]] for d in range(n)):
+            if _connected(alpha, sigma):
+                return bg.CombinatorialMap(alpha, sigma)
+
+
 def globally_balanced_maps(valences, max_faces=CORPUS_MAX_FACES):
     """Every globally balanced map with these valences, up to isomorphism."""
     sigma = standard_sigma(valences)

@@ -89,6 +89,16 @@ def face_subset_hall_ok(m, coloring) -> bool:
     return True
 
 
+def is_generic_thurston(m) -> bool:
+    """Planar, 4-regular, with 2d - 2 vertices for d = F/2."""
+    if m.genus() != 0 or m.face_count % 2 != 0:
+        return False
+    d = m.face_count // 2
+    if any(val != 4 for val in m.vertex_valences):
+        return False
+    return m.vertex_count == 2 * d - 2
+
+
 def thurston_single_cycle_balanced(m, coloring) -> bool:
     """The single-cycle condition for planar maps, both colorings.
 
@@ -169,6 +179,44 @@ def all_roots_canonical(m):
             best = key
             best_map = tuple(new)
     return best, best_map
+
+
+def searched_prefix_key(m, root):
+    """Sort key of a root's breadth-first alpha code against the chain
+    pattern, from a search that runs until the code leaves it.
+
+    The chain pattern is 1, 0 and then i + 2 at positions i = 2, 3 (mod 4)
+    and i - 2 at i = 0, 1 (mod 4).  The key is ``(0, L, v)`` when the code
+    first leaves it downwards at position L with value v, ``(2, -L, v)``
+    when upwards and ``(1, 0, 0)`` when never: a code leaving downwards
+    precedes every code still on the pattern there, an upward one follows
+    them.
+    """
+    new = {root: 0}
+    order = [root]
+    for i in range(m.dart_count):
+        d = order[i]
+        for e in (m.alpha[d], m.sigma[d]):
+            if e not in new:
+                new[e] = len(order)
+                order.append(e)
+        pattern = 1 - i if i < 2 else i + 2 if i % 4 >= 2 else i - 2
+        value = new[m.alpha[d]]
+        if value != pattern:
+            return (0, i, value) if value < pattern else (2, -i, value)
+    return (1, 0, 0)
+
+
+def searched_least_prefix_roots(m):
+    """The roots with the least ``searched_prefix_key``; every root when
+    the map has no 2-valent vertex or nothing else."""
+    n = m.dart_count
+    valence = [m.vertex_valences[v] for v in m.vertex_of_dart]
+    if all(k == 2 for k in valence) or 2 not in valence:
+        return list(range(n))
+    keys = [searched_prefix_key(m, root) for root in range(n)]
+    least = min(keys)
+    return [root for root in range(n) if keys[root] == least]
 
 
 def sequential_canonical_relabeling(perms, n, roots):

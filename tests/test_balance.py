@@ -10,6 +10,7 @@ from oracles import (
     counted_global_balance,
     ends_counted_region,
     enumerated_balance_report,
+    is_generic_thurston,
     region_invariants_hold,
     thurston_single_cycle_balanced,
 )
@@ -205,11 +206,11 @@ def test_corner_bound(b2, t1, cycle_map):
 
 
 def test_is_generic_thurston(b2, t1):
-    assert bg.is_generic_thurston(b2)
-    assert not bg.is_generic_thurston(t1)
+    assert is_generic_thurston(b2)
+    assert not is_generic_thurston(t1)
     p = bg.NonCrossingPairing(bg.WeightComposition(3, (2, 2)), ((1, 2), (1, 2)))
     m, _, _ = bg.mirror_graph(p)
-    assert not bg.is_generic_thurston(m)
+    assert not is_generic_thurston(m)
 
 
 def test_local_balance_agrees_with_brute_force(gb_corpus, counterexample):

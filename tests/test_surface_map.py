@@ -5,8 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import balancedgraphs as bg
-from helpers import all_mirror_graphs
-from oracles import all_roots_canonical
+import balancedgraphs.surface_map as surface_map
+from helpers import (
+    all_mirror_graphs,
+    map_from_rotations,
+    random_genus_zero_constellation,
+    random_rotation_map,
+)
+from oracles import (
+    all_roots_canonical,
+    searched_least_prefix_roots,
+    searched_prefix_key,
+)
 
 
 def test_build_cycle_map(cycle_map):
@@ -304,3 +314,96 @@ def test_canonical_matches_all_roots_oracle(gb_corpus, constellation_corpus):
         key, dart_map = all_roots_canonical(m)
         assert m.canonical_key() == key
         assert m.canonical_dart_map() == dart_map
+
+
+def _assert_selected_roots_keep_the_canonical_form(maps, rng):
+    maps = maps + [m.relabel(rng.sample(range(m.dart_count), m.dart_count)) for m in maps]
+    for m in maps:
+        # every key the selector computes, in closed form or by search
+        for key, root in surface_map._root_keys(m.alpha, m.sigma) or ():
+            assert key == searched_prefix_key(m, root)
+        roots = surface_map._least_prefix_roots(m.alpha, m.sigma)
+        assert list(roots) == searched_least_prefix_roots(m)
+        key, dart_map = all_roots_canonical(m)
+        assert m.canonical_key() == key
+        assert m.canonical_dart_map() == dart_map
+
+
+def test_root_selection_on_subdivided_random_maps():
+    rng = random.Random(2007)
+    maps = []
+    bigons = loops = 0
+    for i in range(400):
+        # the first half loopless with corners only, the rest with loops
+        # and parallel edges, some of them 1-valent
+        while True:
+            if i < 200:
+                valences = [rng.randint(3, 5) for _ in range(rng.randint(2, 4))]
+            else:
+                valences = [rng.randint(1, 5) for _ in range(rng.randint(1, 4))]
+            # an even dart count, enough edges to connect the vertices, and
+            # without loops, no vertex above half of the darts
+            total = sum(valences)
+            if total % 2 == 0 and total >= 2 * len(valences) - 2:
+                if i >= 200 or 2 * max(valences) <= total:
+                    break
+        m = random_rotation_map(rng, valences, loops=i >= 200)
+        bigons += any(len(f) == 2 for f in m.faces)
+        loops += m.has_loops
+        counts = {e: rng.choice((0, 0, 1, 2, 3, 6)) for e in range(m.edge_count)}
+        maps.append(bg.subdivide_edges(m, counts))
+    # the corpus holds 2-gon faces and loops, whose subdivisions are chains
+    # with both ends at one corner
+    assert bigons > 50 and loops > 50
+    _assert_selected_roots_keep_the_canonical_form(maps, rng)
+
+
+def test_root_selection_on_enriched_mirror_graphs_and_pullbacks():
+    rng = random.Random(2023)
+    maps = [
+        bg.enrich(m, bg.perfect_matching(bg.dot_graph(m, coloring)))
+        for _, m, coloring, _ in all_mirror_graphs(5)
+    ]
+    maps += [
+        bg.pullback_from_constellation(random_genus_zero_constellation(rng))[0]
+        for _ in range(60)
+    ]
+    _assert_selected_roots_keep_the_canonical_form(maps, rng)
+
+
+def test_root_selection_keeps_every_root_past_its_search_budget():
+    # a corner with a one-edge loop between two consecutive darts passes
+    # for two 2-valent vertices, so codes from the runs between two such
+    # corners follow the chain pattern all the way round
+    m = map_from_rotations([["l", "l", "a", "b"], ["a", "k", "k", "b"]])
+    vertex = m.vertex_of_dart
+    m = bg.subdivide_edges(
+        m, {e: 40 for e, (d, x) in enumerate(m.edges) if vertex[d] != vertex[x]}
+    )
+    assert sorted(m.vertex_valences)[-3:] == [2, 4, 4]
+    assert surface_map._root_keys(m.alpha, m.sigma) is None
+    assert surface_map._least_prefix_roots(m.alpha, m.sigma) == range(m.dart_count)
+    key, dart_map = all_roots_canonical(m)
+    assert m.canonical_key() == key
+    assert m.canonical_dart_map() == dart_map
+
+
+def test_nested_enriched_map_hands_few_roots_to_the_search(monkeypatch):
+    d = 64
+    n = 2 * d - 2
+    t = bg.WeightComposition(d, (1,) * n)
+    p = bg.NonCrossingPairing(t, tuple([(i + 1, n - i) for i in range(n // 2)]))
+    m, coloring, _ = bg.mirror_graph(p)
+    enriched = bg.enrich(m, bg.perfect_matching(bg.dot_graph(m, coloring)))
+    handed = []
+    search = surface_map.canonical_relabeling
+
+    def counted(perms, n, roots):
+        roots = list(roots)
+        handed.append(len(roots))
+        return search(perms, n, roots)
+
+    monkeypatch.setattr(surface_map, "canonical_relabeling", counted)
+    enriched.canonical()
+    assert enriched.dart_count == 16128
+    assert len(handed) == 1 and handed[0] < 0.02 * enriched.dart_count
