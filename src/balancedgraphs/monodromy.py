@@ -122,9 +122,11 @@ def pullback_from_constellation(
     Edges are indexed by (arc j, sheet s); dart 2(jd+s) leaves the vertex
     over branch point j along the boundary of A sheet s, its partner
     arrives at the vertex over branch point j+1.  A faces are the sheets
-    and vertex labels record the branch point.  The map is returned as
-    built; :func:`~balancedgraphs.surface_map.serialize` puts it, with its
-    labels and colors, into canonical form.
+    and vertex labels record the branch point.  The constellation is
+    verified first, which makes the map valid by construction, so it is
+    built without the constructor's checks.  The map is returned as built;
+    :func:`~balancedgraphs.surface_map.serialize` puts it, with its labels
+    and colors, into canonical form.
     """
     report = verify_constellation(c)
     if not report.ok:
@@ -134,30 +136,28 @@ def pullback_from_constellation(
         raise NotVerified("a pullback needs at least one permutation")
     d, m = c.d, c.m
     n = 2 * d * m
-
-    def out(j: int, s: int) -> int:
-        return 2 * (j * d + s)
-
-    def arrive(j: int, s: int) -> int:
-        return 2 * (j * d + s) + 1
-
-    alpha = [0] * n
+    # alpha pairs dart 2i with 2i + 1; arc j owns the block of darts from 2jd
+    alpha = [x ^ 1 for x in range(n)]
     sigma = [0] * n
     for j in range(m):
         pj = c.perms[j]
+        here = 2 * j * d
+        before = 2 * ((j - 1) % m) * d + 1
+        after = 2 * ((j + 1) % m) * d
         for s in range(d):
-            alpha[out(j, s)] = arrive(j, s)
-            alpha[arrive(j, s)] = out(j, s)
-            sigma[out(j, s)] = arrive((j - 1) % m, pj[s])
-            sigma[arrive(j, s)] = out((j + 1) % m, s)
-    built = CombinatorialMap(alpha, sigma)
+            x = here + 2 * s
+            sigma[x] = before + 2 * pj[s]
+            sigma[x + 1] = after + 2 * s
+    # valid as built: each p_j is a permutation, alpha has no fixed point,
+    # and the verified (transitive) permutations connect every sheet
+    built = CombinatorialMap(alpha, sigma, check=False)
 
     # every face is all-out or all-in darts; the out ones are the sheets
     colors = tuple([COLOR_A if face[0] % 2 == 0 else COLOR_B for face in built.faces])
+    vod = built.vertex_of_dart
     labels = [0] * built.vertex_count
-    for j in range(m):
-        for s in range(d):
-            labels[built.vertex_of_dart[out(j, s)]] = j + 1
+    for x in range(0, n, 2):
+        labels[vod[x]] = x // (2 * d) + 1
     return built, FaceColoring(colors), VertexLabeling(m, tuple(labels))
 
 

@@ -317,7 +317,9 @@ def mirror_graph(
         for i, dart in enumerate(ring):
             sigma[dart] = ring[(i + 1) % len(ring)]
 
-    m = CombinatorialMap(alpha, sigma)
+    # valid as built from a validated pairing: each dart sits in one ring,
+    # alpha pairs each edge's darts, and the real cycle connects the points
+    m = CombinatorialMap(alpha, sigma, check=False)
     real_cycle = tuple(range(0, 2 * n, 2))
     return m, alternating_coloring(m), real_cycle
 

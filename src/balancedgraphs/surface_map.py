@@ -32,6 +32,7 @@ from .permutations import (
     check_permutation,
     conjugate,
     cycles,
+    inverse,
     is_int,
     is_transitive,
 )
@@ -569,7 +570,9 @@ def splice(m: CombinatorialMap, vertices) -> tuple[CombinatorialMap, dict[int, i
 
     alpha = [partner(d) for d in kept]
     sigma = [dense[m.sigma[d]] for d in kept]
-    return CombinatorialMap(alpha, sigma), dense
+    # splicing merges the two edges at each removed vertex; with a dart
+    # left, the result is a valid connected map
+    return CombinatorialMap(alpha, sigma, check=False), dense
 
 
 @dataclass(frozen=True)
@@ -615,7 +618,8 @@ def serialize(
     another labeling of the input may carry them differently, so
     ``labels``, ``colors`` and ``real_cycle`` are stable across runs but
     not yet across labelings.  ``labels`` is a per-vertex array (vertex
-    ids in canonical order) and ``colors`` a per-face array.
+    ids in canonical order) and ``colors`` a per-face array.  The
+    canonical copy, a relabeling of ``m``, is built without re-checking.
     """
     canon = m.canonical()
     dart_map = m.canonical_dart_map()
@@ -624,26 +628,26 @@ def serialize(
         "alpha": list(canon.alpha),
         "sigma": list(canon.sigma),
     }
+    # the darts of ``m`` in canonical order: canonical orbit ids number
+    # orbits by the first of their darts along it
+    order = inverse(dart_map)
     if labels is not None:
         labels = tuple(labels)
         if len(labels) != m.vertex_count:
             raise InvariantViolation("labels must list one value per vertex")
-        new_labels = [0] * canon.vertex_count
-        for old_v, orbit in enumerate(m.vertices):
-            new_v = canon.vertex_of_dart[dart_map[orbit[0]]]
-            new_labels[new_v] = labels[old_v]
-        doc["labels"] = new_labels
+        doc["labels"] = _first_seen(labels, m.vertex_of_dart, order)
     if coloring is not None:
         if len(coloring.colors) != m.face_count:
             raise InvariantViolation("colors must list one value per face")
-        new_colors = [""] * canon.face_count
-        for old_f, orbit in enumerate(m.faces):
-            new_f = canon.face_of_dart[dart_map[orbit[0]]]
-            new_colors[new_f] = coloring.colors[old_f]
-        doc["colors"] = new_colors
+        doc["colors"] = _first_seen(coloring.colors, m.face_of_dart, order)
     if real_cycle is not None:
         doc["real_cycle"] = [dart_map[d] for d in real_cycle]
     return dump(doc)
+
+
+def _first_seen(values, orbit_of, order) -> list:
+    """``values`` per orbit, listed as the orbits first appear along ``order``."""
+    return [values[orbit] for orbit in dict.fromkeys([orbit_of[d] for d in order])]
 
 
 def deserialize(text: str) -> MapDocument:

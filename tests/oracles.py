@@ -5,6 +5,7 @@ from __future__ import annotations
 from itertools import combinations, permutations
 
 import balancedgraphs as bg
+from balancedgraphs._documents import dump
 
 
 def region_invariants_hold(m, coloring, face_set) -> bool:
@@ -803,3 +804,33 @@ def jacobi_trudi_kostka(t) -> int:
             prefix.append(prefix[-1] + v)
         c = [prefix[j + 1] - prefix[max(0, j - x)] for j in range(top + 1)]
     return c[top] - c[top - 1]
+
+
+def orbit_walk_serialize(m, labels=None, coloring=None, real_cycle=None) -> str:
+    """Canonical document of ``m`` with its decorations, carrying labels
+    and colors over by walking the vertex and face orbits of ``m`` and of
+    its canonical copy, as :func:`~balancedgraphs.surface_map.serialize`
+    once did."""
+    canon = m.canonical()
+    dart_map = m.canonical_dart_map()
+    doc: dict = {
+        "darts": canon.dart_count,
+        "alpha": list(canon.alpha),
+        "sigma": list(canon.sigma),
+    }
+    if labels is not None:
+        labels = tuple(labels)
+        new_labels = [0] * canon.vertex_count
+        for old_v, orbit in enumerate(m.vertices):
+            new_v = canon.vertex_of_dart[dart_map[orbit[0]]]
+            new_labels[new_v] = labels[old_v]
+        doc["labels"] = new_labels
+    if coloring is not None:
+        new_colors = [""] * canon.face_count
+        for old_f, orbit in enumerate(m.faces):
+            new_f = canon.face_of_dart[dart_map[orbit[0]]]
+            new_colors[new_f] = coloring.colors[old_f]
+        doc["colors"] = new_colors
+    if real_cycle is not None:
+        doc["real_cycle"] = [dart_map[d] for d in real_cycle]
+    return dump(doc)

@@ -158,6 +158,13 @@ def _pair_counts(matching):
     return tuple(sorted(matching.counts.items()))
 
 
+def test_enrich_builds_maps_the_checked_constructor_accepts():
+    # enrich subdivides edges, which builds its map unchecked
+    for _, m, coloring, _ in all_mirror_graphs(5):
+        enriched = bg.enrich(m, bg.perfect_matching(bg.dot_graph(m, coloring)))
+        assert bg.CombinatorialMap(enriched.alpha, enriched.sigma) == enriched
+
+
 def test_iter_perfect_matchings_contains_canonical(mirror_1234):
     # dots inside a face are interchangeable, so matchings are compared
     # through their face-pair count matrices

@@ -209,6 +209,30 @@ def test_round_trip_random_larger_degree():
         found += 1
 
 
+def _random_transitive(rng, d, branch_points, fixed_points):
+    """A seeded random transitive constellation, with or without a
+    permutation fixing a sheet."""
+    while True:
+        pre = tuple(tuple(rng.sample(range(d), d)) for _ in range(branch_points - 1))
+        perms = pre + (inverse(compose_chain(pre, d)),)
+        fixed = any(p[s] == s for p in perms for s in range(d))
+        if fixed == fixed_points and is_transitive(perms, d):
+            return bg.Constellation(d, perms)
+
+
+def test_pullback_builds_maps_the_checked_constructor_accepts():
+    # the pullback of a verified constellation is built unchecked
+    rng = random.Random(4817)
+    cases = [bg.Constellation(1, ((0,),)), bg.Constellation(1, ((0,),) * 3)]
+    for d, branch_points in ((3, 3), (6, 4), (16, 3), (128, 3), (128, 5)):
+        for fixed_points in (True, False):
+            cases += [_random_transitive(rng, d, branch_points, fixed_points) for _ in range(3)]
+    for c in cases:
+        m, _, _ = bg.pullback_from_constellation(c)
+        assert bg.CombinatorialMap(m.alpha, m.sigma) == m
+        assert m.dart_count == 2 * c.d * c.m
+
+
 def test_constellation_serialization_round_trip():
     c = bg.Constellation.from_cycles(3, [[(1, 2, 3)], [(1, 3, 2)]])
     text = bg.serialize_constellation(c)

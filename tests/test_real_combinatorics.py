@@ -407,6 +407,14 @@ def test_mirror_graph_valence_profile_everywhere():
         assert m.genus() == 0
 
 
+def test_mirror_graph_builds_maps_the_checked_constructor_accepts():
+    # the mirror graph of a validated pairing is built unchecked
+    mirrors = all_mirror_graphs(6)
+    for _, m, _, _ in mirrors:
+        assert bg.CombinatorialMap(m.alpha, m.sigma) == m
+    assert len(mirrors) == 3563
+
+
 def test_mirror_conjugation_swaps_colors():
     for p, m, coloring, real_cycle in all_mirror_graphs(4):
         iota = bg.conjugation_involution(m, real_cycle)

@@ -14,6 +14,7 @@ from helpers import (
 )
 from oracles import (
     all_roots_canonical,
+    orbit_walk_serialize,
     searched_least_prefix_roots,
     searched_prefix_key,
 )
@@ -182,6 +183,30 @@ def test_serialized_decorations_stay_valid(mirror_1234):
     assert bg.is_real_balanced(doc.map, doc.real_cycle)
 
 
+def test_serialize_carries_decorations_as_the_orbit_walk_oracle():
+    # serialize reads labels and colors off the canonical dart order; the
+    # oracle walks the orbits of the map and of its canonical copy
+    rng = random.Random(2718)
+    cases = [(m, None, coloring, cycle) for _, m, coloring, cycle in all_mirror_graphs(5)]
+    for _ in range(40):
+        c = random_genus_zero_constellation(rng)
+        m, coloring, lab = bg.pullback_from_constellation(c)
+        cases.append((m, lab.labels, coloring, rng.sample(range(m.dart_count), 3)))
+    for m, _, _, cycle in list(cases):
+        perm = rng.sample(range(m.dart_count), m.dart_count)
+        cases.append((m.relabel(perm), None, None, [perm[d] for d in cycle]))
+    for m, labels, coloring, cycle in cases:
+        # distinct values pin where every vertex and face goes
+        tags = rng.sample(range(m.dart_count), m.vertex_count)
+        face_tags = [str(x) for x in rng.sample(range(m.dart_count), m.face_count)]
+        for decorations in (
+            (labels or tags, coloring or bg.alternating_coloring(m)),
+            (tags, bg.FaceColoring(tuple(face_tags))),
+        ):
+            args = (m, *decorations, cycle)
+            assert bg.serialize(*args) == orbit_walk_serialize(*args)
+
+
 def test_deserialize_rejects_fixed_point():
     text = json.dumps(
         {"darts": 4, "alpha": [0, 1, 3, 2], "sigma": [1, 2, 3, 0]},
@@ -247,6 +272,19 @@ def test_splice_keeps_dart_order(b2):
     kept = [d for d in range(m.dart_count) if d not in m.vertices[middle]]
     assert dense == {d: i for i, d in enumerate(kept)}
     assert sorted(restored.vertex_valences) == [2, 2, 4, 4]
+
+
+def test_splice_builds_maps_the_checked_constructor_accepts():
+    # splice builds its map unchecked; the fixed points of these
+    # constellations give their pullbacks 2-valent vertices
+    rng = random.Random(3141)
+    for _ in range(40):
+        m, _, _ = bg.pullback_from_constellation(random_genus_zero_constellation(rng))
+        two = [v for v, valence in enumerate(m.vertex_valences) if valence == 2]
+        for vertices in (two, rng.sample(two, rng.randint(1, len(two)))):
+            spliced, _ = bg.splice(m, vertices)
+            assert bg.CombinatorialMap(spliced.alpha, spliced.sigma) == spliced
+            assert spliced.vertex_count == m.vertex_count - len(vertices)
 
 
 def test_splice_rejects_a_closed_cycle_and_corners(cycle_map, b2):
