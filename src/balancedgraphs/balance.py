@@ -304,9 +304,15 @@ def is_locally_balanced(
     )
 
 
+def corner_bound_holds(m: CombinatorialMap, d: int) -> bool:
+    """Corner count at most 2(g + d - 1), for a globally balanced map whose
+    colors each hold d faces."""
+    return len(m.corners) <= 2 * (m.genus() + d - 1)
+
+
 def corner_bound_check(m: CombinatorialMap) -> bool:
     """Corner count at most 2(g + d - 1) on a globally balanced map."""
     gb = is_globally_balanced(m)
     if not gb.ok:
         raise InvariantViolation(f"map is not globally balanced: {gb.reason}")
-    return len(m.corners) <= 2 * (m.genus() + gb.d - 1)
+    return corner_bound_holds(m, gb.d)

@@ -40,6 +40,15 @@ class Constellation:
         for p in self.perms:
             check_permutation(p, self.d)
 
+    @classmethod
+    def _unchecked(cls, d: int, perms: tuple[Perm, ...]) -> "Constellation":
+        """An instance of a positive degree and permutations of 0..d-1 that
+        the caller has already checked, built without checking them again."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "d", d)
+        object.__setattr__(c, "perms", perms)
+        return c
+
     @property
     def m(self) -> int:
         return len(self.perms)
@@ -223,4 +232,5 @@ def deserialize_constellation(text: str) -> Constellation:
     for p in perms:
         if len(p) != d or sorted(p) != list(range(1, d + 1)):
             raise BadPermutation(f"{p} is not a permutation of 1..{d}")
-    return Constellation(d, tuple([tuple([x - 1 for x in p]) for p in perms]))
+    # checked above, 1-indexed as the document writes them
+    return Constellation._unchecked(d, tuple([tuple([x - 1 for x in p]) for p in perms]))

@@ -7,14 +7,18 @@ Doubling a pairing across the circle produces a globally balanced map
 whose vertices all lie on the distinguished real cycle.
 
 A pairing is fixed by how many of its arcs close at each point, each
-closing taking the newest open arc.  Pairings, tableaux and the Kostka
-count all come from one table over these close counts, and nothing
-recurses.  The enumeration walks, per point, the list of close counts
-the later points can complete; a list is built the first time the walk
-reaches its (point, open count) state, so a long type with few pairings
-builds few.  Every conversion from counts to arcs, and every check of a
-pairing or a tableau, is one stack replay that keeps only the opening
-point of each open arc and returns the sorted arcs.
+closing taking the newest open arc.  The arcs open on some pairing before
+a point form an interval of counts in steps of two, which one sweep from
+each end bounds; the Kostka count is a table over just those counts, so a
+long type with few pairings builds a short one, and nothing recurses.
+One walk over the close counts lists the tableaux: it offers each point
+the counts that keep the open count in bounds, so every branch ends in a
+tableau, and extends the rows of the tableau before from the first point
+where the counts differ.  Pairings are the stack replay of those rows,
+and every check of a pairing or a tableau is the same replay, which keeps
+only the opening point of each open arc and returns the sorted arcs.  A
+listing is formatted whole, from tables of numerals and arc cells that
+live for that one call.
 """
 
 from __future__ import annotations
@@ -76,89 +80,129 @@ class Tableau2Row:
     rows: tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _completions(a) -> list[list[int]]:
-    """``ways[k][m]``: the ways points k+1..n can close m arcs opened before them.
+def _open_bounds(a) -> tuple[list[int], list[int]]:
+    """``lo[k]``, ``hi[k]``: the fewest and most arcs open before point k + 1
+    on a pairing of weight ``a``.  Every count between them of their parity
+    is open there on some pairing.
 
-    A point of weight x closes c <= min(x, m) of m open arcs and opens x - c,
-    leaving m + x - 2c open.  Row k holds only the m that points 1..k can
-    open and points k+1..n can close.
+    A point of weight x with m arcs open closes c <= min(m, x) of them and
+    leaves m + x - 2c, any count from |m - x| to m + x in steps of 2, and
+    the relation is symmetric.  So the counts reachable from the empty
+    start form such an interval at each point, as do those the later
+    points can close, read from the end; a count is on a pairing exactly
+    when it lies in both.
     """
-    prefix = list(accumulate(a, initial=0))
+
+    def reach(weights) -> tuple[list[int], list[int]]:
+        lo, hi = [0], [0]
+        for x in weights:
+            low, high = lo[-1], hi[-1]
+            lo.append(max(low - x, x - high, (x - low) % 2))
+            hi.append(high + x)
+        return lo, hi
+
+    ahead_lo, ahead_hi = reach(a)
+    behind_lo, behind_hi = reach(a[::-1])
+    return (
+        [max(f, b) for f, b in zip(ahead_lo, reversed(behind_lo))],
+        [min(f, b) for f, b in zip(ahead_hi, reversed(behind_hi))],
+    )
+
+
+def _completions(a) -> list[list[int]]:
+    """``ways[k][i]``: the ways points k+1..n can close the ``lo[k] + 2i``
+    arcs opened before them (see :func:`_open_bounds`).
+
+    Row k holds only the open counts some pairing has before point k + 1,
+    the states a walk over the close counts can reach.
+    """
+    lo, hi = _open_bounds(a)
     ways = [[1]] * (len(a) + 1)  # row n: nothing left open, one way
     for k in reversed(range(len(a))):
-        nxt, x = ways[k + 1], a[k]
-        size = min(prefix[k], prefix[-1] - prefix[k]) + 1
-        ways[k] = [sum(nxt[abs(m - x) : m + x + 1 : 2]) for m in range(size)]
+        x, nxt, base = a[k], ways[k + 1], lo[k + 1]
+        # m leaves |m - x| to m + x open in steps of 2; row k + 1 starts at base
+        ways[k] = [
+            sum(nxt[(max(abs(m - x), base) - base) // 2 : (m + x - base) // 2 + 1])
+            for m in range(lo[k], hi[k] + 1, 2)
+        ]
     return ways
 
 
-def _close_counts(a):
-    """Every close-count vector of a pairing of weight ``a``, in increasing order.
+def _tableau_rows(a):
+    """The rows of every tableau of weight ``a``, in increasing order.
 
-    ``closes[k]`` arcs close at point k + 1.  The walk offers a point only
-    the counts after which :func:`_completions` says the later points can
-    close what is then open, so every branch it enters ends in a pairing.
-    The offered counts are listed once per (point, open count) state the
-    walk reaches.  The last point closes all its arcs.
+    A tableau is fixed by how many arcs close at each point, each closing
+    taking the newest open arc: point k sits as often as it opens arcs on
+    the top row, and as often as it closes arcs on the bottom row.  The
+    walk offers point k + 1 the close counts that leave an open count
+    :func:`_open_bounds` allows, so every branch it enters ends in a
+    tableau; the last point closes all its arcs.  Each tableau extends the
+    rows of the one before from the first point where their counts differ.
+    The same two lists are yielded every time, changed in place.
     """
-    ways, n = _completions(a), len(a)
-    listed: list[dict[int, list[int]]] = [{} for _ in range(n)]
-
-    def offered(k: int, m: int) -> list[int]:
-        # counts c <= min(m, x) leaving an open count m + x - 2c that row
-        # k + 1 holds and can complete
-        x, nxt = a[k], ways[k + 1]
-        least = max(0, (m + x - len(nxt) + 2) // 2)
-        return [c for c in range(least, min(m, x) + 1) if nxt[m + x - 2 * c]]
-
-    closes = list(a)
+    lo, hi = _open_bounds(a)
+    n = len(a)
+    prefix = list(accumulate(a, initial=0))
+    top: list[int] = []
+    bottom: list[int] = []
     opened = [0] * n  # arcs open before point k + 1
-    offers = [offered(0, 0)] + [[]] * (n - 1)
-    at = [0] * n  # the count taken at point k + 1, as an index into its offer
-    last = n - 2
-    k = 0
+    closes = [0] * n  # the count point k + 1 takes
+    most = [0] * n  # the largest count point k + 1 may take
+    final = [n] * a[-1]  # point n closes all its arcs
+    k = c = 0
     while True:
-        if k == last:
-            for c in offers[k]:
-                closes[k] = c
-                yield tuple(closes)
-        elif at[k] < len(offers[k]):
-            c = closes[k] = offers[k][at[k]]
-            m = opened[k] + a[k] - 2 * c
+        m = opened[k]
+        while k < n - 2:
+            x = a[k]
+            closes[k] = c
+            t = (prefix[k] + m) >> 1  # entries of points 1..k on top
+            top[t:] = [k + 1] * (x - c)
+            bottom[prefix[k] - t :] = [k + 1] * c
             k += 1
-            opened[k], at[k] = m, 0
-            offer = listed[k].get(m)
-            if offer is None:
-                offer = listed[k][m] = offered(k, m)
-            offers[k] = offer
-            continue
-        if k == 0:
+            m += x - c - c
+            opened[k] = m
+            x = a[k]
+            # the counts up to min(m, x) leaving from hi[k + 1] down to
+            # lo[k + 1] open; conditionals cost less here than min and max
+            c = (m + x - hi[k + 1]) >> 1
+            if c < 0:
+                c = 0
+            top_c = (m + x - lo[k + 1]) >> 1
+            most[k] = top_c if top_c < m and top_c < x else (m if m < x else x)
+        # point n - 1 leaves open the arcs point n closes
+        t = (prefix[k] + m) >> 1
+        top[t:] = [n - 1] * (a[k] - c)
+        bottom[prefix[k] - t :] = [n - 1] * c
+        bottom += final
+        yield top, bottom
+        while k:
+            k -= 1
+            if closes[k] < most[k]:
+                c = closes[k] + 1
+                break
+        else:
             return
-        k -= 1
-        at[k] += 1
 
 
-def _replay(opens, closes) -> list[Arc] | None:
-    """Arcs with ``opens[k]`` openings and ``closes[k]`` closings at point k + 1.
+def _replay(top, bottom) -> list[Arc] | None:
+    """Arcs opening at the points of ``top`` and closing at those of
+    ``bottom``, both sorted.
 
     At each point the closings take the newest open arcs, then the point's
     own arcs open.  Returns the arcs (i, j) sorted, or None when a closing
-    finds too few open arcs or arcs are left open.
+    finds no open arc or arcs are left open.
     """
     stack: list[int] = []  # the opening point of each open arc, newest last
     arcs: list[Arc] = []
-    k = 0
-    for o, c in zip(opens, closes):
-        k += 1
-        if c:
-            if c > len(stack):
-                return None
-            while c:
-                arcs.append((stack.pop(), k))
-                c -= 1
-        if o:
-            stack += [k] * o
-    if stack:
+    t, opens = 0, len(top)
+    for j in bottom:
+        while t < opens and top[t] < j:
+            stack.append(top[t])
+            t += 1
+        if not stack:
+            return None
+        arcs.append((stack.pop(), j))
+    if stack or t < opens:
         return None
     arcs.sort()
     return arcs
@@ -172,28 +216,10 @@ def _per_point(points, n: int) -> list[int]:
     return counts
 
 
-def _rows(a, closes) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The tableau rows of close counts ``closes``: each point k as often
-    as it opens arcs on top, and as often as it closes arcs below."""
-    top: list[int] = []
-    bottom: list[int] = []
-    k = 0
-    for x, c in zip(a, closes):
-        k += 1
-        if c:
-            bottom += [k] * c
-        if x > c:
-            top += [k] * (x - c)
-    return tuple(top), tuple(bottom)
-
-
 def enumerate_pairings(t: WeightComposition) -> list[NonCrossingPairing]:
-    """All pairings of the given type, sorted lexicographically."""
-    a = t.a
-    found = [
-        tuple(_replay([x - c for x, c in zip(a, closes)], closes))
-        for closes in _close_counts(a)
-    ]
+    """All pairings of the given type, sorted lexicographically: the
+    :func:`_replay` of each tableau's rows."""
+    found = [tuple(_replay(top, bottom)) for top, bottom in _tableau_rows(t.a)]
     found.sort()
     return [NonCrossingPairing(t, arcs) for arcs in found]
 
@@ -203,8 +229,7 @@ def enumerate_ssyt(t: WeightComposition) -> list[Tableau2Row]:
     top, closings below.  A larger close count at the first point where two
     vectors differ means a larger top row, so the walk's order is the rows'.
     """
-    a = t.a
-    return [Tableau2Row(_rows(a, closes)) for closes in _close_counts(a)]
+    return [Tableau2Row((tuple(top), tuple(bottom))) for top, bottom in _tableau_rows(t.a)]
 
 
 def kostka(t: WeightComposition) -> int:
@@ -224,8 +249,8 @@ def pairing_to_tableau(p: NonCrossingPairing) -> Tableau2Row:
 
     Raises :class:`InvariantViolation` unless ``p`` is a pairing of its type.
     """
-    closes = _per_point((j for _, j in p._replayed_arcs), p.type.n)
-    return Tableau2Row(_rows(p.type.a, closes))
+    arcs = p._replayed_arcs
+    return Tableau2Row((tuple([i for i, _ in arcs]), tuple(sorted([j for _, j in arcs]))))
 
 
 def tableau_to_pairing(tb: Tableau2Row) -> NonCrossingPairing:
@@ -239,7 +264,7 @@ def tableau_to_pairing(tb: Tableau2Row) -> NonCrossingPairing:
     if d >= 2 and n > 2 * d - 2:
         raise InvariantViolation(f"need 2..{2 * d - 2} points, got {n}")
     t = WeightComposition(d, tuple(_per_point(top + bottom, n)) if top else ())
-    arcs = _replay(_per_point(top, n), _per_point(bottom, n))
+    arcs = _replay(top, bottom)
     if arcs is None or list(top) != sorted(top) or list(bottom) != sorted(bottom):
         raise InvariantViolation("not a semistandard two-row tableau")
     return NonCrossingPairing(t, tuple(arcs))
@@ -249,18 +274,18 @@ def validate_pairing(p: NonCrossingPairing) -> list[Arc]:
     """Degree, loop-freeness and crossing-freeness of the arc multiset.
 
     The arcs are non-crossing exactly when they are the :func:`_replay` of
-    their own endpoint counts; anything else is a crossing.  Returns the
+    their own sorted endpoints; anything else is a crossing.  Returns the
     replayed arcs, which are ``p.arcs`` sorted.
     """
     n = p.type.n
     for i, j in p.arcs:
         if not 1 <= i < j <= n:
             raise InvariantViolation(f"arc ({i}, {j}) is out of range or a loop")
-    opens = _per_point((i for i, _ in p.arcs), n)
-    closes = _per_point((j for _, j in p.arcs), n)
-    if tuple([o + c for o, c in zip(opens, closes)]) != p.type.a:
+    top = sorted([i for i, _ in p.arcs])
+    bottom = sorted([j for _, j in p.arcs])
+    if tuple(_per_point(top + bottom, n)) != p.type.a:
         raise InvariantViolation("arc multiplicities do not match the type")
-    arcs = _replay(opens, closes)
+    arcs = _replay(top, bottom)
     if arcs is None or arcs != sorted(p.arcs):
         raise InvariantViolation("arcs are not a non-crossing pairing")
     return arcs
@@ -463,12 +488,39 @@ def count_coverage_check(d: int) -> list[CoverageRow]:
     return rows
 
 
+class _TextTable(dict):
+    """The text of each key, formatted on its first use.  A table lives for
+    one listing, so the keys of one call never reach the next."""
+
+    def __init__(self, form):
+        super().__init__()
+        self.form = form
+
+    def __missing__(self, key):
+        text = self[key] = self.form(key)
+        return text
+
+
+def format_pairings(pairings) -> str:
+    """The pairing documents, one line each, formatted directly since their
+    shape is fixed: the text :func:`~balancedgraphs._documents.dump` gives
+    for each.  Arc cells come from one table per call, and the text around
+    them is formatted once per run of pairings of one type."""
+    cell = _TextTable(lambda arc: f"[{arc[0]},{arc[1]}]").__getitem__
+    lines = []
+    t = None
+    for p in pairings:
+        if p.type is not t:
+            t = p.type
+            head = f'{{"a":[{",".join(map(str, t.a))}],"arcs":['
+            tail = f'],"n":{t.n}}}\n'
+        lines.append(head + ",".join(map(cell, p.arcs)) + tail)
+    return "".join(lines)
+
+
 def serialize_pairing(p: NonCrossingPairing) -> str:
-    """The pairing document, formatted directly since its shape is fixed:
-    the text :func:`~balancedgraphs._documents.dump` gives for it."""
-    a = ",".join(map(str, p.type.a))
-    arcs = ",".join([f"[{i},{j}]" for i, j in p.arcs])
-    return f'{{"a":[{a}],"arcs":[{arcs}],"n":{p.type.n}}}'
+    """The pairing document: its line of :func:`format_pairings`."""
+    return format_pairings([p])[:-1]
 
 
 def deserialize_pairing(text: str) -> NonCrossingPairing:
@@ -486,8 +538,19 @@ def deserialize_pairing(text: str) -> NonCrossingPairing:
     return p
 
 
+def format_tableaux(tableaux) -> str:
+    """The tableau documents, one line each, formatted directly since their
+    shape is fixed: the text :func:`~balancedgraphs._documents.dump` gives
+    for each.  Numerals come from one table per call."""
+    numeral = _TextTable(str).__getitem__
+    lines = []
+    for tb in tableaux:
+        top, bottom = tb.rows
+        top, bottom = ",".join(map(numeral, top)), ",".join(map(numeral, bottom))
+        lines.append(f'{{"rows":[[{top}],[{bottom}]]}}\n')
+    return "".join(lines)
+
+
 def serialize_tableau(tb: Tableau2Row) -> str:
-    """The tableau document, formatted directly since its shape is fixed:
-    the text :func:`~balancedgraphs._documents.dump` gives for it."""
-    top, bottom = tb.rows
-    return f'{{"rows":[[{",".join(map(str, top))}],[{",".join(map(str, bottom))}]]}}'
+    """The tableau document: its line of :func:`format_tableaux`."""
+    return format_tableaux([tb])[:-1]

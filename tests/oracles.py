@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 
 import balancedgraphs as bg
 from balancedgraphs._documents import dump
@@ -557,11 +557,27 @@ def propagated_labeling(m, coloring):
     return labeling
 
 
+def _completions(a) -> list[list[int]]:
+    """``ways[k][m]``: the ways points k+1..n can close m arcs opened before them.
+
+    A point of weight x closes c <= min(x, m) of m open arcs and opens x - c,
+    leaving m + x - 2c open.  Row k holds only the m that points 1..k can
+    open and points k+1..n can close.
+    """
+    prefix = list(accumulate(a, initial=0))
+    ways = [[1]] * (len(a) + 1)  # row n: nothing left open, one way
+    for k in reversed(range(len(a))):
+        nxt, x = ways[k + 1], a[k]
+        size = min(prefix[k], prefix[-1] - prefix[k]) + 1
+        ways[k] = [sum(nxt[abs(m - x) : m + x + 1 : 2]) for m in range(size)]
+    return ways
+
+
 def table_walk_close_counts(a):
     """Every close-count vector of weight ``a`` in increasing order, by the
     walk the library once used: it searches the completion table for the
     next count at every step instead of keeping each state's counts."""
-    ways, n = bg.real_combinatorics._completions(a), len(a)
+    ways, n = _completions(a), len(a)
     closes = [0] * n
     opened = [0] * (n + 1)
     k = c = 0
@@ -630,6 +646,140 @@ def close_vector_ssyt(t, close_vectors):
         bg.Tableau2Row((points(x - c for x, c in zip(t.a, closes)), points(closes)))
         for closes in close_vectors
     ]
+
+
+def _close_counts(a):
+    """Every close-count vector of a pairing of weight ``a``, in increasing order.
+
+    ``closes[k]`` arcs close at point k + 1.  The walk offers a point only
+    the counts after which :func:`_completions` says the later points can
+    close what is then open, so every branch it enters ends in a pairing.
+    The offered counts are listed once per (point, open count) state the
+    walk reaches.  The last point closes all its arcs.
+    """
+    ways, n = _completions(a), len(a)
+    listed: list[dict[int, list[int]]] = [{} for _ in range(n)]
+
+    def offered(k: int, m: int) -> list[int]:
+        # counts c <= min(m, x) leaving an open count m + x - 2c that row
+        # k + 1 holds and can complete
+        x, nxt = a[k], ways[k + 1]
+        least = max(0, (m + x - len(nxt) + 2) // 2)
+        return [c for c in range(least, min(m, x) + 1) if nxt[m + x - 2 * c]]
+
+    closes = list(a)
+    opened = [0] * n  # arcs open before point k + 1
+    offers = [offered(0, 0)] + [[]] * (n - 1)
+    at = [0] * n  # the count taken at point k + 1, as an index into its offer
+    last = n - 2
+    k = 0
+    while True:
+        if k == last:
+            for c in offers[k]:
+                closes[k] = c
+                yield tuple(closes)
+        elif at[k] < len(offers[k]):
+            c = closes[k] = offers[k][at[k]]
+            m = opened[k] + a[k] - 2 * c
+            k += 1
+            opened[k], at[k] = m, 0
+            offer = listed[k].get(m)
+            if offer is None:
+                offer = listed[k][m] = offered(k, m)
+            offers[k] = offer
+            continue
+        if k == 0:
+            return
+        k -= 1
+        at[k] += 1
+
+
+def _replay(opens, closes):
+    """Arcs with ``opens[k]`` openings and ``closes[k]`` closings at point k + 1.
+
+    At each point the closings take the newest open arcs, then the point's
+    own arcs open.  Returns the arcs (i, j) sorted, or None when a closing
+    finds too few open arcs or arcs are left open.
+    """
+    stack: list[int] = []  # the opening point of each open arc, newest last
+    arcs = []
+    k = 0
+    for o, c in zip(opens, closes):
+        k += 1
+        if c:
+            if c > len(stack):
+                return None
+            while c:
+                arcs.append((stack.pop(), k))
+                c -= 1
+        if o:
+            stack += [k] * o
+    if stack:
+        return None
+    arcs.sort()
+    return arcs
+
+
+def _rows(a, closes):
+    """The tableau rows of close counts ``closes``: each point k as often
+    as it opens arcs on top, and as often as it closes arcs below."""
+    top: list[int] = []
+    bottom: list[int] = []
+    k = 0
+    for x, c in zip(a, closes):
+        k += 1
+        if c:
+            bottom += [k] * c
+        if x > c:
+            top += [k] * (x - c)
+    return tuple(top), tuple(bottom)
+
+
+def per_item_pairings_text(t):
+    """The ``pairings`` listing of the type as the library once printed it:
+    every pairing enumerated, then each document formatted on its own."""
+
+    def enumerate_pairings(t):
+        """All pairings of the given type, sorted lexicographically."""
+        a = t.a
+        found = [
+            tuple(_replay([x - c for x, c in zip(a, closes)], closes))
+            for closes in _close_counts(a)
+        ]
+        found.sort()
+        return [bg.NonCrossingPairing(t, arcs) for arcs in found]
+
+    def serialize_pairing(p):
+        """The pairing document, formatted directly since its shape is fixed:
+        the text :func:`~balancedgraphs._documents.dump` gives for it."""
+        a = ",".join(map(str, p.type.a))
+        arcs = ",".join([f"[{i},{j}]" for i, j in p.arcs])
+        return f'{{"a":[{a}],"arcs":[{arcs}],"n":{p.type.n}}}'
+
+    pairings = enumerate_pairings(t)
+    return "".join([f"{serialize_pairing(p)}\n" for p in pairings])
+
+
+def per_item_ssyt_text(t):
+    """The ``ssyt`` listing of the type as the library once printed it:
+    every tableau enumerated, then each document formatted on its own."""
+
+    def enumerate_ssyt(t):
+        """All two-row tableaux of the given type, sorted by rows: openings on
+        top, closings below.  A larger close count at the first point where two
+        vectors differ means a larger top row, so the walk's order is the rows'.
+        """
+        a = t.a
+        return [bg.Tableau2Row(_rows(a, closes)) for closes in _close_counts(a)]
+
+    def serialize_tableau(tb):
+        """The tableau document, formatted directly since its shape is fixed:
+        the text :func:`~balancedgraphs._documents.dump` gives for it."""
+        top, bottom = tb.rows
+        return f'{{"rows":[[{",".join(map(str, top))}],[{",".join(map(str, bottom))}]]}}'
+
+    tableaux = enumerate_ssyt(t)
+    return "".join([f"{serialize_tableau(tb)}\n" for tb in tableaux])
 
 
 def rank_sorted_mirror_graph(p):

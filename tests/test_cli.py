@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import balancedgraphs as bg
-from balancedgraphs import cli
+from balancedgraphs import balance, cli
 from balancedgraphs.cli import main
 from helpers import (
     cycle_of_length,
@@ -46,6 +46,21 @@ def test_check_balanced(capsys, b2_file):
     code, out, _ = run(capsys, "check", "--input", b2_file)
     assert code == 0
     assert "d=2" in out and "g=0" in out and "locally balanced" in out
+
+
+@pytest.mark.parametrize("path", [COUNTEREXAMPLE, FLIPPED])
+def test_check_decides_global_balance_once(capsys, monkeypatch, path):
+    calls = []
+    decide = balance.is_globally_balanced
+
+    def counted(m, coloring=None):
+        calls.append(coloring)
+        return decide(m, coloring)
+
+    expected = run(capsys, "check", "--input", str(path))
+    monkeypatch.setattr(balance, "is_globally_balanced", counted)
+    assert run(capsys, "check", "--input", str(path)) == expected
+    assert len(calls) == 1 and "corner bound holds: True" in expected[1]
 
 
 def test_check_counterexample(capsys):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import balancedgraphs as bg
+from balancedgraphs import monodromy
 from balancedgraphs.permutations import compose_chain, conjugate, inverse, is_transitive
 from helpers import all_mirror_graphs
 from oracles import factorial_conjugation_canonical
@@ -241,6 +242,25 @@ def test_constellation_serialization_round_trip():
         bg.deserialize_constellation("{}")
     with pytest.raises(bg.ParseError):
         bg.deserialize_constellation("not json")
+
+
+def test_deserialize_constellation_checks_each_permutation_once(monkeypatch):
+    expected = bg.Constellation(3, ((1, 2, 0), (2, 0, 1)))
+    calls = []
+    check = monodromy.check_permutation
+
+    def counted(p, n):
+        calls.append(p)
+        return check(p, n)
+
+    monkeypatch.setattr(monodromy, "check_permutation", counted)
+    assert bg.deserialize_constellation('{"d":3,"perms":[[2,3,1],[3,1,2]]}') == expected
+    assert calls == []  # the reader's own check covers each permutation
+    with pytest.raises(bg.BadPermutation, match=r"\[1, 1, 3\] is not a permutation of 1\.\.3"):
+        bg.deserialize_constellation('{"d":3,"perms":[[2,3,1],[1,1,3]]}')
+    # a library caller's constellation is still checked
+    with pytest.raises(bg.BadPermutation):
+        bg.Constellation(3, ((0, 0, 2),))
 
 
 def test_conjugation_canonical_matches_factorial_oracle(constellation_corpus):

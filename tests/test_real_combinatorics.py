@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from itertools import combinations, combinations_with_replacement, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +21,8 @@ from oracles import (
     column_fill_ssyt,
     event_enumerate_pairings,
     jacobi_trudi_kostka,
+    per_item_pairings_text,
+    per_item_ssyt_text,
     propagated_involution,
     rank_sorted_mirror_graph,
     rowwise_tableau_ok,
@@ -142,7 +148,10 @@ def test_enumerate_ssyt_matches_column_fill_oracle():
 def test_enumeration_matches_table_walk_and_event_replay_oracles(types):
     for t in types():
         vectors = list(table_walk_close_counts(t.a))
-        assert list(real_combinatorics._close_counts(t.a)) == vectors, t
+        assert [
+            tuple(real_combinatorics._per_point(bottom, t.n))
+            for _, bottom in real_combinatorics._tableau_rows(t.a)
+        ] == vectors, t
         assert bg.enumerate_pairings(t) == event_enumerate_pairings(t, vectors), t
         assert bg.enumerate_ssyt(t) == close_vector_ssyt(t, vectors), t
 
@@ -173,11 +182,60 @@ def test_validate_pairing_returns_sorted_arcs():
     assert bg.validate_pairing(p) == [(1, 4), (1, 4), (2, 3)]
 
 
-def test_replay_rejects_counts_no_pairing_has():
+@pytest.mark.parametrize(
+    "types",
+    [
+        pytest.param(lambda: _types(8), id="every type with d <= 8"),
+        pytest.param(lambda: _random_types(1812, 30, 12), id="random types with d <= 12"),
+        pytest.param(lambda: [STAR], id="star type of degree 1000"),
+    ],
+)
+def test_listings_match_the_per_item_oracle(capsys, types):
+    for t in types():
+        weights = ["--d", str(t.d), "--a", ",".join(map(str, t.a))]
+        assert cli.main(["pairings", *weights]) == 0
+        assert capsys.readouterr().out == per_item_pairings_text(t), t
+        assert cli.main(["ssyt", *weights]) == 0
+        assert capsys.readouterr().out == per_item_ssyt_text(t), t
+
+
+def test_listings_carry_no_table_from_one_call_to_the_next(capsys):
+    # each listing must come out as in a fresh process, whichever listing
+    # of another type ran before it in this one
+    calls = [
+        ["pairings", "--d", "6", "--a", "2,1,3,1,2,1"],
+        ["pairings", "--d", "7", "--a", "3,2,1,2,2,2"],
+        ["ssyt", "--d", "6", "--a", "2,1,3,1,2,1"],
+        ["ssyt", "--d", "7", "--a", "3,2,1,2,2,2"],
+    ]
+    in_process = []
+    for argv in calls + calls:
+        assert cli.main(argv) == 0
+        in_process.append(capsys.readouterr().out)
+    src = str(Path(bg.__file__).resolve().parents[1])
+    for i, argv in enumerate(calls):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "balancedgraphs.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            check=True,
+        )
+        assert in_process[i] == in_process[i + len(calls)] == fresh.stdout, argv
+
+
+def test_completion_table_grows_linearly_for_the_star_type():
+    # one pairing, so one open count per point and one entry per row
+    for d in (250, 500, 1000, 2000):
+        ways = real_combinatorics._completions((d - 1,) + (1,) * (d - 1))
+        assert (ways[0], sum(map(len, ways))) == ([1], d + 1)
+
+
+def test_replay_rejects_rows_no_pairing_has():
     replay = real_combinatorics._replay
-    assert replay([2, 0, 0], [0, 1, 1]) == [(1, 2), (1, 3)]
-    assert replay([0, 1], [1, 0]) is None  # a closing before any opening
-    assert replay([1, 0], [0, 0]) is None  # an arc left open
+    assert replay([1, 1], [2, 3]) == [(1, 2), (1, 3)]
+    assert replay([2], [1]) is None  # a closing before any opening
+    assert replay([1], []) is None  # an arc left open
 
 
 def test_mirror_command_replays_the_pairing_once(monkeypatch, tmp_path, capsys):
