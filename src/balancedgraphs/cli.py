@@ -12,7 +12,7 @@ import argparse
 import functools
 import sys
 
-from . import balance, enrichment, labeling, monodromy, real_combinatorics, render
+from . import balance, enrichment, labeling, monodromy, real_combinatorics, render, surface_map
 from ._documents import read
 from .errors import BalancedGraphsError, NoPerfectMatching, NotVerified, ParseError
 from .surface_map import FaceColoring, alternating_coloring, deserialize, serialize, splice
@@ -50,31 +50,32 @@ def cmd_check(args) -> int:
 
 
 def _spliced(m, coloring):
-    """``m`` with its 2-valent vertices spliced out, and the coloring
-    carried across through the surviving darts (face ids can reorder); a
-    cycle, which splicing would leave empty, comes back unchanged."""
+    """``m`` with its 2-valent vertices spliced out, the coloring carried
+    across, and the face of ``m`` each spliced face lies in.  Splicing
+    keeps the surviving darts in order, so the spliced faces are the faces
+    of ``m`` in the order the surviving darts first reach them.  A cycle,
+    which splicing would leave empty, comes back unchanged."""
     twos = [v for v, valence in enumerate(m.vertex_valences) if valence == 2]
     if not twos or not m.corners:
-        return m, coloring
+        return m, coloring, range(m.face_count)
     spliced, dense = splice(m, twos)
-    colors = [""] * spliced.face_count
-    for d, e in dense.items():
-        colors[spliced.face_of_dart[e]] = coloring.color(m.face_of_dart[d])
-    return spliced, FaceColoring(tuple(colors))
+    faces = surface_map._first_seen(range(m.face_count), m.face_of_dart, dense)
+    return spliced, FaceColoring(tuple([coloring.color(f) for f in faces])), faces
 
 
 def cmd_realize(args) -> int:
     doc = deserialize(read(args.input))
-    coloring = doc.colors if doc.colors is not None else alternating_coloring(doc.map)
-    gb = balance.is_globally_balanced(doc.map, coloring)
+    gb = balance.is_globally_balanced(doc.map, doc.colors)
     if not gb.ok:
         print(f"not globally balanced: {gb.reason}")
         return EXIT_NEGATIVE
-    m, coloring = _spliced(doc.map, coloring)
+    coloring = doc.colors if doc.colors is not None else alternating_coloring(doc.map)
+    m, coloring, faces = _spliced(doc.map, coloring)
     try:
         matching = enrichment.perfect_matching(enrichment.dot_graph(m, coloring))
     except NoPerfectMatching as exc:
-        print(f"not locally balanced; Hall witness B faces: {list(exc.witness)}")
+        witness = sorted(faces[f] for f in exc.witness)
+        print(f"not locally balanced; Hall witness B faces: {witness}")
         return EXIT_NEGATIVE
     enriched = enrichment.enrich(m, matching)
     lab = labeling.admissible_labeling(enriched, coloring)

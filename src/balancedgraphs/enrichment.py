@@ -163,52 +163,6 @@ def perfect_matching(dg: DotGraph) -> DotMatching:
     return DotMatching({(a, b): k for a, row in inflow.items() for b, k in row.items()})
 
 
-def iter_perfect_matchings(dg: DotGraph):
-    """Yield one perfect matching per distinct face-pair count matrix.
-
-    Dots within a face are interchangeable, so two matchings produce the
-    same enriched map exactly when they pair the same number of dots
-    between each face pair.  A faces are filled in order, each splitting
-    its dots over its neighbors with B dots left, first neighbor's share
-    growing slowest.  An explicit stack keeps the recursion limit out of it.
-    """
-    a_faces, counts = dg.a_faces, dg.dot_counts
-    left = {g: counts[g] for g in dg.b_faces}
-    allocation: dict[tuple[int, int], int] = {}
-    stack: list[list] = []  # [A face index, its targets, target index, need, take]
-    i, targets, t, need = 0, None, 0, 0
-    while True:
-        while True:  # descend, taking nothing, to a leaf or a dead end
-            if targets is None:
-                if i == len(a_faces):
-                    if not any(left.values()):
-                        yield DotMatching(dict(allocation))
-                    break
-                targets = [g for g in dg.face_neighbors[a_faces[i]] if left.get(g, 0)]
-                t, need = 0, counts[a_faces[i]]
-            if t < len(targets):
-                stack.append([i, targets, t, need, 0])
-                t += 1
-            elif need:
-                break
-            else:
-                i, targets = i + 1, None
-        while stack:  # take one more dot on the deepest frame that can
-            frame = stack[-1]
-            i, targets, t, need, take = frame
-            key = (a_faces[i], targets[t])
-            if take < need and left[key[1]]:
-                allocation[key] = frame[4] = take + 1
-                left[key[1]] -= 1
-                t, need = t + 1, need - take - 1
-                break
-            stack.pop()
-            left[key[1]] += take
-            allocation.pop(key, None)
-        else:
-            return
-
-
 def enrich(m: CombinatorialMap, matching: DotMatching) -> CombinatorialMap:
     """Insert one 2-valent vertex per matched dot pair.
 

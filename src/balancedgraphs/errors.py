@@ -5,15 +5,19 @@ class BalancedGraphsError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class BadPermutation(BalancedGraphsError):
+class InvariantViolation(BalancedGraphsError):
+    """A deserialized or supplied object violates a structural invariant."""
+
+
+class BadPermutation(InvariantViolation):
     """An array that was supposed to be a permutation of 0..n-1 is not."""
 
 
-class NotInvolution(BalancedGraphsError):
+class NotInvolution(InvariantViolation):
     """The edge pairing is not a fixed-point-free involution."""
 
 
-class Disconnected(BalancedGraphsError):
+class Disconnected(InvariantViolation):
     """The dart permutations do not act transitively."""
 
 
@@ -27,10 +31,6 @@ class NotBipartiteFaces(BalancedGraphsError):
 
 class ParseError(BalancedGraphsError):
     """A document could not be parsed."""
-
-
-class InvariantViolation(BalancedGraphsError):
-    """A deserialized or supplied object violates a structural invariant."""
 
 
 class SizeLimitExceeded(BalancedGraphsError):

@@ -20,10 +20,8 @@ from .surface_map import (
     COLOR_B,
     CombinatorialMap,
     FaceColoring,
-    alternating_coloring,
     splice,
 )
-from .enrichment import dot_graph, enrich, iter_perfect_matchings
 
 
 @dataclass(frozen=True)
@@ -158,32 +156,6 @@ def compress_labels(
     rank = {j: i for i, j in enumerate(sorted(set(range(1, lab.m + 1)) - gone), 1)}
     new_labels = tuple([rank[lb] for lb in lab.labels if lb not in gone])
     return new_map, VertexLabeling(len(rank), new_labels)
-
-
-def generic_labeling(
-    m: CombinatorialMap, coloring: FaceColoring | None = None
-) -> tuple[CombinatorialMap, VertexLabeling]:
-    """An admissible labeling with pairwise distinct corner labels.
-
-    Applies to simple maps (every vertex 4-valent).  Matchings are tried
-    in deterministic order until one labels the corners injectively.
-    """
-    if any(val != 4 for val in m.vertex_valences):
-        raise ValueError("generic labelings require every vertex to be 4-valent")
-    if coloring is None:
-        coloring = alternating_coloring(m)
-    dg = dot_graph(m, coloring)
-    ncorners = m.vertex_count
-    for matching in iter_perfect_matchings(dg):
-        enriched = enrich(m, matching)
-        try:
-            lab = admissible_labeling(enriched, coloring)
-        except InconsistentPropagation:
-            continue
-        corner_labels = lab.labels[:ncorners]
-        if len(set(corner_labels)) == ncorners:
-            return enriched, lab
-    raise InconsistentPropagation("no matching produces distinct corner labels")
 
 
 @dataclass(frozen=True)

@@ -656,10 +656,7 @@ def deserialize(text: str) -> MapDocument:
     darts, alpha, sigma = doc["darts"], doc["alpha"], doc["sigma"]
     if not is_int(darts) or not is_int_list(alpha) or not is_int_list(sigma):
         raise ParseError("field darts must be an integer, alpha and sigma integer lists")
-    try:
-        m = build_map(darts, alpha, sigma)
-    except (BadPermutation, NotInvolution, Disconnected) as exc:
-        raise InvariantViolation(str(exc)) from exc
+    m = build_map(darts, alpha, sigma)
 
     labels = None
     if "labels" in doc:

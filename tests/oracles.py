@@ -5,6 +5,18 @@ from __future__ import annotations
 from itertools import accumulate, combinations, permutations
 
 import balancedgraphs as bg
+from balancedgraphs import (
+    CombinatorialMap,
+    DotGraph,
+    DotMatching,
+    FaceColoring,
+    InconsistentPropagation,
+    VertexLabeling,
+    admissible_labeling,
+    alternating_coloring,
+    dot_graph,
+    enrich,
+)
 from balancedgraphs._documents import dump
 
 
@@ -422,6 +434,78 @@ def recursive_perfect_matchings(dg):
         yield from split(counts[f], 0)
 
     yield from distribute(0, {})
+
+
+def iter_perfect_matchings(dg: DotGraph):
+    """Yield one perfect matching per distinct face-pair count matrix.
+
+    Dots within a face are interchangeable, so two matchings produce the
+    same enriched map exactly when they pair the same number of dots
+    between each face pair.  A faces are filled in order, each splitting
+    its dots over its neighbors with B dots left, first neighbor's share
+    growing slowest.  An explicit stack keeps the recursion limit out of it.
+    """
+    a_faces, counts = dg.a_faces, dg.dot_counts
+    left = {g: counts[g] for g in dg.b_faces}
+    allocation: dict[tuple[int, int], int] = {}
+    stack: list[list] = []  # [A face index, its targets, target index, need, take]
+    i, targets, t, need = 0, None, 0, 0
+    while True:
+        while True:  # descend, taking nothing, to a leaf or a dead end
+            if targets is None:
+                if i == len(a_faces):
+                    if not any(left.values()):
+                        yield DotMatching(dict(allocation))
+                    break
+                targets = [g for g in dg.face_neighbors[a_faces[i]] if left.get(g, 0)]
+                t, need = 0, counts[a_faces[i]]
+            if t < len(targets):
+                stack.append([i, targets, t, need, 0])
+                t += 1
+            elif need:
+                break
+            else:
+                i, targets = i + 1, None
+        while stack:  # take one more dot on the deepest frame that can
+            frame = stack[-1]
+            i, targets, t, need, take = frame
+            key = (a_faces[i], targets[t])
+            if take < need and left[key[1]]:
+                allocation[key] = frame[4] = take + 1
+                left[key[1]] -= 1
+                t, need = t + 1, need - take - 1
+                break
+            stack.pop()
+            left[key[1]] += take
+            allocation.pop(key, None)
+        else:
+            return
+
+
+def generic_labeling(
+    m: CombinatorialMap, coloring: FaceColoring | None = None
+) -> tuple[CombinatorialMap, VertexLabeling]:
+    """An admissible labeling with pairwise distinct corner labels.
+
+    Applies to simple maps (every vertex 4-valent).  Matchings are tried
+    in deterministic order until one labels the corners injectively.
+    """
+    if any(val != 4 for val in m.vertex_valences):
+        raise ValueError("generic labelings require every vertex to be 4-valent")
+    if coloring is None:
+        coloring = alternating_coloring(m)
+    dg = dot_graph(m, coloring)
+    ncorners = m.vertex_count
+    for matching in iter_perfect_matchings(dg):
+        enriched = enrich(m, matching)
+        try:
+            lab = admissible_labeling(enriched, coloring)
+        except InconsistentPropagation:
+            continue
+        corner_labels = lab.labels[:ncorners]
+        if len(set(corner_labels)) == ncorners:
+            return enriched, lab
+    raise InconsistentPropagation("no matching produces distinct corner labels")
 
 
 def arcs_cross(arcs) -> bool:

@@ -114,6 +114,57 @@ def test_realize_counterexample(capsys):
     ]
 
 
+def test_realize_without_alternating_coloring_gives_checks_verdict(capsys, tmp_path):
+    # a well-formed map whose one face meets itself across its edge
+    path = tmp_path / "loop.json"
+    path.write_text('{"darts":2,"alpha":[1,0],"sigma":[0,1]}')
+    verdict = (1, "not globally balanced: no alternating face coloring exists\n", "")
+    assert run(capsys, "check", "--input", str(path)) == verdict
+    assert run(capsys, "realize", "--input", str(path)) == verdict
+
+
+def test_realize_names_witness_faces_of_the_input_document(capsys, tmp_path):
+    # the counterexample with one edge subdivided and its darts renumbered;
+    # the spliced map numbers its faces otherwise, as [6, 8, 9]
+    path = tmp_path / "doc.json"
+    path.write_text(
+        '{"darts":30,"alpha":[10,15,6,19,11,25,2,21,13,16,0,4,24,8,22,1,9,27,29,3,'
+        '26,7,14,28,12,5,20,17,23,18],"sigma":[17,29,18,10,28,14,22,26,24,6,3,20,'
+        '13,16,0,11,23,5,15,7,21,2,25,12,1,4,27,19,9,8]}'
+    )
+    assert run(capsys, "realize", "--input", str(path)) == (
+        1,
+        "not locally balanced; Hall witness B faces: [5, 7, 9]\n",
+        "",
+    )
+    assert "certificate faces: [0, 2, 5, 7, 9]" in run(capsys, "check", "--input", str(path))[1]
+
+
+def test_realize_witness_is_the_documents_own_hall_witness(capsys, tmp_path):
+    # subdivision keeps the dot counts and face adjacency, so the Hall
+    # witness of the document's own map is the one realize must name
+    base = bg.deserialize(COUNTEREXAMPLE.read_text()).map
+    rng = random.Random(19)
+    path = tmp_path / "doc.json"
+    for _ in range(100):
+        edges = rng.sample(range(base.edge_count), rng.randint(1, 3))
+        m = bg.subdivide_edges(base, {e: rng.randint(1, 2) for e in edges})
+        darts = list(range(m.dart_count))
+        rng.shuffle(darts)
+        m = m.relabel(darts)
+        # the document keeps this dart numbering: serialize would canonicalize it
+        path.write_text(
+            json.dumps({"darts": m.dart_count, "alpha": list(m.alpha), "sigma": list(m.sigma)})
+        )
+        witness = bg.hall_check(bg.dot_graph(m, bg.alternating_coloring(m))).witness
+        assert witness
+        assert run(capsys, "realize", "--input", str(path)) == (
+            1,
+            f"not locally balanced; Hall witness B faces: {list(witness)}\n",
+            "",
+        )
+
+
 def test_realize_pullback_round_trip(capsys, mirror_file):
     code, out, _ = run(capsys, "realize", "--input", mirror_file)
     assert code == 0

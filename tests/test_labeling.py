@@ -4,7 +4,7 @@ import pytest
 
 import balancedgraphs as bg
 from helpers import all_mirror_graphs, fixed_point_free_pullback
-from oracles import propagated_labeling
+from oracles import generic_labeling, propagated_labeling
 
 
 def _realize(m, coloring):
@@ -156,7 +156,7 @@ def test_compress_never_leaves_cornerless_class(gb_corpus):
 
 
 def test_generic_labeling_b2(b2):
-    enriched, lab = bg.generic_labeling(b2)
+    enriched, lab = generic_labeling(b2)
     assert len(set(lab.labels[: b2.vertex_count])) == b2.vertex_count
 
 
@@ -165,7 +165,7 @@ def test_generic_labeling_simple_mirror_six_points():
         bg.WeightComposition(4, (1, 1, 1, 1, 1, 1)), ((1, 2), (3, 4), (5, 6))
     )
     m, coloring, _ = bg.mirror_graph(p)
-    enriched, lab = bg.generic_labeling(m, coloring)
+    enriched, lab = generic_labeling(m, coloring)
     assert lab.m == 6
     corner_labels = lab.labels[: m.vertex_count]
     assert len(set(corner_labels)) == 6
@@ -177,7 +177,7 @@ def test_generic_labeling_rejects_high_valence():
     p = bg.NonCrossingPairing(bg.WeightComposition(3, (2, 2)), ((1, 2), (1, 2)))
     m, _, _ = bg.mirror_graph(p)
     with pytest.raises(ValueError):
-        bg.generic_labeling(m)
+        generic_labeling(m)
 
 
 # the potential walk against the face-stamping propagation ---------------------
