@@ -14,8 +14,7 @@ enumerator :func:`positive_regions` is off every decision path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .enrichment import dot_graph, hall_check
 from .errors import InvariantViolation, NotBipartiteFaces, SizeLimitExceeded
 from .surface_map import (
@@ -29,15 +28,13 @@ from .surface_map import (
 DEFAULT_REGION_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class GlobalBalance:
+class GlobalBalance(Record):
     ok: bool
     d: int | None
     reason: str | None = None
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(Record):
     """Interior of a positive cobordant multicycle."""
 
     faces: frozenset[int]
@@ -50,8 +47,7 @@ class Region:
         return tuple(sorted(self.faces))
 
 
-@dataclass(frozen=True)
-class BalanceReport:
+class BalanceReport(Record):
     d: int | None
     globally_balanced: bool
     locally_balanced: bool

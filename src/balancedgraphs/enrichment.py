@@ -13,8 +13,8 @@ flow that decides the Hall condition and, when it holds, gives a matching.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import NoPerfectMatching
 from .surface_map import (
     COLOR_A,
@@ -27,8 +27,7 @@ from .surface_map import (
 Dot = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class DotGraph:
+class DotGraph(Record):
     """``dot_counts[f]`` dots on face ``f``; the A and B faces carrying
     dots; and for each face, the faces sharing an edge with it."""
 
@@ -48,16 +47,14 @@ class DotGraph:
         return tuple([(f, i) for f in self.b_faces for i in range(self.dot_counts[f])])
 
 
-@dataclass(frozen=True)
-class HallResult:
+class HallResult(Record):
     """The verdict, and on failure the sorted B faces of the Hall witness."""
 
     ok: bool
     witness: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class DotMatching:
+class DotMatching(Record):
     """How many dots each ``(A face, B face)`` pair matches."""
 
     counts: dict[tuple[int, int], int]

@@ -11,9 +11,9 @@ potential: one walk over the edges finds it or a contradiction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
+from ._record import Record, fresh
 from .errors import InconsistentPropagation, InfeasibleWeighting
 from .surface_map import (
     COLOR_A,
@@ -24,8 +24,7 @@ from .surface_map import (
 )
 
 
-@dataclass(frozen=True)
-class VertexLabeling:
+class VertexLabeling(Record):
     """Per-vertex labels in 1..m."""
 
     m: int
@@ -42,8 +41,7 @@ class VertexLabeling:
         return tuple([tuple(vs) for vs in out])
 
 
-@dataclass(frozen=True)
-class Passport:
+class Passport(Record):
     """One partition of the degree per label."""
 
     d: int
@@ -158,8 +156,7 @@ def compress_labels(
     return new_map, VertexLabeling(len(rank), new_labels)
 
 
-@dataclass(frozen=True)
-class ChargeableGraph:
+class ChargeableGraph(Record):
     """Bipartite graph with input and output vertex sets and capacities.
 
     Vertices are ("x", i) and ("y", j).  ``inputs`` lie on the x side and
@@ -172,7 +169,7 @@ class ChargeableGraph:
     edges: tuple[tuple[int, int], ...]
     inputs: frozenset[int]
     outputs: frozenset[int]
-    capacity: dict = field(default_factory=dict)
+    capacity: dict = fresh(dict)
 
     def interior_vertices(self):
         for i in range(self.x_count):
@@ -183,13 +180,11 @@ class ChargeableGraph:
                 yield ("y", j)
 
 
-@dataclass(frozen=True)
-class Weighting:
+class Weighting(Record):
     weights: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class ChargeReport:
+class ChargeReport(Record):
     in_value: float
     out_value: float
     equal: bool

@@ -9,9 +9,8 @@ incident A faces follow a cycle of the j-th permutation in sigma order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ._documents import dump, is_int_list, load
+from ._record import Record
 from .errors import BadPermutation, InvariantViolation, NotVerified, NonIntegerGenus, ParseError
 from .labeling import Passport, VertexLabeling
 from .permutations import (
@@ -27,8 +26,7 @@ from .permutations import (
 from .surface_map import COLOR_A, COLOR_B, CombinatorialMap, FaceColoring
 
 
-@dataclass(frozen=True)
-class Constellation:
+class Constellation(Record):
     """Degree and permutations, stored 0-indexed in one-line notation."""
 
     d: int
@@ -45,8 +43,7 @@ class Constellation:
         """An instance of a positive degree and permutations of 0..d-1 that
         the caller has already checked, built without checking them again."""
         c = object.__new__(cls)
-        object.__setattr__(c, "d", d)
-        object.__setattr__(c, "perms", perms)
+        c.__dict__.update(d=d, perms=perms)
         return c
 
     @property
@@ -66,8 +63,7 @@ class Constellation:
         return cls(d, tuple(perms))
 
 
-@dataclass(frozen=True)
-class ConstellationReport:
+class ConstellationReport(Record):
     ok: bool
     product_is_identity: bool
     transitive: bool

@@ -24,11 +24,11 @@ live for that one call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 
 from ._documents import is_int_list, load
+from ._record import Record
 from .errors import InvariantViolation, NotBipartiteFaces, ParseError
 from .permutations import canonical_relabeling, inverse, is_int
 from .surface_map import CombinatorialMap, FaceColoring, alternating_coloring, real_cycle_order
@@ -36,15 +36,14 @@ from .surface_map import CombinatorialMap, FaceColoring, alternating_coloring, r
 Arc = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class WeightComposition:
+class WeightComposition(Record):
     """Degree d >= 2 with ordered arc multiplicities a_1..a_n."""
 
     d: int
     a: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(self.a))
+        self.__dict__["a"] = tuple(self.a)
         if self.d < 2:
             raise InvariantViolation(f"degree must be at least 2, got {self.d}")
         if not 2 <= len(self.a) <= 2 * self.d - 2:
@@ -61,8 +60,7 @@ class WeightComposition:
         return len(self.a)
 
 
-@dataclass(frozen=True)
-class NonCrossingPairing:
+class NonCrossingPairing(Record):
     """Arcs (i, j) with i < j, 1-indexed, stored as a sorted multiset."""
 
     type: WeightComposition
@@ -75,8 +73,7 @@ class NonCrossingPairing:
         return tuple(validate_pairing(self))
 
 
-@dataclass(frozen=True)
-class Tableau2Row:
+class Tableau2Row(Record):
     rows: tuple[tuple[int, ...], tuple[int, ...]]
 
 
@@ -414,8 +411,7 @@ def marked_canonical_key(m: CombinatorialMap, real_cycle) -> tuple:
     return (alpha, sigma, tuple([relabel[d] for d in real_cycle]))
 
 
-@dataclass(frozen=True)
-class CoverageRow:
+class CoverageRow(Record):
     a: tuple[int, ...]
     pairings: int
     tableaux: int

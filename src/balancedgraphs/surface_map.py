@@ -13,10 +13,10 @@ a face cycle keeps that face on the left of each dart.  The Euler count
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from ._documents import dump, is_int_list, load
+from ._record import Record
 from .errors import (
     BadPermutation,
     Disconnected,
@@ -469,8 +469,7 @@ def build_map(dart_count: int, alpha, sigma) -> CombinatorialMap:
     return CombinatorialMap(alpha, sigma)
 
 
-@dataclass(frozen=True)
-class FaceColoring:
+class FaceColoring(Record):
     """A proper two-coloring of the faces, values ``"A"`` and ``"B"``."""
 
     colors: tuple[str, ...]
@@ -575,8 +574,7 @@ def splice(m: CombinatorialMap, vertices) -> tuple[CombinatorialMap, dict[int, i
     return CombinatorialMap(alpha, sigma, check=False), dense
 
 
-@dataclass(frozen=True)
-class MapDocument:
+class MapDocument(Record):
     """A deserialized map together with its optional decorations."""
 
     map: CombinatorialMap
