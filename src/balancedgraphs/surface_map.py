@@ -243,24 +243,23 @@ def _index_of(orbits, n: int) -> tuple[int, ...]:
 # to ``canonical_relabeling`` gives the same winner, the first of them in
 # dart order.
 #
-# A dart at a 2-valent vertex lies on a run ``s, alpha(s), sigma(alpha(s)),
-# ..., t`` between two corner darts.  If the root is F edges from the end
-# ahead of it (the way alpha leads) and B from the end behind, its code is
-# P before position h = min(4F - 3, 4B), where the search first expands a
-# corner dart.  Near an ordinary corner it then leaves P upwards after a
-# fixed number of steps: at h + 5 with value h + 8 when the end ahead is
-# reached first (F <= B), at h + 3 with value h + 6 otherwise.
-# ``_run_keys`` checks the few darts around the corners that those steps
-# number; roots where a check fails are searched directly.
-
-_CORNER_KEY = (2, -3, 6)  # a dart at an ordinary corner leaves P upwards at 3
-
-
-def _pattern(i: int) -> int:
-    """Entry ``i`` of the chain pattern P."""
-    if i < 2:
-        return 1 - i
-    return i + 2 if i & 2 else i - 2
+# A run ``e, alpha(e), sigma(alpha(e)), ..., t`` passes m 2-valent vertices
+# between the corner darts e and t and is read from both ends.  Read from
+# e, it keys the roots whose search reaches e first: ``run[2F - 1]``, with
+# e F edges ahead (the way alpha leads) and t B = m + 1 - F behind, F <= B,
+# and ``run[2B]``, with e B edges behind, B < F.  The code is P before
+# position h = min(4F - 3, 4B), where the search first expands a corner
+# dart, then leaves P upwards at h + 5 with h + 8 (F <= B) or at h + 3 with
+# h + 6 (B < F) if the darts numbered there are new.  The run is regular
+# when those darts around e, and for the innermost roots the first one or
+# two around t, are distinct and off the run.  Its least key is then
+# (2, -L, L + 3) at ``run[m]``, L = 2m + 3 for even m and 2m + 4 for odd m:
+# it depends on m alone and grows with m, so only the longest regular runs
+# keep roots.  ``_run_keys`` keys the roots of the other runs and searches
+# those where a check fails.  A dart at an ordinary corner leaves P upwards
+# at 3 with 6.  A code from a 2-valent vertex cannot leave P upwards before
+# position 4, so every root on a run beats it: such darts are never listed,
+# and only darts at the other corners are searched.
 
 
 class _OverBudget(Exception):
@@ -272,10 +271,9 @@ class _Search:
 
     The searches share one numbering array and a budget of sixteen
     positions per dart, several times what a run of 2-valent vertices
-    needs (a few searches from its middle).  Past it the map keeps every
-    root: codes that follow P far beyond a corner (a corner with a
-    one-edge loop can pass for a 2-valent vertex) would otherwise cost a
-    long search per root.
+    needs.  Past it the map keeps every root: codes that follow P far
+    beyond a corner (a corner with a one-edge loop can pass for a 2-valent
+    vertex) would otherwise cost a long search per root.
     """
 
     def __init__(self, alpha: Perm, sigma: Perm):
@@ -308,7 +306,7 @@ class _Search:
                     size += 1
                     push(y)
             v = label[alpha[x]]
-            expected = _pattern(i)
+            expected = 1 - i if i < 2 else i + 2 if i & 2 else i - 2  # P[i]
             if v != expected:
                 key = (0, i, v) if v < expected else (2, -i, v)
                 break
@@ -334,76 +332,74 @@ def _least_prefix_roots(alpha: Perm, sigma: Perm):
 def _root_keys(alpha: Perm, sigma: Perm) -> list[tuple[tuple, int]] | None:
     """(key, root) for every root that may have the least key.
 
-    Along each run of 2-valent vertices, roots whose key trails another one
-    of the same run are left out.  None, to keep every root, for maps
-    without 2-valent vertices, cycles, and maps whose direct searches go
-    past their budget.
+    Roots whose key trails another one found on the way are left out.
+    None, to keep every root, for maps without 2-valent vertices, cycles,
+    and maps whose direct searches go past their budget.
     """
-    n = len(alpha)
     two = [sigma[y] == x != y for x, y in enumerate(sigma)]
     if all(two) or not any(two):
         return None
-    run_of = [-1] * n
-    runs = []
-    for e in range(n):
-        if not two[e] and run_of[e] < 0 and two[alpha[e]]:
-            run = [e]
-            x = alpha[e]
-            while two[x]:
-                run.append(x)
-                x = sigma[x]
-                run.append(x)
-                x = alpha[x]
-            run.append(x)
-            for x in run:
-                run_of[x] = len(runs)
-            runs.append(run)
     search = _Search(alpha, sigma)
     keyed = []
+    longest, starts = 0, []  # the greatest m of a regular run, and its runs' ends
     try:
-        for r in range(n):
-            if not two[r]:
-                x = alpha[r]
-                y = sigma[r]
-                z = sigma[x]
-                # the four darts numbered first and the three their alpha and
-                # sigma reach next: all new means the code leaves P at 3 with 6
-                if len({r, x, y, z, alpha[y], sigma[y], alpha[z]}) == 7:
-                    keyed.append((_CORNER_KEY, r))
-                else:
-                    keyed.append((search.key(r, r)[0], r))
-        for run in runs:
-            keyed += _run_keys(search, run_of, run)
-            keyed += _run_keys(search, run_of, run[::-1])
+        for e in range(len(alpha)):
+            if two[e]:
+                continue
+            x, y = alpha[e], sigma[e]
+            z, s = sigma[x], sigma[y]
+            # searched unless the corner is ordinary: the four darts numbered
+            # first and the three their alpha and sigma reach next distinct
+            if not (e != y != x != z != e and z != alpha[y] != s != alpha[z] and s != x):
+                keyed.append((search.key(e, e)[0], e))
+            m = 0
+            while two[x]:
+                x = alpha[sigma[x]]
+                m += 1
+            if not m:
+                continue
+            # the checks of _run_keys, with x at the far end: e and x are the
+            # only corner darts on the run, the darts near them meet it only
+            # through those, so each check asks these darts to be distinct
+            ay, x1 = alpha[y], sigma[x]
+            near = {e, y, ay, s, sigma[ay], alpha[s]}
+            ends = near | {x, x1} if m % 2 else {e, y, ay, s, x, x1, alpha[x1]}
+            if len(near) < 6 or len(ends) < 7 + m % 2:
+                keyed += _run_keys(search, two, e)
+            elif m >= longest:
+                if m > longest:
+                    longest, starts = m, []
+                starts.append(e)
     except _OverBudget:
         return None
+    if longest:
+        depart = 2 * longest + 3 + longest % 2
+        for x in starts:
+            for _ in range(longest // 2):
+                x = sigma[alpha[x]]
+            keyed.append(((2, -depart, depart + 3), alpha[x] if longest % 2 else x))
     return keyed
 
 
-def _run_keys(search: _Search, run_of: list[int], run: list[int]):
-    """Keys of the roots on ``run`` whose search first numbers ``run[0]``.
-
-    ``run`` has m 2-valent vertices.  From the root ``run[2F - 1]`` the
-    corner dart ``run[0]`` is F edges ahead and ``run[-1]`` is B = m + 1 - F
-    behind; from ``run[2B]``, ``run[0]`` is B edges behind and ``run[-1]``
-    is F = m + 1 - B ahead.  The closed form holds when the darts the
-    search numbers at the corner of ``run[0]`` (``near``) are distinct and
-    not yet numbered: off this run, except darts at the far end that the
-    search along the run cannot have reached, and, for the innermost
-    roots, which reach both corners at about the same time, off the first
-    darts numbered at the far corner.
+def _run_keys(search: _Search, two: list[bool], e: int):
+    """Keys of the roots on the run from the corner dart ``e`` whose search
+    first numbers ``e``: closed forms where the darts the search numbers
+    around ``e`` (``near``) are distinct and new, that is off the run but
+    for those at its far end the search cannot have reached and, for the
+    innermost roots, off the first darts numbered around the far end.
     """
+    alpha, sigma = search.alpha, search.sigma
+    run = [e, alpha[e]]
+    while two[run[-1]]:
+        run += (sigma[run[-1]], alpha[sigma[run[-1]]])
     m = len(run) // 2 - 1
-    this = run_of[run[0]]
-    near = _corner_darts(search.alpha, search.sigma, run[0])
-    far = _corner_darts(search.alpha, search.sigma, run[-1])
+    near = _corner_darts(alpha, sigma, e)
+    far = _corner_darts(alpha, sigma, run[-1])
+    on = set(run)
 
     def new(darts, spare):
         # distinct, and on this run only among its last ``spare`` darts
-        tail = run[len(run) - spare:]
-        return len(set(darts)) == len(darts) and all(
-            [x in tail for x in darts if run_of[x] == this]
-        )
+        return len(set(darts)) == len(darts) and set(darts) & on <= set(run[len(run) - spare:])
 
     # ahead first (F <= B), from F = (m + 1) // 2 out: the innermost root
     # has B - F = 0 or 1, the others B - F >= 2; the code leaves P at
@@ -425,14 +421,12 @@ def _side_keys(search: _Search, run: list[int], roots, departs: int, inner, oute
     closed forms leave P at ``departs``, four positions earlier per root.
 
     ``inner`` and ``outer`` tell whether the closed form holds for the
-    innermost root and for the rest.  Closed-form keys improve towards the
-    middle, so one for the rest ends the walk.  A root where the closed
-    form does not hold is searched directly.  If that search never numbers
-    ``run[-2]``, it neither met the far corner nor entered the run from
-    there, so each root further out searches the same darts around the
-    near corner four positions earlier and numbers them four lower: an
-    upward key then beats theirs, and a downward one is beaten by the
-    outermost root's, which is kept.
+    innermost root and for the rest; keys improve towards the middle, so
+    one for the rest ends the walk.  Other roots are searched.  A search
+    that never numbers ``run[-2]`` met neither the far corner nor the run
+    from there, so each root further out numbers the same darts four
+    positions earlier and four lower: an upward key beats theirs, and the
+    outermost root's, which is kept, beats a downward one.
     """
     out = []
     for i, root in enumerate(roots):

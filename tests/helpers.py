@@ -338,3 +338,17 @@ def random_genus_zero_constellation(rng):
         fixed = any(p[s] == s for p in perms for s in range(d))
         if report.ok and report.genus == 0 and fixed:
             return c
+
+
+def random_fixed_point_constellation(rng):
+    """A random transitive constellation of genus at least 1 (d 3..8, 3..5
+    branch points) one of whose permutations fixes a sheet, by rejection:
+    uniformly random permutations, the last one closing the product."""
+    while True:
+        d, m = rng.randint(3, 8), rng.randint(3, 5)
+        pre = [tuple(rng.sample(range(d), d)) for _ in range(m - 1)]
+        perms = tuple(pre) + (inverse(compose_chain(pre, d)),)
+        report = bg.verify_constellation(bg.Constellation(d, perms))
+        fixed = any(p[s] == s for p in perms for s in range(d))
+        if report.ok and report.genus >= 1 and fixed:
+            return bg.Constellation(d, perms)

@@ -105,6 +105,36 @@ def test_realize_golden(capsys, request, fixture, golden):
     assert out == (FIXTURES / golden).read_text()
 
 
+def test_realize_and_pullback_golden_through_canonical_form(capsys, tmp_path):
+    # a mixed-weight mirror graph of degree 10, whose enriched map has runs
+    # of 2-valent vertices of several lengths, and a genus-8 constellation
+    # whose fixed points give its pullback 2-valent vertices
+    pairing = tmp_path / "pairing.json"
+    pairing.write_text(json.dumps({
+        "n": 10,
+        "a": [3, 1, 1, 1, 2, 3, 4, 1, 1, 1],
+        "arcs": [[1, 2], [1, 7], [1, 10], [3, 7], [4, 6], [5, 6], [5, 6], [7, 8], [7, 9]],
+    }))
+    code, out, _ = run(capsys, "mirror", "--input", str(pairing))
+    assert code == 0
+    mirror = tmp_path / "mirror.json"
+    mirror.write_text(out)
+    code, out, _ = run(capsys, "realize", "--input", str(mirror))
+    assert code == 0
+    assert out == (FIXTURES / "realize_mirror_d10.txt").read_text()
+    constellation = tmp_path / "constellation.json"
+    constellation.write_text(json.dumps({"d": 8, "perms": [
+        [1, 5, 7, 4, 8, 6, 3, 2],
+        [5, 4, 2, 8, 1, 3, 6, 7],
+        [2, 5, 7, 8, 3, 1, 4, 6],
+        [4, 8, 6, 5, 7, 2, 3, 1],
+        [6, 5, 1, 8, 4, 7, 2, 3],
+    ]}))
+    code, out, _ = run(capsys, "pullback", "--input", str(constellation))
+    assert code == 0
+    assert out == (FIXTURES / "pullback_d8_genus8.txt").read_text()
+
+
 def test_realize_counterexample(capsys):
     cert = json.loads((FIXTURES / "counterexample_certificate.json").read_text())
     code, out, _ = run(capsys, "realize", "--input", str(COUNTEREXAMPLE))

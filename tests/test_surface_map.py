@@ -9,8 +9,11 @@ import balancedgraphs.surface_map as surface_map
 from helpers import (
     all_mirror_graphs,
     map_from_rotations,
+    random_fixed_point_constellation,
     random_genus_zero_constellation,
+    random_pairing,
     random_rotation_map,
+    random_weight_type,
 )
 from oracles import (
     all_roots_canonical,
@@ -406,6 +409,53 @@ def test_root_selection_on_enriched_mirror_graphs_and_pullbacks():
         bg.pullback_from_constellation(random_genus_zero_constellation(rng))[0]
         for _ in range(60)
     ]
+    _assert_selected_roots_keep_the_canonical_form(maps, rng)
+
+
+def _run_lengths(m):
+    """The number of 2-valent vertices on each run between two corners."""
+    two = [m.vertex_valences[v] == 2 for v in m.vertex_of_dart]
+    lengths = []
+    for e in range(m.dart_count):
+        x = m.alpha[e]
+        if not two[e] and two[x]:
+            lengths.append(0)
+            while two[x]:
+                x = m.alpha[m.sigma[x]]
+                lengths[-1] += 1
+    return lengths
+
+
+def _enriched_mirror_graph(p):
+    m, coloring, _ = bg.mirror_graph(p)
+    return bg.enrich(m, bg.perfect_matching(bg.dot_graph(m, coloring)))
+
+
+def test_root_selection_on_maps_shaped_like_the_benchmark():
+    # enriched mirror graphs of mixed-weight pairings, whose runs of
+    # 2-valent vertices come in several lengths per map; pullbacks of
+    # genus >= 1 whose fixed points give 2-valent vertices; and enriched
+    # side-by-side all-ones mirror graphs, where every run has one length
+    # and all of them tie
+    rng = random.Random(2111)
+    maps = []
+    for d in range(6, 11):
+        for _ in range(3):
+            t = random_weight_type(rng, d)
+            while max(t.a) == 1:
+                t = random_weight_type(rng, d)
+            maps.append(_enriched_mirror_graph(random_pairing(rng, t)))
+    assert sum(len(set(_run_lengths(m))) > 1 for m in maps) >= 12
+    maps += [
+        bg.pullback_from_constellation(random_fixed_point_constellation(rng))[0]
+        for _ in range(24)
+    ]
+    for d in (4, 6, 9, 12):
+        n = 2 * d - 2
+        t = bg.WeightComposition(d, (1,) * n)
+        arcs = tuple([(i, i + 1) for i in range(1, n, 2)])
+        maps.append(_enriched_mirror_graph(bg.NonCrossingPairing(t, arcs)))
+        assert len(set(_run_lengths(maps[-1]))) == 1
     _assert_selected_roots_keep_the_canonical_form(maps, rng)
 
 
