@@ -158,7 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     Built on the first call and shared by every later one, so a process
     may call :func:`main` many times and builds its parser once; parsing
-    leaves the parser as it was, so no state passes between calls.
+    leaves the parser as it was, so no state passes between calls.  Its
+    ``commands`` attribute holds the parser of each subcommand by name.
     """
     parser = argparse.ArgumentParser(
         prog="balancedgraphs",
@@ -200,12 +201,32 @@ def build_parser() -> argparse.ArgumentParser:
     p = with_input(sub.add_parser("export", help="render a map document"))
     p.add_argument("--format", choices=("dot", "svg"), default="dot")
     p.set_defaults(func=cmd_export)
+    parser.commands = sub.choices
     return parser
 
 
 def main(argv=None) -> int:
+    """Run the subcommand named in ``argv`` (default ``sys.argv[1:]``) and
+    return its exit code.
+
+    When ``argv[0]`` names a subcommand, the rest of ``argv`` is parsed by
+    that subcommand's parser alone: the full parser would hand it exactly
+    those arguments, so this saves only the top-level parse.  The full
+    parser parses the call when ``argv[0]`` names no subcommand
+    (``--help``, no arguments, an unknown command) and when the
+    subcommand's parser leaves arguments over, which only the full parser
+    reports, under its own usage line.  Help and usage errors within the
+    subcommand's arguments come from the subcommand's parser on either
+    route, so stdout, stderr and the exit code are those of parsing every
+    call with the full parser.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if sub is None or extra:
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (BalancedGraphsError, OSError) as exc:

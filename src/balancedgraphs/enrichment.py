@@ -12,8 +12,6 @@ flow that decides the Hall condition and, when it holds, gives a matching.
 
 from __future__ import annotations
 
-from collections import deque
-
 from ._record import Record
 from .errors import NoPerfectMatching
 from .surface_map import (
@@ -78,44 +76,56 @@ def dot_graph(m: CombinatorialMap, coloring: FaceColoring) -> DotGraph:
     return DotGraph(total, counts, a, b, m.face_neighbors)
 
 
-def _hall_flow(dg: DotGraph) -> tuple[tuple[int, ...], dict[int, dict[int, int]]]:
+def _hall_flow(dg: DotGraph) -> tuple[tuple[int, ...], list[dict[int, int]]]:
     """Maximum flow from B faces to edge-adjacent A faces, dot counts as
     capacities; returns the B faces of the Hall witness, () if there is
-    none, and the flow as ``inflow[A face][B face]``.
+    none, and the flow as ``inflow[A face][B face]``, a list indexed by
+    face whose other rows stay empty.
 
     Dots of one face share their neighborhood, so this flow saturates
     every B face exactly when the dot graph matches every B dot.  Paths
     are found breadth-first from all B faces with supply left at once
-    (Edmonds-Karp).  When none remains, the B faces reachable in the
-    residual graph from unsent supply form the witness: by
-    Dulmage-Mendelsohn they carry exactly the B dots an alternating
+    (Edmonds-Karp), in the order of ``b_faces``, and each row of
+    ``inflow`` is searched in the order its B faces entered it.  When none remains, the B faces
+    reachable in the residual graph from unsent supply form the witness:
+    by Dulmage-Mendelsohn they carry exactly the B dots an alternating
     search from the unmatched dots of any maximum matching reaches.
     """
-    supply = {f: dg.dot_counts[f] for f in dg.b_faces}
-    room = {g: dg.dot_counts[g] for g in dg.a_faces}
-    out = {f: [g for g in dg.face_neighbors[f] if g in room] for f in supply}
-    inflow: dict[int, dict[int, int]] = {g: {} for g in room}
+    counts, b_faces = dg.dot_counts, dg.b_faces
+    n = len(counts)
+    room = [0] * n
+    for g in dg.a_faces:
+        room[g] = counts[g]
+    supply = [0] * n
+    out: list = [()] * n
+    for f in b_faces:
+        supply[f] = counts[f]
+        out[f] = [g for g in dg.face_neighbors[f] if room[g]]
+    inflow: list[dict[int, int]] = [{} for _ in range(n)]
     while True:
-        parent: dict[int, int | None] = {f: None for f, s in supply.items() if s}
-        queue = deque(parent)
-        end = None
-        while queue and end is None:
-            f = queue.popleft()
+        parent = [-2] * n  # -2 unreached, -1 a root
+        queue = [f for f in b_faces if supply[f]]
+        for f in queue:
+            parent[f] = -1
+        end = -1
+        for f in queue:  # the loop reaches the faces appended on the way
             for g in out[f]:
-                if g in parent:
+                if parent[g] != -2:
                     continue
                 parent[g] = f
                 if room[g]:
                     end = g
                     break
                 for h in inflow[g]:
-                    if h not in parent:
+                    if parent[h] == -2:
                         parent[h] = g
                         queue.append(h)
-        if end is None:
-            return tuple(sorted(f for f in parent if f in supply)), inflow
+            if end >= 0:
+                break
+        if end < 0:
+            return tuple(sorted([f for f in b_faces if parent[f] != -2])), inflow
         path = [end]
-        while parent[path[-1]] is not None:
+        while parent[path[-1]] >= 0:
             path.append(parent[path[-1]])
         path.reverse()  # B, A, B, A, ..., A
         amount = min(supply[path[0]], room[end])
@@ -157,7 +167,7 @@ def perfect_matching(dg: DotGraph) -> DotMatching:
     faces, inflow = _hall_flow(dg)
     if faces:
         raise NoPerfectMatching("Hall condition fails", witness=faces)
-    return DotMatching({(a, b): k for a, row in inflow.items() for b, k in row.items()})
+    return DotMatching({(a, b): k for a in dg.a_faces for b, k in inflow[a].items()})
 
 
 def enrich(m: CombinatorialMap, matching: DotMatching) -> CombinatorialMap:

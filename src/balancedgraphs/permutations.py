@@ -18,7 +18,7 @@ def check_permutation(values, n: int) -> Perm:
         raise BadPermutation(f"expected length {n}, got {len(p)}")
     seen = [False] * n
     for x in p:
-        if not is_int(x) or not 0 <= x < n or seen[x]:
+        if not (type(x) is int or is_int(x)) or not 0 <= x < n or seen[x]:
             raise BadPermutation(f"{list(p)} is not a permutation of 0..{n - 1}")
         seen[x] = True
     return p
@@ -56,27 +56,32 @@ def compose_chain(perms, n: int) -> Perm:
     return result
 
 
-def cycles(p: Perm) -> tuple[tuple[int, ...], ...]:
-    """Cycle decomposition, every cycle starting at and sorted by its minimum."""
-    seen = [False] * len(p)
+def orbits(p: Perm) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Cycle decomposition and, for each point, the index of its cycle.
+
+    Found in one pass over the points: cycles are numbered in the order of
+    their least points, and each starts at its least point.
+    """
+    index = [-1] * len(p)
     out = []
     for start in range(len(p)):
-        if seen[start]:
+        if index[start] >= 0:
             continue
+        i = len(out)
+        index[start] = i
         cyc = [start]
-        seen[start] = True
         x = p[start]
         while x != start:
-            seen[x] = True
+            index[x] = i
             cyc.append(x)
             x = p[x]
         out.append(tuple(cyc))
-    return tuple(out)
+    return tuple(out), tuple(index)
 
 
 def cycle_type(p: Perm) -> tuple[int, ...]:
     """Cycle lengths sorted in decreasing order (fixed points included)."""
-    return tuple(sorted((len(c) for c in cycles(p)), reverse=True))
+    return tuple(sorted((len(c) for c in orbits(p)[0]), reverse=True))
 
 
 def is_transitive(perms, n: int) -> bool:

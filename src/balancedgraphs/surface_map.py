@@ -31,10 +31,10 @@ from .permutations import (
     canonical_relabeling,
     check_permutation,
     conjugate,
-    cycles,
     inverse,
     is_int,
     is_transitive,
+    orbits,
 )
 
 COLOR_A = "A"
@@ -48,6 +48,13 @@ class CombinatorialMap:
     one-line notation.  ``alpha`` must be an involution without fixed
     points and the pair must act transitively (the cell graph fills a
     connected surface).
+
+    Vertex ids number the orbits of ``sigma``, and face ids those of
+    ``phi``, in the order of their least darts; each orbit in
+    ``vertices`` and ``faces`` starts at its least dart and follows its
+    permutation.  One pass over the darts gives both tables of a kind,
+    ``vertices`` with ``vertex_of_dart`` and ``faces`` with
+    ``face_of_dart``, on first use of either; the map keeps them.
     """
 
     def __init__(self, alpha, sigma, check: bool = True):
@@ -82,13 +89,21 @@ class CombinatorialMap:
         return len(self._alpha)
 
     @cached_property
+    def _vertex_orbits(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        return orbits(self._sigma)
+
+    @cached_property
+    def _face_orbits(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        sigma = self._sigma
+        return orbits(tuple([sigma[a] for a in self._alpha]))
+
+    @cached_property
     def vertices(self) -> tuple[tuple[int, ...], ...]:
-        return cycles(self._sigma)
+        return self._vertex_orbits[0]
 
     @cached_property
     def faces(self) -> tuple[tuple[int, ...], ...]:
-        phi = tuple([self._sigma[self._alpha[d]] for d in range(self.dart_count)])
-        return cycles(phi)
+        return self._face_orbits[0]
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -98,11 +113,11 @@ class CombinatorialMap:
 
     @cached_property
     def vertex_of_dart(self) -> tuple[int, ...]:
-        return _index_of(self.vertices, self.dart_count)
+        return self._vertex_orbits[1]
 
     @cached_property
     def face_of_dart(self) -> tuple[int, ...]:
-        return _index_of(self.faces, self.dart_count)
+        return self._face_orbits[1]
 
     @cached_property
     def edge_of_dart(self) -> tuple[int, ...]:
@@ -215,14 +230,6 @@ class CombinatorialMap:
 
     def __repr__(self) -> str:
         return f"CombinatorialMap(alpha={list(self._alpha)}, sigma={list(self._sigma)})"
-
-
-def _index_of(orbits, n: int) -> tuple[int, ...]:
-    out = [0] * n
-    for i, orbit in enumerate(orbits):
-        for d in orbit:
-            out[d] = i
-    return tuple(out)
 
 
 # Root selection for the canonical form.

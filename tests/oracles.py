@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+from collections import deque
 from itertools import accumulate, combinations, permutations
 
 import balancedgraphs as bg
@@ -17,6 +19,7 @@ from balancedgraphs import (
     dot_graph,
     enrich,
 )
+from balancedgraphs import cli
 from balancedgraphs._documents import dump
 
 
@@ -398,6 +401,62 @@ def alternating_hall_witness(dg, match_b):
                 reach_b.add(partner)
                 frontier.append(partner)
     return tuple(sorted(reach_b))
+
+
+def dict_hall_flow(dg: DotGraph) -> tuple[tuple[int, ...], dict[int, dict[int, int]]]:
+    """Maximum flow from B faces to edge-adjacent A faces, dot counts as
+    capacities; returns the B faces of the Hall witness, () if there is
+    none, and the flow as ``inflow[A face][B face]``.
+
+    Dots of one face share their neighborhood, so this flow saturates
+    every B face exactly when the dot graph matches every B dot.  Paths
+    are found breadth-first from all B faces with supply left at once
+    (Edmonds-Karp).  When none remains, the B faces reachable in the
+    residual graph from unsent supply form the witness: by
+    Dulmage-Mendelsohn they carry exactly the B dots an alternating
+    search from the unmatched dots of any maximum matching reaches.
+    (The library's flow before it kept its tables in lists by face.)
+    """
+    supply = {f: dg.dot_counts[f] for f in dg.b_faces}
+    room = {g: dg.dot_counts[g] for g in dg.a_faces}
+    out = {f: [g for g in dg.face_neighbors[f] if g in room] for f in supply}
+    inflow: dict[int, dict[int, int]] = {g: {} for g in room}
+    while True:
+        parent: dict[int, int | None] = {f: None for f, s in supply.items() if s}
+        queue = deque(parent)
+        end = None
+        while queue and end is None:
+            f = queue.popleft()
+            for g in out[f]:
+                if g in parent:
+                    continue
+                parent[g] = f
+                if room[g]:
+                    end = g
+                    break
+                for h in inflow[g]:
+                    if h not in parent:
+                        parent[h] = g
+                        queue.append(h)
+        if end is None:
+            return tuple(sorted(f for f in parent if f in supply)), inflow
+        path = [end]
+        while parent[path[-1]] is not None:
+            path.append(parent[path[-1]])
+        path.reverse()  # B, A, B, A, ..., A
+        amount = min(supply[path[0]], room[end])
+        for i in range(1, len(path) - 1, 2):
+            amount = min(amount, inflow[path[i]][path[i + 1]])
+        supply[path[0]] -= amount
+        room[end] -= amount
+        for i in range(0, len(path), 2):
+            b, a = path[i], path[i + 1]
+            inflow[a][b] = inflow[a].get(b, 0) + amount
+            if i:
+                back = inflow[path[i - 1]]
+                back[b] -= amount
+                if not back[b]:
+                    del back[b]
 
 
 def recursive_perfect_matchings(dg):
@@ -1068,3 +1127,30 @@ def orbit_walk_serialize(m, labels=None, coloring=None, real_cycle=None) -> str:
     if real_cycle is not None:
         doc["real_cycle"] = [dart_map[d] for d in real_cycle]
     return dump(doc)
+
+
+def rotated_orbits(p):
+    """(cycles, index of each point's cycle), built point by point: the
+    cycle through each point is walked whole and rotated to start at its
+    least point, and the distinct cycles are sorted by that point."""
+    through = []
+    for x in range(len(p)):
+        cyc = [x]
+        while p[cyc[-1]] != x:
+            cyc.append(p[cyc[-1]])
+        k = cyc.index(min(cyc))
+        through.append(tuple(cyc[k:] + cyc[:k]))
+    found = sorted(set(through))
+    return tuple(found), tuple([found.index(c) for c in through])
+
+
+def full_parser_main(argv) -> int:
+    """:func:`balancedgraphs.cli.main` parsing every call with the full
+    parser, as it did before it handed a named subcommand's arguments to
+    that subcommand's parser."""
+    args = cli.build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (bg.BalancedGraphsError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return cli.EXIT_ERROR

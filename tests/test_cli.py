@@ -1,6 +1,8 @@
+import io
 import json
 import math
 import random
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -15,6 +17,7 @@ from helpers import (
     random_genus_zero_constellation,
     random_glued_map,
 )
+from oracles import full_parser_main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 COUNTEREXAMPLE = FIXTURES / "counterexample_gb_not_lb.json"
@@ -530,6 +533,70 @@ def test_shared_parser_carries_no_state_between_calls(capsys, monkeypatch, tmp_p
     fresh = [_exit_and_output(capsys, argv) for argv in calls]
     assert shared == fresh
     assert [code for code, _, _ in shared] == [2, 0, 0, 1, 0, 2]
+
+
+COMMANDS = ("check", "realize", "pullback", "count", "pairings", "ssyt", "mirror", "export")
+
+
+def _argv_corpus(mirror_file, tmp_path):
+    """Calls of every subcommand, help requests, and usage errors of the
+    kinds argparse reports from the full parser or from a subcommand's."""
+    constellation = tmp_path / "c.json"
+    constellation.write_text('{"d":2,"perms":[[2,1],[2,1],[2,1],[2,1]]}')
+    pairing = tmp_path / "p.json"
+    pairing.write_text('{"n":4,"a":[1,1,1,1],"arcs":[[1,2],[3,4]]}')
+    cex = str(COUNTEREXAMPLE)
+    valid = [
+        ["check", "--input", cex],
+        ["realize", "--input", mirror_file],
+        ["pullback", "--input", str(constellation)],
+        ["count", "--d", "3"],
+        ["count", "--d", "4", "--a", "3,1,1,1"],
+        ["pairings", "--d", "3", "--a", "1,1,1,1"],
+        ["ssyt", "--d", "3", "--a", "1,1,1,1"],
+        ["mirror", "--input", str(pairing)],
+        ["export", "--input", mirror_file, "--format", "svg"],
+        ["export", "--input", cex],
+    ]
+    help_requests = [["--help"], ["-h"], [], ["bogus"], ["--d", "3"]]
+    help_requests += [[command, flag] for command in COMMANDS for flag in ("-h", "--help")]
+    usage = [
+        ["check", "--bogus"],
+        ["check", "--input", cex, "extra"],
+        ["pairings", "--d", "3"],
+        ["count"],
+        ["count", "--d", "x"],
+        ["count", "--d=3"],
+        ["count", "--d", "-3"],
+        ["check", "--inp", "-"],
+        ["check", "--input"],
+        ["export", "--format", "bogus"],
+        ["export", "--input", cex, "--format=dot"],
+        ["check", "--input", cex, "--", "x"],
+        ["count", "--d", "3", "--"],
+        ["ssyt", "--a", "1,1", "--d", "2", "-h"],
+    ]
+    return valid + help_requests + usage
+
+
+def test_subcommand_parsing_matches_the_full_parser(capsys, monkeypatch, mirror_file, tmp_path):
+    stdin = COUNTEREXAMPLE.read_text()
+
+    def outcome(entry, argv):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        try:
+            code = entry(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    codes = []
+    for argv in _argv_corpus(mirror_file, tmp_path):
+        ours = outcome(main, argv)
+        assert ours == outcome(full_parser_main, argv), argv
+        codes.append(ours[0])
+    assert {0, 1, 2} <= set(codes)
 
 
 def _nested(prefix, depth=100_000):

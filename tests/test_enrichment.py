@@ -1,16 +1,23 @@
+import random
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
 import balancedgraphs as bg
-from helpers import all_mirror_graphs, cycle_of_length, fixed_point_free_pullback
+from balancedgraphs import enrichment
+from balancedgraphs.cli import _spliced
+from helpers import all_mirror_graphs, cycle_of_length, fixed_point_free_pullback, random_glued_map
 from oracles import (
     alternating_hall_witness,
+    dict_hall_flow,
     face_subset_hall_ok,
     iter_perfect_matchings,
     recursive_maximum_matching,
     recursive_perfect_matchings,
 )
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _assert_perfect(dg, counts):
@@ -249,3 +256,37 @@ def test_iter_perfect_matchings_is_not_bounded_by_recursion():
     m, coloring, _ = bg.mirror_graph(bg.NonCrossingPairing(t, arcs))
     dg = bg.dot_graph(m, coloring)
     _assert_perfect(dg, next(iter_perfect_matchings(dg)).counts)
+
+
+def _flow_dot_graphs():
+    """Dot graphs, on both colorings, of maps glued from two random
+    pairings of one type of degree 6 to 10 (as the check benchmark draws
+    them; half with edges subdivided), of every mirror graph with d <= 6,
+    each spliced as realize splices it, and of the two committed
+    counterexamples."""
+    rng = random.Random(22)
+    maps = []
+    while len(maps) < 80:
+        m = random_glued_map(rng, 6 + len(maps) % 5, subdivide=len(maps) % 2 == 1)
+        if m is not None:
+            maps.append(_spliced(m, bg.alternating_coloring(m))[:2])
+    maps += [_spliced(m, coloring)[:2] for _, m, coloring, _ in all_mirror_graphs(6)]
+    for name in ("counterexample_gb_not_lb.json", "flipped_certificate.json"):
+        doc = bg.deserialize((FIXTURES / name).read_text())
+        maps.append((doc.map, doc.colors))
+    return [bg.dot_graph(m, col) for m, coloring in maps for col in (coloring, coloring.flip())]
+
+
+def test_hall_flow_matches_the_dict_reference():
+    # same witness, and the same flow row by row, entries in the same order
+    failed = 0
+    for dg in _flow_dot_graphs():
+        want_faces, want_inflow = dict_hall_flow(dg)
+        faces, inflow = enrichment._hall_flow(dg)
+        assert faces == want_faces
+        assert [list(inflow[g].items()) for g in dg.a_faces] == [
+            list(row.items()) for row in want_inflow.values()
+        ]
+        assert not any(inflow[f] for f in range(len(inflow)) if f not in want_inflow)
+        failed += bool(faces)
+    assert failed >= 50

@@ -5,9 +5,11 @@ import pytest
 import balancedgraphs as bg
 import balancedgraphs.permutations as permutations
 from balancedgraphs.permutations import canonical_relabeling, conjugate
+from helpers import random_rotation_map
 from oracles import (
     all_roots_canonical,
     factorial_conjugation_canonical,
+    rotated_orbits,
     sequential_canonical_relabeling,
 )
 
@@ -184,3 +186,51 @@ def test_intransitive_tuples_raise_disconnected(perms, roots):
     assert _outcome(sequential_canonical_relabeling, perms, n, roots) == "disconnected"
     with pytest.raises(bg.Disconnected):
         canonical_relabeling(perms, n, roots)
+
+
+def _permutation_with_fixed_points(rng):
+    n = rng.randint(1, 30)
+    fixed = set(rng.sample(range(n), rng.randint(0, n)))
+    moved = [x for x in range(n) if x not in fixed]
+    p = list(range(n))
+    for x, y in zip(moved, rng.sample(moved, len(moved))):
+        p[x] = y
+    return tuple(p)
+
+
+def _assert_orbits(table, p):
+    """``table`` is the oracle's, cycles start at their least points in
+    increasing order and follow ``p``, and each point's index names the
+    cycle holding it."""
+    cycles, index = table
+    assert table == rotated_orbits(p)
+    starts = [c[0] for c in cycles]
+    assert starts == sorted(starts) == [min(c) for c in cycles]
+    for c in cycles:
+        assert [p[x] for x in c] == list(c[1:] + c[:1])
+    assert all(x in cycles[index[x]] for x in range(len(p)))
+
+
+def test_orbits_match_the_rotated_oracle():
+    rng = random.Random(22)
+    perms = [(), (0,), tuple(range(7)), (1, 0)]
+    perms += [_permutation_with_fixed_points(rng) for _ in range(300)]
+    assert sum(x == y for p in perms for x, y in enumerate(p)) > 1000
+    for p in perms:
+        _assert_orbits(permutations.orbits(p), p)
+        lengths = sorted([len(c) for c in rotated_orbits(p)[0]], reverse=True)
+        assert permutations.cycle_type(p) == tuple(lengths)
+
+
+def test_map_orbit_tables_match_the_rotated_oracle():
+    # the dart-to-orbit table read first on faces, second on vertices
+    rng = random.Random(23)
+    for _ in range(150):
+        valences = [rng.randint(2, 6) for _ in range(rng.randint(1, 5))]
+        valences[0] += sum(valences) % 2
+        m = random_rotation_map(rng, valences)
+        m = m.relabel(rng.sample(range(m.dart_count), m.dart_count))
+        phi = tuple([m.sigma[m.alpha[d]] for d in range(m.dart_count)])
+        face_of_dart = m.face_of_dart
+        _assert_orbits((m.faces, face_of_dart), phi)
+        _assert_orbits((m.vertices, m.vertex_of_dart), m.sigma)
