@@ -101,19 +101,35 @@ def cmd_pullback(args) -> int:
     return EXIT_OK
 
 
+def _decimal(n: int) -> str:
+    """The decimal digits of a count ``n >= 0``, of any size.
+
+    CPython refuses to turn an int of more digits than
+    ``sys.get_int_max_str_digits()`` (4,300 by default) into text.  Such a
+    count is split at a power of ten into two halves, each turned into
+    text the same way, so the interpreter's limit stays as it is.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        k = n.bit_length() * 3 // 20  # about half of its digits
+        high, low = divmod(n, 10**k)
+        return _decimal(high) + _decimal(low).zfill(k)
+
+
 def cmd_count(args) -> int:
     d = args.d
     if args.a is not None:
         weights = _parse_weights(args.a)
         t = real_combinatorics.WeightComposition(d, weights)
-        print(f"a={','.join(map(str, weights))} K={real_combinatorics.kostka(t)}")
+        print(f"a={','.join(map(str, weights))} K={_decimal(real_combinatorics.kostka(t))}")
         return EXIT_OK
-    print(f"d={d} catalan={real_combinatorics.catalan(d)}")
+    print(f"d={d} catalan={_decimal(real_combinatorics.catalan(d))}")
     for a in real_combinatorics.compositions(2 * d - 2, d - 1):
         if not 2 <= len(a) <= 2 * d - 2:
             continue
         t = real_combinatorics.WeightComposition(d, a)
-        print(f"a={','.join(map(str, a))} K={real_combinatorics.kostka(t)}")
+        print(f"a={','.join(map(str, a))} K={_decimal(real_combinatorics.kostka(t))}")
     return EXIT_OK
 
 

@@ -48,14 +48,6 @@ class Passport(Record):
     parts: tuple[tuple[int, ...], ...]
 
 
-def _is_cyclic_rotation_of_range(seq, mm: int) -> bool:
-    # a reading equal to 1..m from its 1 on is already a permutation
-    if len(seq) != mm or 1 not in seq:
-        return False
-    start = seq.index(1)
-    return seq[start:] + seq[:start] == list(range(1, mm + 1))
-
-
 def admissible_labeling(
     m: CombinatorialMap, coloring: FaceColoring
 ) -> VertexLabeling:
@@ -73,24 +65,29 @@ def admissible_labeling(
             f"faces carry different vertex counts: {sorted(lengths)}"
         )
     mm = lengths.pop()
+    colors = coloring.colors
+    first = next(f for f in range(m.face_count) if colors[f] == COLOR_A)
+    up = [c == COLOR_A for c in colors]  # whether labels step up along a face
+    alpha, vertices = m.alpha, m.vertices
     vod, fod = m.vertex_of_dart, m.face_of_dart
-    first = next(f for f in range(m.face_count) if coloring.color(f) == COLOR_A)
     labels = [0] * m.vertex_count
     start = vod[m.faces[first][0]]
     labels[start] = 1
     stack = [start]
     while stack:
         v = stack.pop()
-        for d in m.vertices[v]:
-            w = vod[m.alpha[d]]
-            step = 1 if coloring.color(fod[d]) == COLOR_A else -1
-            want = (labels[v] - 1 + step) % mm + 1
-            if labels[w] == 0:
+        label = labels[v]
+        above, below = label % mm + 1, (label - 2) % mm + 1
+        for d in vertices[v]:
+            w = vod[alpha[d]]
+            want = above if up[fod[d]] else below
+            have = labels[w]
+            if not have:
                 labels[w] = want
                 stack.append(w)
-            elif labels[w] != want:
+            elif have != want:
                 raise InconsistentPropagation(
-                    f"vertex {w} receives labels {labels[w]} and {want}"
+                    f"vertex {w} receives labels {have} and {want}"
                 )
 
     labeling = VertexLabeling(mm, tuple(labels))
@@ -104,20 +101,25 @@ def verify_labeling(
     m: CombinatorialMap, coloring: FaceColoring, lab: VertexLabeling
 ) -> tuple[bool, str | None]:
     """Check both admissibility conditions; returns (ok, first violation)."""
-    if len(lab.labels) != m.vertex_count:
+    labels, mm = lab.labels, lab.m
+    if len(labels) != m.vertex_count:
         return False, "one label per vertex required"
-    if any(not 1 <= lb <= lab.m for lb in lab.labels):
+    if any(not 1 <= lb <= mm for lb in labels):
         return False, "labels must lie in 1..m"
-    vod = m.vertex_of_dart
+    vod, colors = m.vertex_of_dart, coloring.colors
+    # a face reads 1..m from its 1 on, cyclically (B faces read backwards)
+    ascending = list(range(1, mm + 1))
     for f, face in enumerate(m.faces):
-        read = [lab.labels[vod[d]] for d in face]
-        if coloring.color(f) == COLOR_B:
-            read = read[::-1]
-        if not _is_cyclic_rotation_of_range(read, lab.m):
+        read = [labels[vod[d]] for d in face]
+        if colors[f] == COLOR_B:
+            read.reverse()
+        start = read.index(1) if 1 in read else 0
+        if read[start:] + read[:start] != ascending:
             return False, f"face {f} reads labels {read}"
     d = m.face_count // 2
+    vertices = m.vertices
     for j, vs in enumerate(lab.classes, 1):
-        total = sum(len(m.vertices[v]) // 2 for v in vs)
+        total = sum([len(vertices[v]) // 2 for v in vs])
         if total != d:
             return False, f"label {j} has half-valence sum {total}, expected {d}"
     return True, None

@@ -175,27 +175,37 @@ def constellation_from(
     the incident A faces, read in sigma order, contribute one cycle to the
     j-th permutation.
     """
-    a_faces = coloring.faces_of(COLOR_A)
-    sheet = {f: i for i, f in enumerate(a_faces)}
-    d = len(a_faces)
+    # the sheet of each face, -1 for B faces
+    sheet = [-1] * len(coloring.colors)
+    d = 0
+    for f, c in enumerate(coloring.colors):
+        if c == COLOR_A:
+            sheet[f] = d
+            d += 1
     perms = []
-    fod = m.face_of_dart
+    fod, vertices = m.face_of_dart, m.vertices
     for j, vs in enumerate(lab.classes, 1):
         p = list(range(d))
-        seen: set[int] = set()
+        seen = [False] * d
         for v in vs:
-            ring = [
-                sheet[fod[dart]]
-                for dart in m.vertices[v]
-                if coloring.color(fod[dart]) == COLOR_A
-            ]
-            for i, s in enumerate(ring):
-                if s in seen:
+            # each sheet around v goes to the next one, the last to the first
+            first = prev = -1
+            for dart in vertices[v]:
+                s = sheet[fod[dart]]
+                if s < 0:
+                    continue
+                if seen[s]:
                     raise NotVerified(
                         f"sheet {s + 1} appears twice around vertices with label {j}"
                     )
-                seen.add(s)
-                p[s] = ring[(i + 1) % len(ring)]
+                seen[s] = True
+                if prev < 0:
+                    first = s
+                else:
+                    p[prev] = s
+                prev = s
+            if prev >= 0:
+                p[prev] = first
         perms.append(tuple(p))
     return Constellation(d, tuple(perms))
 

@@ -263,9 +263,13 @@ class CombinatorialMap:
 # (2, -L, L + 3) at ``run[m]``, L = 2m + 3 for even m and 2m + 4 for odd m:
 # it depends on m alone and grows with m, so only the longest regular runs
 # keep roots.  ``_run_keys`` keys the roots of the other runs and searches
-# those where a check fails.  A dart at an ordinary corner leaves P upwards
-# at 3 with 6.  A code from a 2-valent vertex cannot leave P upwards before
-# position 4, so every root on a run beats it: such darts are never listed,
+# those where a check fails.  Before h such a search numbers only darts of
+# the run, in the order P gives, so it lays those down and starts at h.
+# The positions it skips are charged to the budget as searched ones: a
+# map goes past the budget exactly when searches from the roots would.  A
+# dart at an ordinary corner leaves P upwards at 3 with 6.  A code from a
+# 2-valent vertex cannot leave P upwards before position 4, so every root
+# on a run beats it: such darts are never listed,
 # and only darts at the other corners are searched.
 
 
@@ -289,30 +293,38 @@ class _Search:
         self.label = [-1] * len(alpha)
         self.budget = 16 * len(alpha)
 
-    def key(self, root: int, watch: int) -> tuple[tuple, bool]:
-        """Sort key of the root's alpha code against P, and whether the
-        search numbered the dart ``watch`` before the code left P.
+    def key(self, order: list[int], start: int, watch: int) -> tuple[tuple, bool]:
+        """Sort key of the alpha code of the root ``order[0]`` against P,
+        and whether the search numbered the dart ``watch`` before the code
+        left P.
 
-        The key is ``(0, L, v)`` when the code first leaves P downwards at
-        position L with value v, ``(2, -L, v)`` when it leaves upwards and
-        ``(1, 0, 0)`` when it never leaves.
+        ``order`` holds the darts the search numbers first, in its order,
+        up to where it reaches position ``start``; the code follows P at
+        the positions before.  The key is ``(0, L, v)`` when the code first
+        leaves P downwards at position L with value v, ``(2, -L, v)`` when
+        it leaves upwards and ``(1, 0, 0)`` when it never leaves.  Skipped
+        positions are charged to the budget as searched ones.
         """
-        alpha, label = self.alpha, self.label
-        label[root] = 0
-        order = [root]
+        alpha, sigma, label = self.alpha, self.sigma, self.label
+        for i, x in enumerate(order):
+            label[x] = i
         push = order.append
-        size = 1
-        i = 0
+        size = len(order)
+        i = start
         key = (1, 0, 0)
         while i < size:
             x = order[i]
-            for p in (alpha, self.sigma):
-                y = p[x]
-                if label[y] < 0:
-                    label[y] = size
-                    size += 1
-                    push(y)
-            v = label[alpha[x]]
+            y = alpha[x]
+            v = label[y]
+            if v < 0:
+                v = label[y] = size
+                size += 1
+                push(y)
+            y = sigma[x]
+            if label[y] < 0:
+                label[y] = size
+                size += 1
+                push(y)
             expected = 1 - i if i < 2 else i + 2 if i & 2 else i - 2  # P[i]
             if v != expected:
                 key = (0, i, v) if v < expected else (2, -i, v)
@@ -325,6 +337,22 @@ class _Search:
         if self.budget < 0:
             raise _OverBudget
         return key, seen
+
+    def run_key(self, run: list[int], r: int) -> tuple[tuple, bool]:
+        """``key`` of the root ``run[r]`` of a run, watching ``run[-2]``,
+        started at the position h where the search first expands a corner
+        dart.  The darts numbered before are laid down as P numbers them:
+        the q-th dart ahead along the run (the way alpha leads) gets 2q - 1
+        and the q-th behind 2q, so the corner darts at its ends get
+        2 len(ahead) - 1 and 2 len(behind).
+        """
+        ahead = run[r - 1::-1] if r % 2 else run[r + 1:]
+        behind = run[r + 1:] if r % 2 else run[r - 1::-1]
+        h = min(2 * len(ahead) - 1, 2 * len(behind))
+        order = [run[r]] * (h + 2)
+        order[1::2] = ahead[:(h + 2) // 2]
+        order[2::2] = behind[:(h + 1) // 2]
+        return self.key(order, h, run[-2])
 
 
 def _least_prefix_roots(alpha: Perm, sigma: Perm):
@@ -358,7 +386,7 @@ def _root_keys(alpha: Perm, sigma: Perm) -> list[tuple[tuple, int]] | None:
             # searched unless the corner is ordinary: the four darts numbered
             # first and the three their alpha and sigma reach next distinct
             if not (e != y != x != z != e and z != alpha[y] != s != alpha[z] and s != x):
-                keyed.append((search.key(e, e)[0], e))
+                keyed.append((search.key([e], 0, e)[0], e))
             m = 0
             while two[x]:
                 x = alpha[sigma[x]]
@@ -369,10 +397,11 @@ def _root_keys(alpha: Perm, sigma: Perm) -> list[tuple[tuple, int]] | None:
             # only corner darts on the run, the darts near them meet it only
             # through those, so each check asks these darts to be distinct
             ay, x1 = alpha[y], sigma[x]
-            near = {e, y, ay, s, sigma[ay], alpha[s]}
+            u, w = sigma[ay], alpha[s]
+            near = {e, y, ay, s, u, w}
             ends = near | {x, x1} if m % 2 else {e, y, ay, s, x, x1, alpha[x1]}
             if len(near) < 6 or len(ends) < 7 + m % 2:
-                keyed += _run_keys(search, two, e)
+                keyed += _run_keys(search, two, e, [y, ay, s, u, w], x1)
             elif m >= longest:
                 if m > longest:
                     longest, starts = m, []
@@ -388,44 +417,49 @@ def _root_keys(alpha: Perm, sigma: Perm) -> list[tuple[tuple, int]] | None:
     return keyed
 
 
-def _run_keys(search: _Search, two: list[bool], e: int):
+def _run_keys(search: _Search, two: list[bool], e: int, near: list[int], x1: int):
     """Keys of the roots on the run from the corner dart ``e`` whose search
     first numbers ``e``: closed forms where the darts the search numbers
-    around ``e`` (``near``) are distinct and new, that is off the run but
-    for those at its far end the search cannot have reached and, for the
-    innermost roots, off the first darts numbered around the far end.
+    around ``e`` (``near``: sigma e, alpha sigma e, sigma^2 e, sigma alpha
+    sigma e and alpha sigma^2 e) are distinct and new, that is off the run
+    but for those at its far end the search cannot have reached and, for
+    the innermost roots, off the first darts numbered around the far end
+    (from ``x1``, sigma of the far corner dart).
     """
     alpha, sigma = search.alpha, search.sigma
-    run = [e, alpha[e]]
-    while two[run[-1]]:
-        run += (sigma[run[-1]], alpha[sigma[run[-1]]])
+    x = alpha[e]
+    run = [e, x]
+    while two[x]:
+        z = sigma[x]
+        x = alpha[z]
+        run += (z, x)
     m = len(run) // 2 - 1
-    near = _corner_darts(alpha, sigma, e)
-    far = _corner_darts(alpha, sigma, run[-1])
     on = set(run)
 
     def new(darts, spare):
         # distinct, and on this run only among its last ``spare`` darts
-        return len(set(darts)) == len(darts) and set(darts) & on <= set(run[len(run) - spare:])
+        tail = set(run[len(run) - spare:])
+        return len(set(darts)) == len(darts) and on.intersection(darts) <= tail
 
     # ahead first (F <= B), from F = (m + 1) // 2 out: the innermost root
     # has B - F = 0 or 1, the others B - F >= 2; the code leaves P at
     # h + 5 = 4F + 2
     f = (m + 1) // 2
-    inner = new(near + far[:1], 0) if m % 2 else new(near, 1)
-    out = _side_keys(search, run, run[2 * f - 1::-2], 4 * f + 2, inner, new(near, 3))
+    inner = new(near + [x1], 0) if m % 2 else new(near, 1)
+    out = _side_keys(search, run, 2 * f - 1, 4 * f + 2, inner, new(near, 3))
     # behind first (B < F), from B = m // 2 out: the innermost root has
     # F - B = 1 or 2, the others F - B >= 3; the code leaves P at
     # h + 3 = 4B + 3
     b = m // 2
-    inner = new(near[:3], 0) if m % 2 else new(near[:3] + far[:2], 0)
-    out += _side_keys(search, run, run[2 * b:0:-2], 4 * b + 3, inner, new(near[:3], 2))
+    inner = new(near[:3], 0) if m % 2 else new(near[:3] + [x1, alpha[x1]], 0)
+    out += _side_keys(search, run, 2 * b, 4 * b + 3, inner, new(near[:3], 2))
     return out
 
 
-def _side_keys(search: _Search, run: list[int], roots, departs: int, inner, outer):
-    """Keys of the roots along one side of ``run``, innermost first, whose
-    closed forms leave P at ``departs``, four positions earlier per root.
+def _side_keys(search: _Search, run: list[int], first: int, departs: int, inner, outer):
+    """Keys of the roots ``run[first]``, ``run[first - 2]``, ... down to
+    ``run[1]`` or ``run[2]``, innermost first, whose closed forms leave P
+    at ``departs``, four positions earlier per root.
 
     ``inner`` and ``outer`` tell whether the closed form holds for the
     innermost root and for the rest; keys improve towards the middle, so
@@ -436,29 +470,22 @@ def _side_keys(search: _Search, run: list[int], roots, departs: int, inner, oute
     outermost root's, which is kept, beats a downward one.
     """
     out = []
-    for i, root in enumerate(roots):
-        if outer if i else inner:
-            out.append(((2, -departs, departs + 3), root))
+    for r in range(first, 0, -2):
+        if outer if r < first else inner:
+            out.append(((2, -departs, departs + 3), run[r]))
             if outer:
                 break
         else:
-            key, far = search.key(root, run[-2])
-            out.append((key, root))
+            key, far = search.run_key(run, r)
+            out.append((key, run[r]))
             if not far:
-                if key[0] == 0 and i < len(roots) - 1:
-                    shift = 4 * (len(roots) - 1 - i)
-                    out.append(((0, key[1] - shift, key[2] - shift), roots[-1]))
+                outermost = 2 - r % 2
+                if key[0] == 0 and r > outermost:
+                    shift = 2 * (r - outermost)
+                    out.append(((0, key[1] - shift, key[2] - shift), run[outermost]))
                 break
         departs -= 4
     return out
-
-
-def _corner_darts(alpha: Perm, sigma: Perm, e: int) -> list[int]:
-    """The darts a search numbers first at the corner of ``e``."""
-    e1 = sigma[e]
-    y = alpha[e1]
-    e2 = sigma[e1]
-    return [e1, y, e2, sigma[y], alpha[e2]]
 
 
 def build_map(dart_count: int, alpha, sigma) -> CombinatorialMap:

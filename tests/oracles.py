@@ -1154,3 +1154,102 @@ def full_parser_main(argv) -> int:
     except (bg.BalancedGraphsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return cli.EXIT_ERROR
+
+
+def _is_cyclic_rotation_of_range(seq, mm: int) -> bool:
+    # a reading equal to 1..m from its 1 on is already a permutation
+    if len(seq) != mm or 1 not in seq:
+        return False
+    start = seq.index(1)
+    return seq[start:] + seq[:start] == list(range(1, mm + 1))
+
+
+def colored_walk_labeling(m, coloring):
+    """:func:`balancedgraphs.admissible_labeling` as it was before it read
+    the colors into a per-face list: every dart asks the coloring for its
+    face's color and recomputes its head's label."""
+    COLOR_A = bg.COLOR_A
+    lengths = {len(face) for face in m.faces}
+    if len(lengths) != 1:
+        raise InconsistentPropagation(
+            f"faces carry different vertex counts: {sorted(lengths)}"
+        )
+    mm = lengths.pop()
+    vod, fod = m.vertex_of_dart, m.face_of_dart
+    first = next(f for f in range(m.face_count) if coloring.color(f) == COLOR_A)
+    labels = [0] * m.vertex_count
+    start = vod[m.faces[first][0]]
+    labels[start] = 1
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        for d in m.vertices[v]:
+            w = vod[m.alpha[d]]
+            step = 1 if coloring.color(fod[d]) == COLOR_A else -1
+            want = (labels[v] - 1 + step) % mm + 1
+            if labels[w] == 0:
+                labels[w] = want
+                stack.append(w)
+            elif labels[w] != want:
+                raise InconsistentPropagation(
+                    f"vertex {w} receives labels {labels[w]} and {want}"
+                )
+
+    labeling = VertexLabeling(mm, tuple(labels))
+    ok, why = colored_verify_labeling(m, coloring, labeling)
+    if not ok:
+        raise InconsistentPropagation(f"propagated labeling is not admissible: {why}")
+    return labeling
+
+
+def colored_verify_labeling(m, coloring, lab):
+    """:func:`balancedgraphs.verify_labeling` as it was before it read the
+    colors and labels off local tuples."""
+    COLOR_B = bg.COLOR_B
+    if len(lab.labels) != m.vertex_count:
+        return False, "one label per vertex required"
+    if any(not 1 <= lb <= lab.m for lb in lab.labels):
+        return False, "labels must lie in 1..m"
+    vod = m.vertex_of_dart
+    for f, face in enumerate(m.faces):
+        read = [lab.labels[vod[d]] for d in face]
+        if coloring.color(f) == COLOR_B:
+            read = read[::-1]
+        if not _is_cyclic_rotation_of_range(read, lab.m):
+            return False, f"face {f} reads labels {read}"
+    d = m.face_count // 2
+    for j, vs in enumerate(lab.classes, 1):
+        total = sum(len(m.vertices[v]) // 2 for v in vs)
+        if total != d:
+            return False, f"label {j} has half-valence sum {total}, expected {d}"
+    return True, None
+
+
+def dict_constellation_from(m, coloring, lab):
+    """:func:`balancedgraphs.constellation_from` as it was before it kept
+    sheet numbers and the sheets seen in lists: sheets in a dict by face,
+    each vertex's ring of sheets built as a list."""
+    COLOR_A = bg.COLOR_A
+    a_faces = coloring.faces_of(COLOR_A)
+    sheet = {f: i for i, f in enumerate(a_faces)}
+    d = len(a_faces)
+    perms = []
+    fod = m.face_of_dart
+    for j, vs in enumerate(lab.classes, 1):
+        p = list(range(d))
+        seen: set[int] = set()
+        for v in vs:
+            ring = [
+                sheet[fod[dart]]
+                for dart in m.vertices[v]
+                if coloring.color(fod[dart]) == COLOR_A
+            ]
+            for i, s in enumerate(ring):
+                if s in seen:
+                    raise bg.NotVerified(
+                        f"sheet {s + 1} appears twice around vertices with label {j}"
+                    )
+                seen.add(s)
+                p[s] = ring[(i + 1) % len(ring)]
+        perms.append(tuple(p))
+    return bg.Constellation(d, tuple(perms))

@@ -1,8 +1,11 @@
 import io
 import json
 import math
+import os
 import random
+import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -396,6 +399,43 @@ def test_count_catalan_type_of_degree_400(capsys):
     code, out, err = run(capsys, "count", "--d", "400", "--a", ",".join(["1"] * 798))
     assert (code, err) == (0, "")
     assert out.split("K=")[1] == f"{math.comb(798, 399) // 400}\n"
+
+
+def test_count_prints_catalan_numbers_past_the_int_to_str_limit():
+    # from d = 7154 on the Catalan number has more than the 4,300 digits
+    # CPython turns into text by default; the composition listing after
+    # it never ends, so the process is stopped after its first line, which
+    # -u writes to the pipe at once instead of holding it in a block buffer
+    d = 7154
+    src = str(Path(bg.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "balancedgraphs.cli", "count", "--d", str(d)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    watchdog = threading.Timer(120, proc.kill)
+    watchdog.start()
+    try:
+        first = proc.stdout.readline()
+    finally:
+        watchdog.cancel()
+        proc.kill()
+        proc.wait(timeout=60)
+        proc.stdout.close()
+    prefix, _, digits = first.rstrip("\n").partition(" catalan=")
+    assert prefix == f"d={d}"
+    assert digits.isdigit() and digits[0] != "0" and len(digits) > 4300
+    # read back 1,000 digits at a time, each within the limit
+    value = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    assert value == math.comb(2 * d - 2, d - 1) // d
+    # halves that start with zeros keep them
+    assert cli._decimal(10**5000) == "1" + "0" * 5000
+    assert cli._decimal(10**9000 + 7) == "1" + "0" * 8999 + "7"
 
 
 def test_count_d3(capsys):

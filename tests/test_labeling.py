@@ -1,10 +1,18 @@
+import collections
 import random
 
 import pytest
 
 import balancedgraphs as bg
-from helpers import all_mirror_graphs, fixed_point_free_pullback
-from oracles import generic_labeling, propagated_labeling
+from balancedgraphs import cli
+from helpers import all_mirror_graphs, fixed_point_free_pullback, random_fixed_point_constellation
+from oracles import (
+    colored_verify_labeling,
+    colored_walk_labeling,
+    dict_constellation_from,
+    generic_labeling,
+    propagated_labeling,
+)
 
 
 def _realize(m, coloring):
@@ -266,6 +274,95 @@ def test_verify_labeling_rejects_labels_out_of_range(b2):
     coloring = bg.alternating_coloring(b2)
     lab = bg.VertexLabeling(2, (0, 3))
     assert bg.verify_labeling(b2, coloring, lab) == (False, "labels must lie in 1..m")
+
+
+# flat tables against the per-dart colorings they replaced ---------------------
+
+
+def _outcome(fn, *args):
+    """What ``fn`` returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _probe_labeling(m, lab, rng):
+    """A labeling, drawn at random, that fails ``verify_labeling`` at one
+    of its checks or, as a cyclic shift of ``lab``, passes it."""
+    k = lab.m if isinstance(lab, bg.VertexLabeling) else len(m.faces[0])
+    n = m.vertex_count
+    probes = [
+        (1,) * (n + 1),
+        (0,) + (1,) * (n - 1),
+        (1,) * n,
+        tuple(rng.choices(range(1, k + 1), k=n)),
+    ]
+    if isinstance(lab, bg.VertexLabeling):
+        probes.append(tuple([lb % k + 1 for lb in lab.labels]))
+    return bg.VertexLabeling(k, rng.choice(probes))
+
+
+def _assert_flat_tables_match_the_oracles(m, coloring, rng, seen):
+    """Labeling, verification and monodromy agree with the colored-walk
+    oracles in result, or in exception type and message; ``seen`` counts
+    the outcomes by their first words.  Returns the labeling's outcome."""
+    lab = _outcome(bg.admissible_labeling, m, coloring)
+    assert lab == _outcome(colored_walk_labeling, m, coloring)
+    if isinstance(lab, bg.VertexLabeling):
+        probes = [lab, _probe_labeling(m, lab, rng)]
+        seen["labeled"] += 1
+    else:
+        probes = [_probe_labeling(m, lab, rng)]
+        seen[lab[1].split()[2]] += 1
+    for probe in probes:
+        verdict = bg.verify_labeling(m, coloring, probe)
+        assert verdict == colored_verify_labeling(m, coloring, probe)
+        seen[" ".join(verdict[1].split()[:2]) if verdict[1] else "admissible"] += 1
+        if len(probe.labels) == m.vertex_count:
+            c = _outcome(bg.constellation_from, m, coloring, probe)
+            assert c == _outcome(dict_constellation_from, m, coloring, probe)
+            seen["constellation" if isinstance(c, bg.Constellation) else c[1].split()[2]] += 1
+    return lab
+
+
+def _realize_input(m, coloring):
+    """The map and coloring ``realize`` labels for ``m``: 2-valent
+    vertices spliced out, then enriched."""
+    spliced, coloring, _ = cli._spliced(m, coloring)
+    return _enriched(spliced, coloring), coloring
+
+
+def test_flat_tables_match_the_oracles(gb_corpus, constellation_corpus, b2):
+    rng = random.Random(2301)
+    seen = collections.Counter()
+    for m in gb_corpus:
+        coloring = bg.alternating_coloring(m)
+        for col in (coloring, coloring.flip()):
+            if bg.hall_check(bg.dot_graph(m, col)).ok:
+                _assert_flat_tables_match_the_oracles(_enriched(m, col), col, rng, seen)
+    for _, m, coloring, _ in all_mirror_graphs(6):
+        _assert_flat_tables_match_the_oracles(_enriched(m, coloring), coloring, rng, seen)
+    for c in constellation_corpus:
+        m, coloring, own = bg.pullback_from_constellation(c)
+        _assert_flat_tables_match_the_oracles(m, coloring, rng, seen)
+        assert bg.constellation_from(m, coloring, own) == dict_constellation_from(m, coloring, own)
+    # genus >= 1 pullbacks with a fixed point whose realization the
+    # labeling walk rejects
+    failing = 0
+    while failing < 50:
+        m, coloring, _ = bg.pullback_from_constellation(random_fixed_point_constellation(rng))
+        lab = _assert_flat_tables_match_the_oracles(*_realize_input(m, coloring), rng, seen)
+        failing += isinstance(lab, tuple) and "receives labels" in lab[1]
+    # the rejection fixtures: uneven faces, a vertex twice on a face
+    coloring = bg.alternating_coloring(b2)
+    _assert_flat_tables_match_the_oracles(bg.subdivide_edges(b2, {0: 1}), coloring, rng, seen)
+    torus = bg.build_map(4, [2, 3, 0, 1], [1, 2, 3, 0])
+    _assert_flat_tables_match_the_oracles(torus, bg.FaceColoring((bg.COLOR_A,)), rng, seen)
+    assert seen["labeled"] > 4000
+    # every check of the three functions was reached
+    assert all(seen[kind] for kind in ("different", "receives", "appears", "constellation"))
+    assert all(seen[kind] for kind in ("admissible", "one label", "labels must", "face 0"))
 
 
 # charge conservation ---------------------------------------------------------

@@ -459,6 +459,61 @@ def test_root_selection_on_maps_shaped_like_the_benchmark():
     _assert_selected_roots_keep_the_canonical_form(maps, rng)
 
 
+def _one_edge_odd_runs(m):
+    """Run directions of odd length whose two corner darts are joined by
+    one edge that bounds a face with the run: sigma(alpha(sigma(e))) is
+    the far corner dart."""
+    alpha, sigma = m.alpha, m.sigma
+    two = [m.vertex_valences[v] == 2 for v in m.vertex_of_dart]
+    count = 0
+    for e in range(m.dart_count):
+        if two[e]:
+            continue
+        x, k = alpha[e], 0
+        while two[x]:
+            x, k = alpha[sigma[x]], k + 1
+        count += k % 2 == 1 and sigma[alpha[sigma[e]]] == x
+    return count
+
+
+def test_root_selection_on_one_edge_odd_runs():
+    # random maps with loops and parallel edges, one edge of each face of
+    # one or two edges subdivided an odd number of times and the other
+    # edges of those faces left alone, so that the searches which key such
+    # runs start at a corner of the run
+    rng = random.Random(23)
+    maps = []
+    while len(maps) < 200:
+        valences = [rng.choice((1, 3, 3, 4, 4, 5, 6)) for _ in range(rng.randint(1, 4))]
+        if sum(valences) % 2 or sum(valences) < 2 * len(valences) - 2:
+            continue
+        m = random_rotation_map(rng, valences, loops=True)
+        short = [face for face in m.faces if len(face) <= 2]
+        if not short:
+            continue
+        edges = {m.edge_of_dart[d] for face in short for d in face}
+        counts = {e: rng.choice((0, 0, 1, 2)) for e in range(m.edge_count) if e not in edges}
+        for face in short:
+            e = m.edge_of_dart[rng.choice(face)]
+            counts[e] = counts.get(e, 0) or rng.choice((1, 3, 5, 7, 15, 31))
+        maps.append(bg.subdivide_edges(m, counts))
+    assert sum(_one_edge_odd_runs(m) > 0 for m in maps) >= 60
+    # the maps whose searches go past the budget, as they did when every
+    # search started at its root: skipped positions are charged as searched
+    over = [i for i, m in enumerate(maps) if surface_map._root_keys(m.alpha, m.sigma) is None]
+    assert over == [96, 158]
+    for m in maps:
+        relabeled = m.relabel(rng.sample(range(m.dart_count), m.dart_count))
+        assert (surface_map._root_keys(relabeled.alpha, relabeled.sigma) is None) == (
+            surface_map._root_keys(m.alpha, m.sigma) is None
+        )
+    for i in over:
+        key, dart_map = all_roots_canonical(maps[i])
+        assert (maps[i].canonical_key(), maps[i].canonical_dart_map()) == (key, dart_map)
+    maps = [m for i, m in enumerate(maps) if i not in over]
+    _assert_selected_roots_keep_the_canonical_form(maps, rng)
+
+
 def test_root_selection_keeps_every_root_past_its_search_budget():
     # a corner with a one-edge loop between two consecutive darts passes
     # for two 2-valent vertices, so codes from the runs between two such
