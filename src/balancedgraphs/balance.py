@@ -76,16 +76,16 @@ def is_globally_balanced(
 ) -> GlobalBalance:
     """Equal face-color counts, plus the structural sanity checks.
 
-    Structural defects (loops, no alternating coloring, a corner incident
-    twice to one face) are reported as not balanced with a reason rather
-    than raised.
+    Structural defects (a loop at a corner, no alternating coloring, a
+    corner incident twice to one face) are reported as not balanced with a
+    reason rather than raised.
     """
     if coloring is None:
         try:
             coloring = alternating_coloring(m)
         except NotBipartiteFaces:
             return GlobalBalance(False, None, "no alternating face coloring exists")
-    if m.has_loops:
+    if m.has_loops and m.corners:
         return GlobalBalance(False, None, "the graph has a loop")
     v = _corner_double_incidence(m)
     if v is not None:

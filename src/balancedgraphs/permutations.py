@@ -40,11 +40,6 @@ def inverse(p: Perm) -> Perm:
     return tuple(inv)
 
 
-def compose(p: Perm, q: Perm) -> Perm:
-    """Return the permutation mapping x to p[q[x]] (q acts first)."""
-    return tuple([p[q[x]] for x in range(len(q))])
-
-
 def compose_chain(perms, n: int) -> Perm:
     """Compose a sequence of permutations, the last one acting first.
 
@@ -52,7 +47,7 @@ def compose_chain(perms, n: int) -> Perm:
     """
     result = identity(n)
     for p in perms:
-        result = compose(result, tuple(p))
+        result = tuple([result[x] for x in p])
     return result
 
 

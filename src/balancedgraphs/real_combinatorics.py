@@ -307,13 +307,7 @@ def mirror_graph(
     upper = 2 * n
     lower = 2 * n + 2 * narcs
     total = lower + 2 * narcs
-    alpha = list(range(total))
-    for k in range(n):
-        alpha[2 * k], alpha[2 * k + 1] = 2 * k + 1, 2 * k
-    for t in range(narcs):
-        for base in (upper, lower):
-            alpha[base + 2 * t] = base + 2 * t + 1
-            alpha[base + 2 * t + 1] = base + 2 * t
+    alpha = [x ^ 1 for x in range(total)]
 
     opening: list[list[int]] = [[] for _ in range(n + 1)]
     closing: list[list[int]] = [[] for _ in range(n + 1)]

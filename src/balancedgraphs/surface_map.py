@@ -141,21 +141,19 @@ class CombinatorialMap:
     @cached_property
     def _alternating_coloring(self) -> "FaceColoring":
         # a cached_property stores no value when its body raises
-        fod = self.face_of_dart
-        if any(fod[d] == fod[e] for d, e in self.edges):
-            raise NotBipartiteFaces("adjacent faces cannot be colored differently")
+        alpha, fod, faces = self._alpha, self.face_of_dart, self.faces
         colors = [None] * self.face_count
-        start = fod[0]
-        colors[start] = COLOR_A
-        queue = [start]
-        while queue:
-            f = queue.pop()
+        queue = [fod[0]]
+        colors[fod[0]] = COLOR_A
+        # breadth first; a face on both sides of an edge fails as an odd cycle does
+        for f in queue:
             other = COLOR_B if colors[f] == COLOR_A else COLOR_A
-            for g in self.face_neighbors[f]:
+            for d in faces[f]:
+                g = fod[alpha[d]]
                 if colors[g] is None:
                     colors[g] = other
                     queue.append(g)
-                elif colors[g] == colors[f]:
+                elif colors[g] != other:
                     raise NotBipartiteFaces("adjacent faces cannot be colored differently")
         # the map is connected, so every face was reached
         return FaceColoring(tuple(colors))

@@ -271,6 +271,38 @@ def test_cycle_check_realize_and_pullback(capsys, tmp_path, k):
     assert run(capsys, "pullback", "--input", str(path)) == (0, f"{map_line}\n", "")
 
 
+# pullback of the degree-1 constellation with k trivial permutations: the
+# one-vertex loop for k = 1, else the cycle through k vertices
+DEGREE_ONE_PULLBACK = {
+    1: '{"alpha":[1,0],"colors":["A","B"],"darts":2,"labels":[1],"sigma":[1,0]}',
+    2: CYCLE_REALIZED[2][0],
+    3: CYCLE_REALIZED[3][0],
+}
+
+
+@pytest.mark.parametrize("k", sorted(DEGREE_ONE_PULLBACK))
+def test_degree_one_pullback_through_realize_and_back(capsys, tmp_path, k):
+    map_line = DEGREE_ONE_PULLBACK[k]
+    constellation_line = '{"d":1,"perms":[%s]}' % ",".join(["[1]"] * k)
+    path = tmp_path / "doc.json"
+    path.write_text(constellation_line)
+    assert run(capsys, "pullback", "--input", str(path)) == (0, f"{map_line}\n", "")
+    # a loop without corners is the cycle through one vertex, not a defect
+    path.write_text(map_line)
+    assert run(capsys, "check", "--input", str(path)) == (
+        0,
+        "globally balanced, d=1, g=0\ncorner bound holds: True\nlocally balanced\n",
+        "",
+    )
+    assert run(capsys, "realize", "--input", str(path)) == (
+        0,
+        f"{map_line}\n{constellation_line}\n",
+        "",
+    )
+    path.write_text(constellation_line)
+    assert run(capsys, "pullback", "--input", str(path)) == (0, f"{map_line}\n", "")
+
+
 def test_flipped_certificate_is_pinned(capsys):
     rng = random.Random(1309)
     m = random_glued_map(rng, rng.randint(3, 6))

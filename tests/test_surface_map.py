@@ -11,12 +11,14 @@ from helpers import (
     map_from_rotations,
     random_fixed_point_constellation,
     random_genus_zero_constellation,
+    random_glued_map,
     random_pairing,
     random_rotation_map,
     random_weight_type,
 )
 from oracles import (
     all_roots_canonical,
+    neighbor_table_coloring,
     orbit_walk_serialize,
     searched_least_prefix_roots,
     searched_prefix_key,
@@ -97,6 +99,40 @@ def test_odd_face_cycle_raises_on_every_call(tetrahedron):
     for _ in range(2):
         with pytest.raises(bg.NotBipartiteFaces):
             bg.alternating_coloring(tetrahedron)
+
+
+def _coloring_outcome(color, m):
+    try:
+        return color(m).colors
+    except bg.NotBipartiteFaces as exc:
+        return type(exc), str(exc)
+
+
+def test_coloring_walk_matches_the_neighbor_table_oracle(gb_corpus, tetrahedron):
+    rng = random.Random(2417)
+    maps = list(gb_corpus) + [m for _, m, _, _ in all_mirror_graphs(6)]
+    # the bridge map: its one face lies on both sides of its edge
+    maps += [tetrahedron, bg.build_map(2, [1, 0], [0, 1])]
+    with_loops = 0
+    while with_loops < 200:
+        valences = [rng.randint(1, 5) for _ in range(rng.randint(1, 4))]
+        total = sum(valences)
+        if total % 2 == 0 and total >= 2 * len(valences) - 2:
+            maps.append(random_rotation_map(rng, valences))
+            with_loops += maps[-1].has_loops
+    for i in range(300):
+        m = random_glued_map(rng, rng.randint(3, 8), subdivide=i % 2 == 1)
+        maps += [m] if m is not None else []
+    outcomes = [0, 0]  # colored, not bipartite
+    for m in maps:
+        fresh = bg.CombinatorialMap(m.alpha, m.sigma, check=False)
+        ours = _coloring_outcome(bg.alternating_coloring, fresh)
+        # the walk reads the faces across each dart, not the sorted table
+        assert "face_neighbors" not in vars(fresh)
+        fresh = bg.CombinatorialMap(m.alpha, m.sigma, check=False)
+        assert ours == _coloring_outcome(neighbor_table_coloring, fresh)
+        outcomes[ours[0] is bg.NotBipartiteFaces] += 1
+    assert min(outcomes) > 100, outcomes
 
 
 def test_coloring_flip_is_only_other_proper_coloring(b2, cycle_map, t1):
