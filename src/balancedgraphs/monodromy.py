@@ -58,6 +58,8 @@ class Constellation(Record):
             p = list(range(d))
             for cyc in cycle_list:
                 for i, x in enumerate(cyc):
+                    if not 1 <= x <= d:
+                        raise BadPermutation(f"point {x} is outside 1..{d}")
                     p[x - 1] = cyc[(i + 1) % len(cyc)] - 1
             perms.append(tuple(p))
         return cls(d, tuple(perms))

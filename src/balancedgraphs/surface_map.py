@@ -255,20 +255,22 @@ class CombinatorialMap:
 # and ``run[2B]``, with e B edges behind, B < F.  The code is P before
 # position h = min(4F - 3, 4B), where the search first expands a corner
 # dart, then leaves P upwards at h + 5 with h + 8 (F <= B) or at h + 3 with
-# h + 6 (B < F) if the darts numbered there are new.  The run is regular
-# when those darts around e, and for the innermost roots the first one or
-# two around t, are distinct and off the run.  Its least key is then
-# (2, -L, L + 3) at ``run[m]``, L = 2m + 3 for even m and 2m + 4 for odd m:
-# it depends on m alone and grows with m, so only the longest regular runs
-# keep roots.  ``_run_keys`` keys the roots of the other runs and searches
-# those where a check fails.  Before h such a search numbers only darts of
-# the run, in the order P gives, so it lays those down and starts at h.
-# The positions it skips are charged to the budget as searched ones: a
-# map goes past the budget exactly when searches from the roots would.  A
-# dart at an ordinary corner leaves P upwards at 3 with 6.  A code from a
-# 2-valent vertex cannot leave P upwards before position 4, so every root
-# on a run beats it: such darts are never listed,
-# and only darts at the other corners are searched.
+# h + 6 (B < F) if the darts numbered there are new.  ``_root_keys`` checks
+# that once per direction, for the innermost roots and for the rest on
+# each side; the run is regular when all four checks hold.  Its least key
+# is then (2, -L, L + 3) at ``run[m]``, L = 2m + 3 for even m and 2m + 4
+# for odd m: it depends on m alone and grows with m, so only the longest
+# regular runs keep roots.  ``_run_keys`` keys the roots of the other runs
+# and searches those where a check fails.  Before h such a search numbers
+# only darts of the run, in the order P gives, so it lays those down and
+# starts at h.  The positions it skips are charged to the budget as
+# searched ones: a map goes past the budget exactly when searches from the
+# roots would.  A dart at an ordinary corner leaves P upwards at 3 with 6.
+# A code from a 2-valent vertex cannot leave P upwards before position 4,
+# so every root on a run beats it: such darts are never listed.  Darts at
+# the other corners are not keyed but kept: ``canonical_relabeling`` gets
+# them beside the least-keyed roots, and a root reaching the least code is
+# one of the two.
 
 
 class _OverBudget(Exception):
@@ -276,7 +278,7 @@ class _OverBudget(Exception):
 
 
 class _Search:
-    """Direct searches of root codes against P on one map.
+    """Direct searches of run roots' codes against P on one map.
 
     The searches share one numbering array and a budget of sixteen
     positions per dart, several times what a run of 2-valent vertices
@@ -291,24 +293,30 @@ class _Search:
         self.label = [-1] * len(alpha)
         self.budget = 16 * len(alpha)
 
-    def key(self, order: list[int], start: int, watch: int) -> tuple[tuple, bool]:
-        """Sort key of the alpha code of the root ``order[0]`` against P,
-        and whether the search numbered the dart ``watch`` before the code
-        left P.
+    def key(self, run: list[int], r: int) -> tuple[tuple, bool]:
+        """Sort key of the alpha code of the root ``run[r]`` of a run against
+        P, and whether the search numbered ``run[-2]`` before the code left P.
 
-        ``order`` holds the darts the search numbers first, in its order,
-        up to where it reaches position ``start``; the code follows P at
-        the positions before.  The key is ``(0, L, v)`` when the code first
-        leaves P downwards at position L with value v, ``(2, -L, v)`` when
-        it leaves upwards and ``(1, 0, 0)`` when it never leaves.  Skipped
-        positions are charged to the budget as searched ones.
+        The search starts at the position h where it first expands a corner
+        dart.  The darts numbered before are laid down as P numbers them:
+        the q-th dart ahead along the run (the way alpha leads) gets 2q - 1
+        and the q-th behind 2q, so the corner darts at its ends get
+        2 len(ahead) - 1 and 2 len(behind).  The key is ``(0, L, v)`` when
+        the code first leaves P downwards at position L with value v,
+        ``(2, -L, v)`` when it leaves upwards and ``(1, 0, 0)`` when it
+        never leaves.  Skipped positions are charged to the budget as
+        searched ones.
         """
         alpha, sigma, label = self.alpha, self.sigma, self.label
-        for i, x in enumerate(order):
-            label[x] = i
+        ahead, behind = (run[r - 1::-1], run[r + 1:]) if r % 2 else (run[r + 1:], run[r - 1::-1])
+        i = min(2 * len(ahead) - 1, 2 * len(behind))
+        order = [run[r]] * (i + 2)
+        order[1::2] = ahead[:(i + 2) // 2]
+        order[2::2] = behind[:(i + 1) // 2]
+        for j, x in enumerate(order):
+            label[x] = j
         push = order.append
         size = len(order)
-        i = start
         key = (1, 0, 0)
         while i < size:
             x = order[i]
@@ -328,7 +336,7 @@ class _Search:
                 key = (0, i, v) if v < expected else (2, -i, v)
                 break
             i += 1
-        seen = label[watch] >= 0
+        seen = label[run[-2]] >= 0
         for x in order:
             label[x] = -1
         self.budget -= i + 1
@@ -336,34 +344,21 @@ class _Search:
             raise _OverBudget
         return key, seen
 
-    def run_key(self, run: list[int], r: int) -> tuple[tuple, bool]:
-        """``key`` of the root ``run[r]`` of a run, watching ``run[-2]``,
-        started at the position h where the search first expands a corner
-        dart.  The darts numbered before are laid down as P numbers them:
-        the q-th dart ahead along the run (the way alpha leads) gets 2q - 1
-        and the q-th behind 2q, so the corner darts at its ends get
-        2 len(ahead) - 1 and 2 len(behind).
-        """
-        ahead = run[r - 1::-1] if r % 2 else run[r + 1:]
-        behind = run[r + 1:] if r % 2 else run[r - 1::-1]
-        h = min(2 * len(ahead) - 1, 2 * len(behind))
-        order = [run[r]] * (h + 2)
-        order[1::2] = ahead[:(h + 2) // 2]
-        order[2::2] = behind[:(h + 1) // 2]
-        return self.key(order, h, run[-2])
-
 
 def _least_prefix_roots(alpha: Perm, sigma: Perm):
-    """The roots with the least key against P, in dart order."""
-    keyed = _root_keys(alpha, sigma)
-    if keyed is None:
+    """The roots with the least key against P and the darts at corners that
+    are not ordinary, in dart order."""
+    found = _root_keys(alpha, sigma)
+    if found is None:
         return range(len(alpha))
+    keyed, kept = found
     best = min(keyed)[0]
-    return sorted([root for key, root in keyed if key == best])
+    return sorted(kept + [root for key, root in keyed if key == best])
 
 
-def _root_keys(alpha: Perm, sigma: Perm) -> list[tuple[tuple, int]] | None:
-    """(key, root) for every root that may have the least key.
+def _root_keys(alpha: Perm, sigma: Perm) -> tuple[list[tuple[tuple, int]], list[int]] | None:
+    """(key, root) for every root on a run that may have the least key, and
+    the darts at corners that are not ordinary, which are kept unkeyed.
 
     Roots whose key trails another one found on the way are left out.
     None, to keep every root, for maps without 2-valent vertices, cycles,
@@ -373,7 +368,7 @@ def _root_keys(alpha: Perm, sigma: Perm) -> list[tuple[tuple, int]] | None:
     if all(two) or not any(two):
         return None
     search = _Search(alpha, sigma)
-    keyed = []
+    keyed, kept = [], []
     longest, starts = 0, []  # the greatest m of a regular run, and its runs' ends
     try:
         for e in range(len(alpha)):
@@ -381,25 +376,34 @@ def _root_keys(alpha: Perm, sigma: Perm) -> list[tuple[tuple, int]] | None:
                 continue
             x, y = alpha[e], sigma[e]
             z, s = sigma[x], sigma[y]
-            # searched unless the corner is ordinary: the four darts numbered
+            # kept unless the corner is ordinary: the four darts numbered
             # first and the three their alpha and sigma reach next distinct
             if not (e != y != x != z != e and z != alpha[y] != s != alpha[z] and s != x):
-                keyed.append((search.key([e], 0, e)[0], e))
+                kept.append(e)
             m = 0
             while two[x]:
                 x = alpha[sigma[x]]
                 m += 1
             if not m:
                 continue
-            # the checks of _run_keys, with x at the far end: e and x are the
-            # only corner darts on the run, the darts near them meet it only
-            # through those, so each check asks these darts to be distinct
+            # whether the darts a search numbers past h are new, x being the
+            # far corner dart: e and x are the only corner darts on the run
+            # and the darts near them meet it only through those, so each
+            # check asks darts around e (sigma e, alpha sigma e, sigma^2 e,
+            # sigma alpha sigma e, alpha sigma^2 e) and, for the innermost
+            # roots, around x to be distinct; a set's check implies its subsets'
             ay, x1 = alpha[y], sigma[x]
-            u, w = sigma[ay], alpha[s]
-            near = {e, y, ay, s, u, w}
-            ends = near | {x, x1} if m % 2 else {e, y, ay, s, x, x1, alpha[x1]}
-            if len(near) < 6 or len(ends) < 7 + m % 2:
-                keyed += _run_keys(search, two, e, [y, ay, s, u, w], x1)
+            near = {e, y, ay, s, sigma[ay], alpha[s]}
+            ahead = len(near) == 6
+            behind = ahead or len({e, y, ay, s}) == 4
+            if m % 2:
+                ahead_in = len(near | {x, x1}) == 8
+                behind_in = ahead_in or len({e, y, ay, s, x}) == 5
+            else:
+                ahead_in = ahead and x != y and x != s
+                behind_in = len({e, y, ay, s, x, x1, alpha[x1]}) == 7
+            if not (ahead_in and behind_in):
+                keyed += _run_keys(search, two, e, ahead_in, ahead, behind_in, behind)
             elif m >= longest:
                 if m > longest:
                     longest, starts = m, []
@@ -412,17 +416,15 @@ def _root_keys(alpha: Perm, sigma: Perm) -> list[tuple[tuple, int]] | None:
             for _ in range(longest // 2):
                 x = sigma[alpha[x]]
             keyed.append(((2, -depart, depart + 3), alpha[x] if longest % 2 else x))
-    return keyed
+    return keyed, kept
 
 
-def _run_keys(search: _Search, two: list[bool], e: int, near: list[int], x1: int):
+def _run_keys(search: _Search, two: list[bool], e: int, ahead_in, ahead, behind_in, behind):
     """Keys of the roots on the run from the corner dart ``e`` whose search
-    first numbers ``e``: closed forms where the darts the search numbers
-    around ``e`` (``near``: sigma e, alpha sigma e, sigma^2 e, sigma alpha
-    sigma e and alpha sigma^2 e) are distinct and new, that is off the run
-    but for those at its far end the search cannot have reached and, for
-    the innermost roots, off the first darts numbered around the far end
-    (from ``x1``, sigma of the far corner dart).
+    first numbers ``e``: closed forms where the checks of ``_root_keys``
+    hold (``ahead_in`` and ``ahead`` for the innermost root and the rest
+    ahead of their search, ``behind_in`` and ``behind`` for those behind),
+    searches elsewhere.
     """
     alpha, sigma = search.alpha, search.sigma
     x = alpha[e]
@@ -432,25 +434,16 @@ def _run_keys(search: _Search, two: list[bool], e: int, near: list[int], x1: int
         x = alpha[z]
         run += (z, x)
     m = len(run) // 2 - 1
-    on = set(run)
-
-    def new(darts, spare):
-        # distinct, and on this run only among its last ``spare`` darts
-        tail = set(run[len(run) - spare:])
-        return len(set(darts)) == len(darts) and on.intersection(darts) <= tail
-
     # ahead first (F <= B), from F = (m + 1) // 2 out: the innermost root
     # has B - F = 0 or 1, the others B - F >= 2; the code leaves P at
     # h + 5 = 4F + 2
     f = (m + 1) // 2
-    inner = new(near + [x1], 0) if m % 2 else new(near, 1)
-    out = _side_keys(search, run, 2 * f - 1, 4 * f + 2, inner, new(near, 3))
+    out = _side_keys(search, run, 2 * f - 1, 4 * f + 2, ahead_in, ahead)
     # behind first (B < F), from B = m // 2 out: the innermost root has
     # F - B = 1 or 2, the others F - B >= 3; the code leaves P at
     # h + 3 = 4B + 3
     b = m // 2
-    inner = new(near[:3], 0) if m % 2 else new(near[:3] + [x1, alpha[x1]], 0)
-    out += _side_keys(search, run, 2 * b, 4 * b + 3, inner, new(near[:3], 2))
+    out += _side_keys(search, run, 2 * b, 4 * b + 3, behind_in, behind)
     return out
 
 
@@ -474,7 +467,7 @@ def _side_keys(search: _Search, run: list[int], first: int, departs: int, inner,
             if outer:
                 break
         else:
-            key, far = search.run_key(run, r)
+            key, far = search.key(run, r)
             out.append((key, run[r]))
             if not far:
                 outermost = 2 - r % 2
@@ -642,8 +635,9 @@ def serialize(
     another labeling of the input may carry them differently, so
     ``labels``, ``colors`` and ``real_cycle`` are stable across runs but
     not yet across labelings.  ``labels`` is a per-vertex array (vertex
-    ids in canonical order) and ``colors`` a per-face array.  The
-    canonical copy, a relabeling of ``m``, is built without re-checking.
+    ids in canonical order), ``colors`` a per-face array and
+    ``real_cycle`` a list of darts of ``m``.  The canonical copy, a
+    relabeling of ``m``, is built without re-checking.
     """
     canon = m.canonical()
     dart_map = m.canonical_dart_map()
@@ -665,6 +659,9 @@ def serialize(
             raise InvariantViolation("colors must list one value per face")
         doc["colors"] = _first_seen(coloring.colors, m.face_of_dart, order)
     if real_cycle is not None:
+        n = m.dart_count
+        if not all(type(d) is int and 0 <= d < n for d in real_cycle):
+            raise InvariantViolation("real_cycle must list dart ids")
         doc["real_cycle"] = [dart_map[d] for d in real_cycle]
     return dump(doc)
 

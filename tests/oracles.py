@@ -235,6 +235,41 @@ def searched_least_prefix_roots(m):
     return [root for root in range(n) if keys[root] == least]
 
 
+def set_checked_run_conditions(m, e):
+    """The four checks that the darts a run root's search numbers past its
+    first corner dart are new, for the run from the corner dart ``e``
+    (which passes at least one 2-valent vertex): innermost root ahead, the
+    rest ahead, innermost root behind, the rest behind.
+
+    Each is stated over the run's darts, as a set check of which darts the
+    search can meet on the run: distinct, and on the run only among its
+    last ``spare`` darts, those at its far end.
+    """
+    alpha, sigma = m.alpha, m.sigma
+    two = [m.vertex_valences[v] == 2 for v in m.vertex_of_dart]
+    y = sigma[e]
+    ay, s = alpha[y], sigma[y]
+    near = [y, ay, s, sigma[ay], alpha[s]]
+    x = alpha[e]
+    run = [e, x]
+    while two[x]:
+        z = sigma[x]
+        x = alpha[z]
+        run += (z, x)
+    k = len(run) // 2 - 1
+    x1 = sigma[x]
+    on = set(run)
+
+    def new(darts, spare):
+        # distinct, and on this run only among its last ``spare`` darts
+        tail = set(run[len(run) - spare:])
+        return len(set(darts)) == len(darts) and on.intersection(darts) <= tail
+
+    ahead_in = new(near + [x1], 0) if k % 2 else new(near, 1)
+    behind_in = new(near[:3], 0) if k % 2 else new(near[:3] + [x1, alpha[x1]], 0)
+    return ahead_in, new(near, 3), behind_in, new(near[:3], 2)
+
+
 def sequential_canonical_relabeling(perms, n, roots):
     """Least breadth-first relabeling, every root searched in turn.
 

@@ -104,6 +104,16 @@ def test_pullback_t1(t1):
     assert len(m.corners) == 4  # type (1, 2, 4)
 
 
+def test_from_cycles_names_a_point_outside_the_degree():
+    for cycle_lists in ([[(1, 5)]], [[(4,)]]):
+        with pytest.raises(bg.BadPermutation, match=r"point \d is outside 1\.\.3"):
+            bg.Constellation.from_cycles(3, cycle_lists)
+    # point 0, negative points and repeated points fail as well
+    for cycle_lists in ([[(0, 1)]], [[(-1, 2)]], [[(1, 2), (2, 3)]]):
+        with pytest.raises(bg.BadPermutation):
+            bg.Constellation.from_cycles(3, cycle_lists)
+
+
 def test_pullback_rejects_unverified():
     with pytest.raises(bg.NotVerified):
         bg.pullback_from_constellation(

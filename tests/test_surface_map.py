@@ -22,6 +22,7 @@ from oracles import (
     orbit_walk_serialize,
     searched_least_prefix_roots,
     searched_prefix_key,
+    set_checked_run_conditions,
 )
 
 
@@ -203,6 +204,15 @@ def test_serialize_with_decorations(b2):
     assert doc.labels is not None and sorted(doc.labels) == [1, 2]
     assert doc.colors is not None
     assert len(doc.real_cycle) == 2
+
+
+def test_serialize_rejects_a_real_cycle_of_other_darts(b2):
+    # -1 would be read as the last dart, and dart_count is past the end
+    for cycle in ([-1], [b2.dart_count]):
+        with pytest.raises(bg.InvariantViolation, match="real_cycle must list dart ids"):
+            bg.serialize(b2, real_cycle=cycle)
+    doc = json.loads(bg.serialize(b2, real_cycle=[7]))
+    assert doc["real_cycle"] == [b2.canonical_dart_map()[7]] == [3]
 
 
 def test_serialized_decorations_stay_valid(mirror_1234):
@@ -396,11 +406,22 @@ def test_canonical_matches_all_roots_oracle(gb_corpus, constellation_corpus):
 def _assert_selected_roots_keep_the_canonical_form(maps, rng):
     maps = maps + [m.relabel(rng.sample(range(m.dart_count), m.dart_count)) for m in maps]
     for m in maps:
-        # every key the selector computes, in closed form or by search
-        for key, root in surface_map._root_keys(m.alpha, m.sigma) or ():
-            assert key == searched_prefix_key(m, root)
-        roots = surface_map._least_prefix_roots(m.alpha, m.sigma)
-        assert list(roots) == searched_least_prefix_roots(m)
+        found = surface_map._root_keys(m.alpha, m.sigma)
+        roots = list(surface_map._least_prefix_roots(m.alpha, m.sigma))
+        if found is not None:
+            keyed, kept = found
+            # every key the selector computes, in closed form or by search
+            for key, root in keyed:
+                assert key == searched_prefix_key(m, root)
+            best = min(keyed)[0]
+            assert roots == sorted(set(kept) | {root for key, root in keyed if key == best})
+            # a corner dart left unkept is at an ordinary corner, whose code
+            # leaves the chain pattern upwards at 3 and loses to every run
+            valences = m.vertex_valences
+            for d, v in enumerate(m.vertex_of_dart):
+                if valences[v] != 2 and d not in kept:
+                    assert searched_prefix_key(m, d) == (2, -3, 6)
+        assert set(searched_least_prefix_roots(m)) <= set(roots)
         key, dart_map = all_roots_canonical(m)
         assert m.canonical_key() == key
         assert m.canonical_dart_map() == dart_map
@@ -446,6 +467,52 @@ def test_root_selection_on_enriched_mirror_graphs_and_pullbacks():
         for _ in range(60)
     ]
     _assert_selected_roots_keep_the_canonical_form(maps, rng)
+
+
+def test_run_checks_match_the_set_checked_oracle(monkeypatch):
+    # _root_keys states each check as the size of a set of darts near the
+    # run's two corner darts; the oracle states it over the whole run
+    rng = random.Random(2531)
+    maps = []
+    while len(maps) < 1500:
+        valences = [rng.randint(1, 5) for _ in range(rng.randint(1, 4))]
+        if sum(valences) % 2 == 0 and sum(valences) >= 2 * len(valences) - 2:
+            m = random_rotation_map(rng, valences, loops=True)
+            counts = {e: rng.choice((0, 1, 1, 2, 3, 4)) for e in range(m.edge_count)}
+            maps.append(bg.subdivide_edges(m, counts))
+    maps += [m.relabel(rng.sample(range(m.dart_count), m.dart_count)) for m in maps]
+    maps += [
+        bg.enrich(m, bg.perfect_matching(bg.dot_graph(m, coloring)))
+        for _, m, coloring, _ in all_mirror_graphs(5)
+    ]
+    maps += [
+        bg.pullback_from_constellation(random_fixed_point_constellation(rng))[0]
+        for _ in range(200)
+    ]
+    checks = {}
+    run_keys = surface_map._run_keys
+
+    def recorded(search, two, e, *four):
+        checks[e] = four
+        return run_keys(search, two, e, *four)
+
+    monkeypatch.setattr(surface_map, "_run_keys", recorded)
+    compared = [0, 0]  # run directions, and those with a check failing
+    failing = [0, 0, 0, 0]
+    for m in maps:
+        checks.clear()
+        if surface_map._root_keys(m.alpha, m.sigma) is None:
+            continue
+        two = [m.vertex_valences[v] == 2 for v in m.vertex_of_dart]
+        for e in range(m.dart_count):
+            if not two[e] and two[m.alpha[e]]:
+                # a regular run reaches no _run_keys: all four checks hold
+                want = set_checked_run_conditions(m, e)
+                assert checks.get(e, (True,) * 4) == want
+                compared[0] += 1
+                compared[1] += not all(want)
+                failing = [f + (not w) for f, w in zip(failing, want)]
+    assert compared[0] > 20000 and compared[1] > 10000 and min(failing) > 1000, (compared, failing)
 
 
 def _run_lengths(m):
