@@ -5,9 +5,25 @@ class attribute of the same name is the field's default, and
 ``fresh(factory)`` is a default made anew for each record.  Records are
 built by position or keyword, run ``__post_init__`` if the class has one,
 compare and hash by their fields (a dict field makes a record unhashable)
-and refuse assignment and deletion.  ``cached_property`` values sit beside
-the fields in the instance dict and take no part in any of this.
+and refuse assignment and deletion.  Values of :class:`cached` attributes
+sit beside the fields in the instance dict and take no part in any of this.
 """
+
+
+class cached:
+    """An attribute computed on first read and kept in the instance dict,
+    where later reads find it first.  It takes no lock, writes the dict
+    directly (so records allow it) and keeps nothing when the body raises.
+    """
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 class fresh:

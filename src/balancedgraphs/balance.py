@@ -56,21 +56,6 @@ class BalanceReport(Record):
     reason: str | None = None
 
 
-def _corner_double_incidence(m: CombinatorialMap) -> int | None:
-    """A corner incident twice to some face, or None."""
-    corners = set(m.corners)
-    vod = m.vertex_of_dart
-    for face in m.faces:
-        seen = set()
-        for d in face:
-            v = vod[d]
-            if v in corners:
-                if v in seen:
-                    return v
-                seen.add(v)
-    return None
-
-
 def is_globally_balanced(
     m: CombinatorialMap, coloring: FaceColoring | None = None
 ) -> GlobalBalance:
@@ -78,7 +63,8 @@ def is_globally_balanced(
 
     Structural defects (a loop at a corner, no alternating coloring, a
     corner incident twice to one face) are reported as not balanced with a
-    reason rather than raised.
+    reason rather than raised; the last is read off the map's cached
+    ``face_corners`` table, which the dot graphs read too.
     """
     if coloring is None:
         try:
@@ -87,7 +73,7 @@ def is_globally_balanced(
             return GlobalBalance(False, None, "no alternating face coloring exists")
     if m.has_loops and m.corners:
         return GlobalBalance(False, None, "the graph has a loop")
-    v = _corner_double_incidence(m)
+    v = m.face_corners[1]
     if v is not None:
         return GlobalBalance(False, None, f"corner {v} is incident twice to a face")
     a = coloring.colors.count(COLOR_A)

@@ -66,12 +66,11 @@ def dot_graph(m: CombinatorialMap, coloring: FaceColoring) -> DotGraph:
     every face gets 0 dots, so the Hall condition holds vacuously and the
     matching is empty.  A globally balanced map never has exactly one
     corner: every face would pass it once, giving 2k faces for valence
-    2k >= 4 and Euler characteristic 1 + k > 2.
+    2k >= 4 and Euler characteristic 1 + k > 2.  Both colorings read the
+    corners on each face off the map's cached ``face_corners`` table.
     """
-    corners = set(m.corners)
-    total = len(corners)
-    vod = m.vertex_of_dart
-    counts = tuple([total - len({vod[d] for d in face} & corners) for face in m.faces])
+    total = len(m.corners)
+    counts = tuple([total - k for k in m.face_corners[0]])
     a, b = (tuple([f for f in coloring.faces_of(c) if counts[f]]) for c in (COLOR_A, COLOR_B))
     return DotGraph(total, counts, a, b, m.face_neighbors)
 
@@ -86,10 +85,14 @@ def _hall_flow(dg: DotGraph) -> tuple[tuple[int, ...], list[dict[int, int]]]:
     every B face exactly when the dot graph matches every B dot.  Paths
     are found breadth-first from all B faces with supply left at once
     (Edmonds-Karp), in the order of ``b_faces``, and each row of
-    ``inflow`` is searched in the order its B faces entered it.  When none remains, the B faces
-    reachable in the residual graph from unsent supply form the witness:
-    by Dulmage-Mendelsohn they carry exactly the B dots an alternating
-    search from the unmatched dots of any maximum matching reaches.
+    ``inflow`` is searched in the order its B faces entered it.  A round
+    expands every B face with supply before any other face, so it takes a
+    path of one edge while there is one; one pass over ``b_faces`` sends
+    along those paths in the order the rounds would, without a search.
+    When no path remains, the B faces reachable in the residual graph from
+    unsent supply form the witness: by Dulmage-Mendelsohn they carry
+    exactly the B dots an alternating search from the unmatched dots of
+    any maximum matching reaches.
     """
     counts, b_faces = dg.dot_counts, dg.b_faces
     n = len(counts)
@@ -102,6 +105,16 @@ def _hall_flow(dg: DotGraph) -> tuple[tuple[int, ...], list[dict[int, int]]]:
         supply[f] = counts[f]
         out[f] = [g for g in dg.face_neighbors[f] if room[g]]
     inflow: list[dict[int, int]] = [{} for _ in range(n)]
+    # room never grows, so after this pass the rounds find longer paths only
+    for f in b_faces:
+        for g in out[f]:
+            if room[g]:
+                amount = min(supply[f], room[g])
+                supply[f] -= amount
+                room[g] -= amount
+                inflow[g][f] = amount
+                if not supply[f]:
+                    break
     while True:
         parent = [-2] * n  # -2 unreached, -1 a root
         queue = [f for f in b_faces if supply[f]]

@@ -11,9 +11,7 @@ potential: one walk over the edges finds it or a contradiction.
 
 from __future__ import annotations
 
-from functools import cached_property
-
-from ._record import Record, fresh
+from ._record import Record, cached, fresh
 from .errors import InconsistentPropagation, InfeasibleWeighting
 from .surface_map import (
     COLOR_A,
@@ -30,7 +28,7 @@ class VertexLabeling(Record):
     m: int
     labels: tuple[int, ...]
 
-    @cached_property
+    @cached
     def classes(self) -> tuple[tuple[int, ...], ...]:
         """The vertices of each label 1..m in vertex order; labels out of
         range belong to no class."""

@@ -52,14 +52,22 @@ class Constellation(Record):
 
     @classmethod
     def from_cycles(cls, d: int, cycle_lists) -> "Constellation":
-        """Build from 1-indexed cycle notation, one list of cycles per slot."""
+        """Build from 1-indexed cycle notation, one list of cycles per slot;
+        a point that is not an ``int``, outside 1..d or twice in a slot raises."""
         perms = []
         for cycle_list in cycle_lists:
             p = list(range(d))
+            seen = set()
             for cyc in cycle_list:
-                for i, x in enumerate(cyc):
+                for x in cyc:
+                    if type(x) is not int:
+                        raise BadPermutation(f"point {x!r} is not an integer")
                     if not 1 <= x <= d:
                         raise BadPermutation(f"point {x} is outside 1..{d}")
+                    if x in seen:
+                        raise BadPermutation(f"point {x} appears twice in one permutation")
+                    seen.add(x)
+                for i, x in enumerate(cyc):
                     p[x - 1] = cyc[(i + 1) % len(cyc)] - 1
             perms.append(tuple(p))
         return cls(d, tuple(perms))

@@ -24,11 +24,10 @@ live for that one call.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from itertools import accumulate
 
 from ._documents import is_int_list, load
-from ._record import Record
+from ._record import Record, cached
 from .errors import InvariantViolation, NotBipartiteFaces, ParseError
 from .permutations import canonical_relabeling, inverse, is_int
 from .surface_map import CombinatorialMap, FaceColoring, alternating_coloring, real_cycle_order
@@ -66,9 +65,9 @@ class NonCrossingPairing(Record):
     type: WeightComposition
     arcs: tuple[Arc, ...]
 
-    @cached_property
+    @cached
     def _replayed_arcs(self) -> tuple[Arc, ...]:
-        # validated once per pairing; a cached_property stores no value
+        # validated once per pairing; a cached attribute stores no value
         # when its body raises, so an invalid pairing raises on every call
         return tuple(validate_pairing(self))
 

@@ -13,10 +13,8 @@ a face cycle keeps that face on the left of each dart.  The Euler count
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from ._documents import dump, is_int_list, load
-from ._record import Record
+from ._record import Record, cached
 from .errors import (
     BadPermutation,
     Disconnected,
@@ -88,45 +86,45 @@ class CombinatorialMap:
     def dart_count(self) -> int:
         return len(self._alpha)
 
-    @cached_property
+    @cached
     def _vertex_orbits(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         return orbits(self._sigma)
 
-    @cached_property
+    @cached
     def _face_orbits(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         sigma = self._sigma
         return orbits(tuple([sigma[a] for a in self._alpha]))
 
-    @cached_property
+    @cached
     def vertices(self) -> tuple[tuple[int, ...], ...]:
         return self._vertex_orbits[0]
 
-    @cached_property
+    @cached
     def faces(self) -> tuple[tuple[int, ...], ...]:
         return self._face_orbits[0]
 
-    @cached_property
+    @cached
     def edges(self) -> tuple[tuple[int, int], ...]:
         return tuple([
             (d, self._alpha[d]) for d in range(self.dart_count) if d < self._alpha[d]
         ])
 
-    @cached_property
+    @cached
     def vertex_of_dart(self) -> tuple[int, ...]:
         return self._vertex_orbits[1]
 
-    @cached_property
+    @cached
     def face_of_dart(self) -> tuple[int, ...]:
         return self._face_orbits[1]
 
-    @cached_property
+    @cached
     def edge_of_dart(self) -> tuple[int, ...]:
         out = [0] * self.dart_count
         for i, (d, e) in enumerate(self.edges):
             out[d] = out[e] = i
         return tuple(out)
 
-    @cached_property
+    @cached
     def face_neighbors(self) -> tuple[tuple[int, ...], ...]:
         """For each face, the other faces sharing an edge with it, sorted."""
         fod = self.face_of_dart
@@ -138,9 +136,9 @@ class CombinatorialMap:
                 out[g].add(f)
         return tuple([tuple(sorted(s)) for s in out])
 
-    @cached_property
+    @cached
     def _alternating_coloring(self) -> "FaceColoring":
-        # a cached_property stores no value when its body raises
+        # a cached attribute stores no value when its body raises
         alpha, fod, faces = self._alpha, self.face_of_dart, self.faces
         colors = [None] * self.face_count
         queue = [fod[0]]
@@ -170,16 +168,35 @@ class CombinatorialMap:
     def face_count(self) -> int:
         return len(self.faces)
 
-    @cached_property
+    @cached
     def vertex_valences(self) -> tuple[int, ...]:
         return tuple([len(v) for v in self.vertices])
 
-    @cached_property
+    @cached
     def corners(self) -> tuple[int, ...]:
         """Vertex ids of valence greater than 2."""
         return tuple([i for i, v in enumerate(self.vertices) if len(v) > 2])
 
-    @cached_property
+    @cached
+    def face_corners(self) -> tuple[tuple[int, ...], int | None]:
+        """For each face, the number of distinct corners on it; and the
+        first corner met twice on one face, scanning the faces and their
+        darts in order, or None."""
+        fod, vod, vertices = self.face_of_dart, self.vertex_of_dart, self.vertices
+        counts = [0] * self.face_count
+        doubled = False
+        for vs in vertices:
+            if len(vs) > 2:
+                faces = {fod[d] for d in vs}
+                doubled = doubled or len(faces) < len(vs)
+                for f in faces:
+                    counts[f] += 1
+        if not doubled:
+            return tuple(counts), None
+        on = [[vod[d] for d in face if len(vertices[vod[d]]) > 2] for face in self.faces]
+        return tuple(counts), next(v for vs in on for i, v in enumerate(vs) if v in vs[:i])
+
+    @cached
     def has_loops(self) -> bool:
         vod = self.vertex_of_dart
         return any(vod[d] == vod[e] for d, e in self.edges)
@@ -196,7 +213,7 @@ class CombinatorialMap:
         alpha, sigma = conjugate((self._alpha, self._sigma), perm)
         return CombinatorialMap(alpha, sigma, check=False)
 
-    @cached_property
+    @cached
     def _canonical(self) -> tuple["CombinatorialMap", tuple[int, ...]]:
         n = self.dart_count
         (alpha, sigma), dart_map = canonical_relabeling(

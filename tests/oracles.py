@@ -1317,3 +1317,56 @@ def neighbor_table_coloring(self):
                 raise NotBipartiteFaces("adjacent faces cannot be colored differently")
     # the map is connected, so every face was reached
     return FaceColoring(tuple(colors))
+
+
+def set_scanned_corner_double_incidence(m: CombinatorialMap) -> int | None:
+    """A corner incident twice to some face, or None: each face's darts
+    scanned with a set of the corners seen on it.  The body is that of
+    ``balance._corner_double_incidence`` before the map kept a table of
+    the corners on each face, word for word."""
+    corners = set(m.corners)
+    vod = m.vertex_of_dart
+    for face in m.faces:
+        seen = set()
+        for d in face:
+            v = vod[d]
+            if v in corners:
+                if v in seen:
+                    return v
+                seen.add(v)
+    return None
+
+
+def set_scanned_global_balance(m, coloring=None):
+    """``is_globally_balanced`` as it was before the map kept a table of
+    the corners on each face, word for word, with the set scan above."""
+    COLOR_A, COLOR_B, GlobalBalance = bg.COLOR_A, bg.COLOR_B, bg.GlobalBalance
+    NotBipartiteFaces = bg.NotBipartiteFaces
+    if coloring is None:
+        try:
+            coloring = alternating_coloring(m)
+        except NotBipartiteFaces:
+            return GlobalBalance(False, None, "no alternating face coloring exists")
+    if m.has_loops and m.corners:
+        return GlobalBalance(False, None, "the graph has a loop")
+    v = set_scanned_corner_double_incidence(m)
+    if v is not None:
+        return GlobalBalance(False, None, f"corner {v} is incident twice to a face")
+    a = coloring.colors.count(COLOR_A)
+    b = coloring.colors.count(COLOR_B)
+    if a != b:
+        return GlobalBalance(False, None, f"{a} A faces versus {b} B faces")
+    return GlobalBalance(True, a)
+
+
+def set_counted_dot_graph(m: CombinatorialMap, coloring: FaceColoring) -> DotGraph:
+    """``dot_graph`` as it was before the map kept a table of the corners
+    on each face: each face's corners counted as a set intersection.  The
+    body is the old function's, word for word."""
+    COLOR_A, COLOR_B = bg.COLOR_A, bg.COLOR_B
+    corners = set(m.corners)
+    total = len(corners)
+    vod = m.vertex_of_dart
+    counts = tuple([total - len({vod[d] for d in face} & corners) for face in m.faces])
+    a, b = (tuple([f for f in coloring.faces_of(c) if counts[f]]) for c in (COLOR_A, COLOR_B))
+    return DotGraph(total, counts, a, b, m.face_neighbors)

@@ -290,3 +290,29 @@ def test_hall_flow_matches_the_dict_reference():
         assert not any(inflow[f] for f in range(len(inflow)) if f not in want_inflow)
         failed += bool(faces)
     assert failed >= 50
+
+
+def test_hall_flow_direct_steps_match_the_dict_reference():
+    # check's own dot graphs, on both colorings: maps glued from two random
+    # pairings of degree 6 to 10 (half with edges subdivided), not spliced;
+    # the direct steps take the paths breadth-first rounds would take
+    rng = random.Random(26)
+    maps = []
+    while len(maps) < 500:
+        m = random_glued_map(rng, 6 + len(maps) % 5, subdivide=len(maps) % 2 == 1)
+        if m is not None:
+            maps.append(m)
+    failed = 0
+    for m in maps:
+        coloring = bg.alternating_coloring(m)
+        for col in (coloring, coloring.flip()):
+            dg = bg.dot_graph(m, col)
+            want_faces, want_inflow = dict_hall_flow(dg)
+            faces, inflow = enrichment._hall_flow(dg)
+            assert faces == want_faces
+            assert [list(inflow[g].items()) for g in dg.a_faces] == [
+                list(row.items()) for row in want_inflow.values()
+            ]
+            assert not any(inflow[f] for f in range(len(inflow)) if f not in want_inflow)
+            failed += bool(faces)
+    assert failed >= 100

@@ -104,6 +104,27 @@ def test_pullback_t1(t1):
     assert len(m.corners) == 4  # type (1, 2, 4)
 
 
+def test_from_cycles_names_a_point_repeated_in_one_slot():
+    for cycle_lists, point in (
+        ([[(1, 1)]], 1),
+        ([[(1, 2), (1, 2)]], 1),
+        ([[(1, 2), (2, 3)]], 2),
+        ([[(1, 2, 3)], [(3, 1), (2, 3)]], 3),
+    ):
+        with pytest.raises(bg.BadPermutation, match=rf"point {point} appears twice"):
+            bg.Constellation.from_cycles(3, cycle_lists)
+    # a point may appear once in each slot
+    c = bg.Constellation.from_cycles(3, [[(1, 2)], [(1, 2)], [(3,)]])
+    assert c.perms == ((1, 0, 2), (1, 0, 2), (0, 1, 2))
+
+
+def test_from_cycles_names_a_point_that_is_not_an_integer():
+    for point in (1.5, True, "1", None):
+        for cycle_lists in ([[(point, 2)]], [[(1, point)]]):
+            with pytest.raises(bg.BadPermutation, match=rf"point {point!r} is not an integer"):
+                bg.Constellation.from_cycles(3, cycle_lists)
+
+
 def test_from_cycles_names_a_point_outside_the_degree():
     for cycle_lists in ([[(1, 5)]], [[(4,)]]):
         with pytest.raises(bg.BadPermutation, match=r"point \d is outside 1\.\.3"):

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import balancedgraphs as bg
+from balancedgraphs._record import cached
 
 CYCLE = bg.build_map(4, [1, 0, 3, 2], [2, 3, 0, 1])
 TYPE = bg.WeightComposition(3, (1, 1, 1, 1))
@@ -188,6 +189,53 @@ def test_cached_properties_stay_out_of_eq_hash_and_repr():
     assert pairing._replayed_arcs == ((1, 2), (3, 4))
     assert (hash(pairing), repr(pairing)) == before
     assert pairing == fresh_pairing and fresh_pairing == pairing
+
+
+def test_cached_attribute_runs_its_body_once_per_instance():
+    class Counted:
+        calls = 0
+
+        @cached
+        def value(self):
+            """A fresh object per instance."""
+            Counted.calls += 1
+            return object()
+
+    first, second = Counted(), Counted()
+    assert first.value is first.value and second.value is second.value
+    assert first.value is not second.value
+    assert Counted.calls == 2
+    assert vars(first) == {"value": first.value}
+    assert isinstance(Counted.value, cached)
+    assert Counted.value.__doc__ == "A fresh object per instance."
+
+
+def test_cached_attribute_stores_nothing_when_its_body_raises(tetrahedron):
+    # the tetrahedron's faces are triangles: no alternating coloring
+    m = bg.CombinatorialMap(tetrahedron.alpha, tetrahedron.sigma)
+    for _ in range(3):
+        with pytest.raises(bg.NotBipartiteFaces):
+            bg.alternating_coloring(m)
+        assert "_alternating_coloring" not in vars(m)
+
+
+def test_cached_attributes_on_records_pass_round_assignment():
+    labeling = bg.VertexLabeling(2, (1, 2, 1))
+    assert labeling.classes is labeling.classes == ((0, 2), (1,))
+    assert vars(labeling)["classes"] == ((0, 2), (1,))
+    pairing = bg.NonCrossingPairing(TYPE, ((1, 2), (3, 4)))
+    assert pairing._replayed_arcs is pairing._replayed_arcs == ((1, 2), (3, 4))
+    assert vars(pairing)["_replayed_arcs"] == ((1, 2), (3, 4))
+    # the records still refuse assignment, to fields and cached names alike
+    for record, name in ((labeling, "classes"), (labeling, "m"), (pairing, "_replayed_arcs")):
+        with pytest.raises(AttributeError, match="cannot assign"):
+            setattr(record, name, None)
+    # an invalid pairing raises on every read and stores nothing
+    crossing = bg.NonCrossingPairing(TYPE, ((1, 3), (2, 4)))
+    for _ in range(2):
+        with pytest.raises(bg.InvariantViolation):
+            crossing._replayed_arcs
+    assert "_replayed_arcs" not in vars(crossing)
 
 
 def test_cli_import_needs_no_dataclasses_or_inspect():

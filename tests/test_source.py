@@ -23,3 +23,10 @@ def test_no_tuple_built_from_a_generator():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert SOURCES and not found, found
+
+
+def test_no_module_uses_functools_cached_property():
+    # on Python 3.11 its first read takes a lock, several times the cost of
+    # _record.cached, which stores the value the same way without one
+    found = [p.name for p in SOURCES if "cached_property" in p.read_text(encoding="utf-8")]
+    assert SOURCES and not found, found

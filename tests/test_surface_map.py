@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ import balancedgraphs as bg
 import balancedgraphs.surface_map as surface_map
 from helpers import (
     all_mirror_graphs,
+    glued_map,
     map_from_rotations,
     random_fixed_point_constellation,
     random_genus_zero_constellation,
@@ -23,7 +25,12 @@ from oracles import (
     searched_least_prefix_roots,
     searched_prefix_key,
     set_checked_run_conditions,
+    set_counted_dot_graph,
+    set_scanned_corner_double_incidence,
+    set_scanned_global_balance,
 )
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_build_cycle_map(cycle_map):
@@ -653,3 +660,65 @@ def test_nested_enriched_map_hands_few_roots_to_the_search(monkeypatch):
     enriched.canonical()
     assert enriched.dart_count == 16128
     assert len(handed) == 1 and handed[0] < 0.02 * enriched.dart_count
+
+
+def _corner_table_maps(gb_corpus, tetrahedron):
+    """The gb corpus, both check fixtures, the tetrahedron, the mirror
+    graphs with d <= 5, 300 random glued maps (half with edges
+    subdivided), 100 glued maps that need not be globally balanced and 400
+    random maps, half of them with loops."""
+    maps = list(gb_corpus) + [tetrahedron]
+    for name in ("counterexample_gb_not_lb.json", "flipped_certificate.json"):
+        maps.append(bg.deserialize((FIXTURES / name).read_text()).map)
+    maps += [m for _, m, _, _ in all_mirror_graphs(5)]
+    rng = random.Random(2026)
+    glued = 0
+    while glued < 300:
+        m = random_glued_map(rng, rng.randint(3, 10), subdivide=glued % 2 == 1)
+        if m is not None:
+            maps.append(m)
+            glued += 1
+    for _ in range(100):  # glued maps of any verdict
+        t = random_weight_type(rng, rng.randint(3, 10))
+        maps.append(glued_map(random_pairing(rng, t), random_pairing(rng, t)))
+    drawn = 0
+    while drawn < 400:
+        loops = drawn % 2 == 0
+        valences = [rng.randint(1, 6) for _ in range(rng.randint(1 if loops else 2, 4))]
+        total = sum(valences)
+        if total % 2 == 0 and total >= 2 * len(valences) - 2:
+            # without loops, no vertex may hold more than half of the darts
+            if loops or 2 * max(valences) <= total:
+                maps.append(random_rotation_map(rng, valences, loops=loops))
+                drawn += 1
+    return maps
+
+
+def test_corner_table_matches_the_set_scans(gb_corpus, tetrahedron):
+    # global balance and the dot graph read one table per map; the set
+    # scans each of them made before give the same verdicts and counts
+    twice = colored = 0
+    for m in _corner_table_maps(gb_corpus, tetrahedron):
+        m = bg.CombinatorialMap(m.alpha, m.sigma, check=False)
+        assert m.face_corners[1] == set_scanned_corner_double_incidence(m)
+        twice += m.face_corners[1] is not None
+        assert bg.is_globally_balanced(m) == set_scanned_global_balance(m)
+        try:
+            coloring = bg.alternating_coloring(m)
+        except bg.NotBipartiteFaces:
+            continue
+        colored += 1
+        for col in (coloring, coloring.flip()):
+            assert bg.is_globally_balanced(m, col) == set_scanned_global_balance(m, col)
+            assert bg.dot_graph(m, col) == set_counted_dot_graph(m, col)
+    assert twice >= 50 and colored >= 400
+
+
+def test_corner_table_is_built_once_per_map(b2):
+    m = bg.CombinatorialMap(b2.alpha, b2.sigma)
+    coloring = bg.alternating_coloring(m)
+    bg.is_globally_balanced(m, coloring)
+    table = m.face_corners
+    bg.dot_graph(m, coloring)
+    bg.dot_graph(m, coloring.flip())
+    assert m.face_corners is table
