@@ -2,9 +2,11 @@
 
 Map, constellation and pairing documents share these rules: the text is
 UTF-8, the document is a JSON object carrying every required field, and
-integers are JSON integers (booleans and floats are rejected).  Any text
-that breaks them raises :class:`ParseError`; each deserializer checks
-only the invariants of its own kind.
+an integer is a value of type exactly ``int``, the one integer test of
+every reader, constructor and validator in the package (``type(x) is
+int``), so booleans, floats, strings and int subclasses are rejected.
+Each deserializer raises a package error on text that breaks them and
+checks the invariants of its own kind.
 """
 
 from __future__ import annotations
@@ -39,12 +41,7 @@ def load(text: str, kind: str, fields: tuple[str, ...]) -> dict:
 
 
 def is_int_list(value, length: int | None = None) -> bool:
-    """Whether ``value`` is a list of integers, of ``length`` items if given.
-
-    ``value`` comes from :func:`load`, and ``json.loads`` makes no int
-    subclass other than ``bool``, so the exact type test accepts the same
-    entries as :func:`~balancedgraphs.permutations.is_int` at less cost.
-    """
+    """Whether ``value`` is a list of integers, of ``length`` items if given."""
     return (
         isinstance(value, list)
         and (length is None or len(value) == length)

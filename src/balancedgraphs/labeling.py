@@ -98,11 +98,12 @@ def admissible_labeling(
 def verify_labeling(
     m: CombinatorialMap, coloring: FaceColoring, lab: VertexLabeling
 ) -> tuple[bool, str | None]:
-    """Check both admissibility conditions; returns (ok, first violation)."""
+    """Check both admissibility conditions; returns (ok, first violation).
+    Labels or an ``m`` that are not integers fail the range check."""
     labels, mm = lab.labels, lab.m
     if len(labels) != m.vertex_count:
         return False, "one label per vertex required"
-    if any(not 1 <= lb <= mm for lb in labels):
+    if type(mm) is not int or any(type(lb) is not int or not 1 <= lb <= mm for lb in labels):
         return False, "labels must lie in 1..m"
     vod, colors = m.vertex_of_dart, coloring.colors
     # a face reads 1..m from its 1 on, cyclically (B faces read backwards)

@@ -20,7 +20,6 @@ from .permutations import (
     compose_chain,
     cycle_type,
     identity,
-    is_int,
     is_transitive,
 )
 from .surface_map import COLOR_A, COLOR_B, CombinatorialMap, FaceColoring
@@ -33,8 +32,8 @@ class Constellation(Record):
     perms: tuple[Perm, ...]
 
     def __post_init__(self):
-        if self.d < 1:
-            raise InvariantViolation(f"degree must be positive, got {self.d}")
+        if type(self.d) is not int or self.d < 1:
+            raise InvariantViolation(f"degree must be positive, got {self.d!r}")
         for p in self.perms:
             check_permutation(p, self.d)
 
@@ -52,8 +51,9 @@ class Constellation(Record):
 
     @classmethod
     def from_cycles(cls, d: int, cycle_lists) -> "Constellation":
-        """Build from 1-indexed cycle notation, one list of cycles per slot;
-        a point that is not an ``int``, outside 1..d or twice in a slot raises."""
+        """Build from 1-indexed cycle notation, one list of cycles per slot; a
+        bad degree or a point not an ``int``, outside 1..d or twice in a slot raises."""
+        cls(d, ())  # tests the degree before it sizes anything
         perms = []
         for cycle_list in cycle_lists:
             p = list(range(d))
@@ -70,7 +70,7 @@ class Constellation(Record):
                 for i, x in enumerate(cyc):
                     p[x - 1] = cyc[(i + 1) % len(cyc)] - 1
             perms.append(tuple(p))
-        return cls(d, tuple(perms))
+        return cls._unchecked(d, tuple(perms))  # every point checked above
 
 
 class ConstellationReport(Record):
@@ -241,7 +241,7 @@ def serialize_constellation(c: Constellation) -> str:
 def deserialize_constellation(text: str) -> Constellation:
     doc = load(text, "constellation", ("d", "perms"))
     d, perms = doc["d"], doc["perms"]
-    if not is_int(d) or d < 1 or not isinstance(perms, list):
+    if type(d) is not int or d < 1 or not isinstance(perms, list):
         raise ParseError("field d must be a positive integer, perms a list")
     if not all(is_int_list(p) for p in perms):
         raise ParseError("each permutation must be a list of integers")

@@ -11,22 +11,18 @@ def check_permutation(values, n: int) -> Perm:
     """Validate one-line notation and return it as a tuple.
 
     Raises :class:`BadPermutation` if ``values`` is not a bijection on
-    ``0..n-1``.
+    ``0..n-1``; each entry is tested once, for the type ``int`` (no bool
+    or other subclass), range and repeats.
     """
     p = tuple(values)
     if len(p) != n:
         raise BadPermutation(f"expected length {n}, got {len(p)}")
     seen = [False] * n
     for x in p:
-        if not (type(x) is int or is_int(x)) or not 0 <= x < n or seen[x]:
+        if type(x) is not int or not 0 <= x < n or seen[x]:
             raise BadPermutation(f"{list(p)} is not a permutation of 0..{n - 1}")
         seen[x] = True
     return p
-
-
-def is_int(x) -> bool:
-    """Whether ``x`` is an integer; JSON booleans do not count."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def identity(n: int) -> Perm:

@@ -29,7 +29,7 @@ from itertools import accumulate
 from ._documents import is_int_list, load
 from ._record import Record, cached
 from .errors import InvariantViolation, NotBipartiteFaces, ParseError
-from .permutations import canonical_relabeling, inverse, is_int
+from .permutations import canonical_relabeling, inverse
 from .surface_map import CombinatorialMap, FaceColoring, alternating_coloring, real_cycle_order
 
 Arc = tuple[int, int]
@@ -43,11 +43,11 @@ class WeightComposition(Record):
 
     def __post_init__(self):
         self.__dict__["a"] = tuple(self.a)
-        if self.d < 2:
-            raise InvariantViolation(f"degree must be at least 2, got {self.d}")
+        if type(self.d) is not int or self.d < 2:
+            raise InvariantViolation(f"degree must be at least 2, got {self.d!r}")
         if not 2 <= len(self.a) <= 2 * self.d - 2:
             raise InvariantViolation(f"need 2..{2 * self.d - 2} points, got {len(self.a)}")
-        if any(not 1 <= x <= self.d - 1 for x in self.a):
+        if any(type(x) is not int or not 1 <= x <= self.d - 1 for x in self.a):
             raise InvariantViolation(f"multiplicities must lie in 1..{self.d - 1}")
         if sum(self.a) != 2 * self.d - 2:
             raise InvariantViolation(
@@ -253,7 +253,7 @@ def tableau_to_pairing(tb: Tableau2Row) -> NonCrossingPairing:
     """Rebuild the pairing: each closing matches the newest open arc.  Sorted
     rows are a tableau exactly when that :func:`_replay` finds a pairing."""
     top, bottom = tb.rows
-    if min(top + bottom, default=0) < 1:
+    if any(type(x) is not int for x in top + bottom) or min(top + bottom, default=0) < 1:
         raise InvariantViolation("not a semistandard two-row tableau")
     n, d = max(top + bottom), len(top) + 1
     # fail as WeightComposition would, degree first, before allocating n counts
@@ -267,16 +267,18 @@ def tableau_to_pairing(tb: Tableau2Row) -> NonCrossingPairing:
 
 
 def validate_pairing(p: NonCrossingPairing) -> list[Arc]:
-    """Degree, loop-freeness and crossing-freeness of the arc multiset.
+    """Degree, loop-freeness and crossing-freeness of the arc multiset,
+    each arc a tuple ``(i, j)`` of integers with ``1 <= i < j <= n``.
 
     The arcs are non-crossing exactly when they are the :func:`_replay` of
     their own sorted endpoints; anything else is a crossing.  Returns the
     replayed arcs, which are ``p.arcs`` sorted.
     """
     n = p.type.n
-    for i, j in p.arcs:
-        if not 1 <= i < j <= n:
-            raise InvariantViolation(f"arc ({i}, {j}) is out of range or a loop")
+    for arc in p.arcs:
+        i, j = arc if type(arc) is tuple and len(arc) == 2 else (None, None)
+        if type(i) is not int or type(j) is not int or not 1 <= i < j <= n:
+            raise InvariantViolation(f"arc {arc!r} must be two points i < j of 1..{n}")
     top = sorted([i for i, _ in p.arcs])
     bottom = sorted([j for _, j in p.arcs])
     if tuple(_per_point(top + bottom, n)) != p.type.a:
@@ -515,7 +517,7 @@ def serialize_pairing(p: NonCrossingPairing) -> str:
 def deserialize_pairing(text: str) -> NonCrossingPairing:
     doc = load(text, "pairing", ("n", "a", "arcs"))
     n, a, arcs = doc["n"], doc["a"], doc["arcs"]
-    if not is_int(n) or not is_int_list(a, n):
+    if type(n) is not int or not is_int_list(a, n):
         raise ParseError("field n must be an integer, a one integer multiplicity per point")
     if not isinstance(arcs, list) or not all(is_int_list(arc, 2) for arc in arcs):
         raise ParseError("field arcs must list pairs of integer points")

@@ -30,7 +30,6 @@ from .permutations import (
     check_permutation,
     conjugate,
     inverse,
-    is_int,
     is_transitive,
     orbits,
 )
@@ -500,8 +499,8 @@ def build_map(dart_count: int, alpha, sigma) -> CombinatorialMap:
     """Validate and build a map from its dart count and permutations."""
     alpha = tuple(alpha)
     sigma = tuple(sigma)
-    if len(alpha) != dart_count or len(sigma) != dart_count:
-        raise BadPermutation("alpha and sigma must have length dart_count")
+    if type(dart_count) is not int or len(alpha) != dart_count or len(sigma) != dart_count:
+        raise BadPermutation("alpha and sigma must have length dart_count, an integer")
     return CombinatorialMap(alpha, sigma)
 
 
@@ -691,10 +690,11 @@ def _first_seen(values, orbit_of, order) -> list:
 def deserialize(text: str) -> MapDocument:
     """Parse a map document, validating all structural invariants."""
     doc = load(text, "map", ("darts", "alpha", "sigma"))
-    darts, alpha, sigma = doc["darts"], doc["alpha"], doc["sigma"]
-    if not is_int(darts) or not is_int_list(alpha) or not is_int_list(sigma):
-        raise ParseError("field darts must be an integer, alpha and sigma integer lists")
-    m = build_map(darts, alpha, sigma)
+    # only lists here: the checked constructor tests each entry once
+    alpha, sigma = doc["alpha"], doc["sigma"]
+    if not isinstance(alpha, list) or not isinstance(sigma, list):
+        raise ParseError("fields alpha and sigma must be lists")
+    m = build_map(doc["darts"], alpha, sigma)
 
     labels = None
     if "labels" in doc:

@@ -707,13 +707,38 @@ def _nested(prefix, depth=100_000):
         ("pullback", '{"d":2,"perms":[[2,1.0],[2,1]]}'),
         ("mirror", '{"n":2,"a":[1,1],"arcs":[[1,true]]}'),
         ("mirror", '{"n":2,"a":[1,1],"arcs":[[1,2.0]]}'),
+        pytest.param("count --d 3 --a 1,x", None, id="count-weight-not-an-integer"),
+        ("check", '{"darts":4,"alpha":[1,0],"sigma":[2,3,0,1]}'),
+        ("check", '{"darts":4,"alpha":[1,0,3,2],"sigma":[2,3,0]}'),
+        ("check", '{"darts":"4","alpha":[1,0,3,2],"sigma":[2,3,0,1]}'),
+        ("check", '{"darts":4,"alpha":{"0":1},"sigma":[2,3,0,1]}'),
+        ("check", '{"darts":4,"alpha":[1,0,3,2.0],"sigma":[2,3,0,1]}'),
+        ("check", '{"darts":4,"alpha":[true,0,3,2],"sigma":[2,3,0,1]}'),
+        ("check", '{"darts":4,"alpha":[1,0,3,2],"sigma":[2,3,0,"1"]}'),
+        ("export", '{"darts":4,"alpha":[1,0,3,2],"sigma":[2,3,0,1],"real_cycle":[0,4]}'),
+        ("mirror", '{"n":2,"a":[1,1],"arcs":[[1,1]]}'),
+        ("mirror", '{"n":2,"a":[1,1],"arcs":[[0,2]]}'),
+        ("mirror", '{"n":2,"a":[1,1],"arcs":[[2,1]]}'),
     ],
 )
 def test_malformed_documents_exit_2(capsys, tmp_path, command, document):
-    path = tmp_path / "doc.json"
-    if isinstance(document, bytes):
-        path.write_bytes(document)
+    if document is None:  # the arguments are the whole input
+        code, out, err = run(capsys, *command.split())
     else:
-        path.write_text(document)
-    code, out, err = run(capsys, command, "--input", str(path))
+        path = tmp_path / "doc.json"
+        if isinstance(document, bytes):
+            path.write_bytes(document)
+        else:
+            path.write_text(document)
+        code, out, err = run(capsys, command, "--input", str(path))
     assert code == 2 and err.startswith("error:") and out == ""
+
+
+def test_a_reversed_arc_is_named_by_the_rule_it_breaks(capsys, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text('{"n":2,"a":[1,1],"arcs":[[2,1]]}')
+    assert run(capsys, "mirror", "--input", str(path)) == (
+        2,
+        "",
+        "error: arc (2, 1) must be two points i < j of 1..2\n",
+    )

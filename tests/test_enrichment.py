@@ -118,6 +118,14 @@ def test_perfect_matching_counterexample_fails(counterexample):
     assert info.value.witness
 
 
+def test_perfect_matching_rejects_unequal_dot_totals():
+    # one A dot and two B dots on two adjacent faces: no Hall witness
+    dg = bg.DotGraph(2, (1, 2), (0,), (1,), ((1,), (0,)))
+    with pytest.raises(bg.NoPerfectMatching, match="1 A dots versus 2 B dots") as info:
+        bg.perfect_matching(dg)
+    assert info.value.witness == ()
+
+
 def test_enrich_identity_on_empty_matching(b2):
     coloring = bg.alternating_coloring(b2)
     matching = bg.perfect_matching(bg.dot_graph(b2, coloring))

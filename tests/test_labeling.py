@@ -407,6 +407,11 @@ def test_charge_conservation_infeasible():
         bg.charge_conservation_check(cg, bg.Weighting((1.0, -2.0, 1.0, 2.0, 1.0)))
     with pytest.raises(bg.InfeasibleWeighting):
         bg.charge_conservation_check(cg, bg.Weighting((1.0, 2.0, 1.0, 2.0, 5.0)))
+    with pytest.raises(bg.InfeasibleWeighting, match="one weight per edge required"):
+        bg.charge_conservation_check(cg, bg.Weighting((1.0, 2.0)))
+    uncapped = bg.ChargeableGraph(3, 3, cg.edges, cg.inputs, cg.outputs, {("y", 0): 4.0})
+    with pytest.raises(bg.InfeasibleWeighting, match=r"interior vertex \('x', 2\) has no capacity"):
+        bg.charge_conservation_check(uncapped, bg.Weighting((1.0, 2.0, 1.0, 2.0, 1.0)))
 
 
 def random_figure_weighting(rng):

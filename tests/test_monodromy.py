@@ -67,6 +67,11 @@ def test_constellation_degree_must_be_positive():
         bg.Constellation(0, ())
 
 
+def test_constellation_permutation_must_have_length_d():
+    with pytest.raises(bg.BadPermutation, match="expected length 2, got 1"):
+        bg.Constellation(2, ((0,),))
+
+
 def test_rh_genus():
     assert bg.rh_genus(bg.Passport(2, ((2,), (2,)))) == 0
     assert bg.rh_genus(bg.Passport(2, ((2,), (2,), (2,), (2,)))) == 1

@@ -30,3 +30,27 @@ def test_no_module_uses_functools_cached_property():
     # _record.cached, which stores the value the same way without one
     found = [p.name for p in SOURCES if "cached_property" in p.read_text(encoding="utf-8")]
     assert SOURCES and not found, found
+
+
+def test_one_integer_rule():
+    # an integer is a value of type exactly int (see _documents); a second
+    # predicate such as isinstance(x, int) admits bools and IntEnum members,
+    # so readers and constructors would disagree on what they accept
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.name == "is_int":
+                found.append(f"{path.name}:{node.lineno} defines is_int")
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            types = node.args[1:2]
+            if types and isinstance(types[0], ast.Tuple):
+                types = types[0].elts
+            if name == "is_int" or (
+                name == "isinstance"
+                and any(isinstance(t, ast.Name) and t.id == "int" for t in types)
+            ):
+                found.append(f"{path.name}:{node.lineno} calls {name}")
+    assert SOURCES and not found, found

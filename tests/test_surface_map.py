@@ -222,6 +222,13 @@ def test_serialize_rejects_a_real_cycle_of_other_darts(b2):
     assert doc["real_cycle"] == [b2.canonical_dart_map()[7]] == [3]
 
 
+def test_serialize_rejects_decorations_of_another_length(b2):
+    with pytest.raises(bg.InvariantViolation, match="labels must list one value per vertex"):
+        bg.serialize(b2, labels=(1, 2, 1))
+    with pytest.raises(bg.InvariantViolation, match="colors must list one value per face"):
+        bg.serialize(b2, coloring=bg.FaceColoring(("A", "B")))
+
+
 def test_serialized_decorations_stay_valid(mirror_1234):
     # canonical relabeling must transport labels, colors and the real
     # cycle so that they still hold on the relabeled map
