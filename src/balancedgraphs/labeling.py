@@ -12,7 +12,7 @@ potential: one walk over the edges finds it or a contradiction.
 from __future__ import annotations
 
 from ._record import Record, cached, fresh
-from .errors import InconsistentPropagation, InfeasibleWeighting
+from .errors import InconsistentPropagation, InfeasibleWeighting, InvariantViolation
 from .surface_map import (
     COLOR_A,
     COLOR_B,
@@ -99,7 +99,14 @@ def verify_labeling(
     m: CombinatorialMap, coloring: FaceColoring, lab: VertexLabeling
 ) -> tuple[bool, str | None]:
     """Check both admissibility conditions; returns (ok, first violation).
-    Labels or an ``m`` that are not integers fail the range check."""
+    Labels or an ``m`` that are not integers fail the range check.
+
+    The half-valence check, kept as a stated consequence, cannot fail once
+    every face reads 1..m: each face has one corner at each label, and for
+    m >= 3 the labels j - 1 and j + 1 alternate round a vertex labeled j,
+    so valences are even and each label's half-valences sum to F / 2, the
+    degree.  For m <= 2 the Euler count leaves at most two vertices.
+    """
     labels, mm = lab.labels, lab.m
     if len(labels) != m.vertex_count:
         return False, "one label per vertex required"
@@ -141,10 +148,10 @@ def compress_labels(
     The vertices of the removed classes are spliced out with
     :func:`~balancedgraphs.surface_map.splice` (their edges merge; vertex
     order survives) and the remaining labels renumbered 1..m-p in the same
-    cyclic order.  Requires at least one corner.
+    cyclic order.  Raises :class:`InvariantViolation` without a corner.
     """
     if not m.corners:
-        raise ValueError("compression requires at least one corner")
+        raise InvariantViolation("compression requires at least one corner")
     valences = m.vertex_valences
     gone = {
         j for j, vs in enumerate(lab.classes, 1) if all(valences[v] == 2 for v in vs)

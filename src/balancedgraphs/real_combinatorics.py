@@ -30,7 +30,13 @@ from ._documents import is_int_list, load
 from ._record import Record, cached
 from .errors import InvariantViolation, NotBipartiteFaces, ParseError
 from .permutations import canonical_relabeling, inverse
-from .surface_map import CombinatorialMap, FaceColoring, alternating_coloring, real_cycle_order
+from .surface_map import (
+    CombinatorialMap,
+    FaceColoring,
+    alternating_coloring,
+    lists_darts,
+    real_cycle_order,
+)
 
 Arc = tuple[int, int]
 
@@ -352,7 +358,10 @@ def conjugation_involution(
     dart onto that of ``(alpha, sigma^-1)`` from the same dart, so it exists
     exactly when the two relabeled tuples agree, and is unique.  Its square
     is an automorphism fixing a dart, so on a connected map the identity.
+    Raises :class:`InvariantViolation` unless ``real_cycle`` lists dart ids.
     """
+    if not lists_darts(m, real_cycle):
+        raise InvariantViolation("real_cycle must list dart ids")
     if not real_cycle:
         return None
     n, root = m.dart_count, real_cycle[:1]
@@ -397,9 +406,12 @@ def marked_canonical_key(m: CombinatorialMap, real_cycle) -> tuple:
     rooted at the first real-cycle dart only, so rotating the marked
     points produces a different key; this matches counting pairings on a
     fixed point set.  The key is the relabeled alpha and sigma followed
-    by the relabeled real cycle.
+    by the relabeled real cycle.  Raises :class:`InvariantViolation`
+    unless ``real_cycle`` is a nonempty list of dart ids.
     """
     real_cycle = tuple(real_cycle)
+    if not real_cycle or not lists_darts(m, real_cycle):
+        raise InvariantViolation("real_cycle must be a nonempty list of dart ids")
     (alpha, sigma), relabel = canonical_relabeling(
         (m.alpha, m.sigma), m.dart_count, (real_cycle[0],)
     )

@@ -265,28 +265,40 @@ class CombinatorialMap:
 # dart order.
 #
 # A run ``e, alpha(e), sigma(alpha(e)), ..., t`` passes m 2-valent vertices
-# between the corner darts e and t and is read from both ends.  Read from
-# e, it keys the roots whose search reaches e first: ``run[2F - 1]``, with
-# e F edges ahead (the way alpha leads) and t B = m + 1 - F behind, F <= B,
-# and ``run[2B]``, with e B edges behind, B < F.  The code is P before
-# position h = min(4F - 3, 4B), where the search first expands a corner
-# dart, then leaves P upwards at h + 5 with h + 8 (F <= B) or at h + 3 with
-# h + 6 (B < F) if the darts numbered there are new.  ``_root_keys`` checks
-# that once per direction, for the innermost roots and for the rest on
-# each side; the run is regular when all four checks hold.  Its least key
-# is then (2, -L, L + 3) at ``run[m]``, L = 2m + 3 for even m and 2m + 4
-# for odd m: it depends on m alone and grows with m, so only the longest
-# regular runs keep roots.  ``_run_keys`` keys the roots of the other runs
-# and searches those where a check fails.  Before h such a search numbers
-# only darts of the run, in the order P gives, so it lays those down and
-# starts at h.  The positions it skips are charged to the budget as
-# searched ones: a map goes past the budget exactly when searches from the
-# roots would.  A dart at an ordinary corner leaves P upwards at 3 with 6.
-# A code from a 2-valent vertex cannot leave P upwards before position 4,
-# so every root on a run beats it: such darts are never listed.  Darts at
-# the other corners are not keyed but kept: ``canonical_relabeling`` gets
-# them beside the least-keyed roots, and a root reaching the least code is
-# one of the two.
+# between the corner darts e and t and is read from both ends.  Read from e,
+# it keys the roots whose search reaches e first: ``run[2F - 1]``, with e F
+# edges ahead (the way alpha leads) and t B = m + 1 - F behind, F <= B, and
+# ``run[2B]``, with e B edges behind, B < F.  The code is P before position
+# h = min(4F - 3, 4B), where the search first expands a corner dart, then
+# leaves P upwards at h + 5 with h + 8 (F <= B) or at h + 3 with h + 6
+# (B < F) if the darts numbered there are new: for the root ``run[r]`` that
+# closed form is (2, -L, L + 3), L = 2r + 3 + r % 2.  Each side is walked
+# from its innermost root out, F = (m + 1) // 2 ahead and B = m // 2 behind.
+# ``_root_keys`` checks once per direction that the darts are new, for the
+# innermost roots and for the rest on each side; the run is regular when all
+# four checks hold.  Its least key is then that of ``run[m]``: it depends on
+# m alone and grows with m, so only the longest regular runs keep roots.  On
+# the other runs keys improve towards the middle, so a side's walk ends at
+# the first closed form that holds for the rest, and roots whose check fails
+# are searched.  Before h such a search numbers only darts of the run, in
+# the order P gives, so it lays those down and starts at h.  A search that
+# never numbers ``run[-2]`` met neither t nor the run from there, so each
+# root further out numbers the same darts four positions earlier and four
+# lower: an upward key beats theirs, and the outermost root's, kept with its
+# key shifted to match, beats a downward one.
+#
+# The searches of a map share a budget of sixteen positions per dart,
+# several times what a run needs, and the positions they skip are charged as
+# searched: a map goes past the budget exactly when searches from the roots
+# would, and then keeps every root, as codes following P far beyond a corner
+# (a corner with a one-edge loop can pass for a 2-valent vertex) would cost
+# a long search per root.
+#
+# A dart at an ordinary corner leaves P upwards at 3 with 6.  A code from a
+# 2-valent vertex cannot leave P upwards before position 4, so every root on
+# a run beats it: such darts are never listed.  Darts at the other corners
+# are not keyed but kept: ``canonical_relabeling`` gets them beside the
+# least-keyed roots, and a root reaching the least code is one of the two.
 
 
 class _OverBudget(Exception):
@@ -294,14 +306,8 @@ class _OverBudget(Exception):
 
 
 class _Search:
-    """Direct searches of run roots' codes against P on one map.
-
-    The searches share one numbering array and a budget of sixteen
-    positions per dart, several times what a run of 2-valent vertices
-    needs.  Past it the map keeps every root: codes that follow P far
-    beyond a corner (a corner with a one-edge loop can pass for a 2-valent
-    vertex) would otherwise cost a long search per root.
-    """
+    """Direct searches of run roots' codes against P on one map, sharing
+    one numbering array and a budget of sixteen positions per dart."""
 
     def __init__(self, alpha: Perm, sigma: Perm):
         self.alpha = alpha
@@ -313,15 +319,10 @@ class _Search:
         """Sort key of the alpha code of the root ``run[r]`` of a run against
         P, and whether the search numbered ``run[-2]`` before the code left P.
 
-        The search starts at the position h where it first expands a corner
-        dart.  The darts numbered before are laid down as P numbers them:
-        the q-th dart ahead along the run (the way alpha leads) gets 2q - 1
-        and the q-th behind 2q, so the corner darts at its ends get
-        2 len(ahead) - 1 and 2 len(behind).  The key is ``(0, L, v)`` when
-        the code first leaves P downwards at position L with value v,
-        ``(2, -L, v)`` when it leaves upwards and ``(1, 0, 0)`` when it
-        never leaves.  Skipped positions are charged to the budget as
-        searched ones.
+        The key is ``(0, L, v)`` when the code first leaves P downwards at
+        position L with value v, ``(2, -L, v)`` when it leaves upwards and
+        ``(1, 0, 0)`` when it never leaves.  Raises :class:`_OverBudget`
+        once the map's searches pass their budget.
         """
         alpha, sigma, label = self.alpha, self.sigma, self.label
         ahead, behind = (run[r - 1::-1], run[r + 1:]) if r % 2 else (run[r + 1:], run[r - 1::-1])
@@ -402,12 +403,9 @@ def _root_keys(alpha: Perm, sigma: Perm) -> tuple[list[tuple[tuple, int]], list[
                 m += 1
             if not m:
                 continue
-            # whether the darts a search numbers past h are new, x being the
-            # far corner dart: e and x are the only corner darts on the run
-            # and the darts near them meet it only through those, so each
-            # check asks darts around e (sigma e, alpha sigma e, sigma^2 e,
-            # sigma alpha sigma e, alpha sigma^2 e) and, for the innermost
-            # roots, around x to be distinct; a set's check implies its subsets'
+            # the four checks ask darts around e, and for the innermost roots
+            # around the far corner dart x, to be distinct: those darts meet the
+            # run only through e and x.  A set's check implies its subsets'
             ay, x1 = alpha[y], sigma[x]
             near = {e, y, ay, s, sigma[ay], alpha[s]}
             ahead = len(near) == 6
@@ -419,7 +417,13 @@ def _root_keys(alpha: Perm, sigma: Perm) -> tuple[list[tuple[tuple, int]], list[
                 ahead_in = ahead and x != y and x != s
                 behind_in = len({e, y, ay, s, x, x1, alpha[x1]}) == 7
             if not (ahead_in and behind_in):
-                keyed += _run_keys(search, two, e, ahead_in, ahead, behind_in, behind)
+                run = [e, alpha[e]]
+                for _ in range(m):
+                    z = sigma[run[-1]]
+                    run += (z, alpha[z])
+                f, b = (m + 1) // 2, m // 2
+                keyed += _side_keys(search, run, 2 * f - 1, ahead_in, ahead)
+                keyed += _side_keys(search, run, 2 * b, behind_in, behind)
             elif m >= longest:
                 if m > longest:
                     longest, starts = m, []
@@ -427,59 +431,30 @@ def _root_keys(alpha: Perm, sigma: Perm) -> tuple[list[tuple[tuple, int]], list[
     except _OverBudget:
         return None
     if longest:
-        depart = 2 * longest + 3 + longest % 2
+        key = _closed_key(longest)
         for x in starts:
             for _ in range(longest // 2):
                 x = sigma[alpha[x]]
-            keyed.append(((2, -depart, depart + 3), alpha[x] if longest % 2 else x))
+            keyed.append((key, alpha[x] if longest % 2 else x))
     return keyed, kept
 
 
-def _run_keys(search: _Search, two: list[bool], e: int, ahead_in, ahead, behind_in, behind):
-    """Keys of the roots on the run from the corner dart ``e`` whose search
-    first numbers ``e``: closed forms where the checks of ``_root_keys``
-    hold (``ahead_in`` and ``ahead`` for the innermost root and the rest
-    ahead of their search, ``behind_in`` and ``behind`` for those behind),
-    searches elsewhere.
-    """
-    alpha, sigma = search.alpha, search.sigma
-    x = alpha[e]
-    run = [e, x]
-    while two[x]:
-        z = sigma[x]
-        x = alpha[z]
-        run += (z, x)
-    m = len(run) // 2 - 1
-    # ahead first (F <= B), from F = (m + 1) // 2 out: the innermost root
-    # has B - F = 0 or 1, the others B - F >= 2; the code leaves P at
-    # h + 5 = 4F + 2
-    f = (m + 1) // 2
-    out = _side_keys(search, run, 2 * f - 1, 4 * f + 2, ahead_in, ahead)
-    # behind first (B < F), from B = m // 2 out: the innermost root has
-    # F - B = 1 or 2, the others F - B >= 3; the code leaves P at
-    # h + 3 = 4B + 3
-    b = m // 2
-    out += _side_keys(search, run, 2 * b, 4 * b + 3, behind_in, behind)
-    return out
+def _closed_key(r: int) -> tuple[int, int, int]:
+    """The closed-form key of the root ``run[r]``, its key when the checks
+    of its side hold."""
+    depart = 2 * r + 3 + r % 2
+    return (2, -depart, depart + 3)
 
 
-def _side_keys(search: _Search, run: list[int], first: int, departs: int, inner, outer):
+def _side_keys(search: _Search, run: list[int], first: int, inner, outer):
     """Keys of the roots ``run[first]``, ``run[first - 2]``, ... down to
-    ``run[1]`` or ``run[2]``, innermost first, whose closed forms leave P
-    at ``departs``, four positions earlier per root.
-
-    ``inner`` and ``outer`` tell whether the closed form holds for the
-    innermost root and for the rest; keys improve towards the middle, so
-    one for the rest ends the walk.  Other roots are searched.  A search
-    that never numbers ``run[-2]`` met neither the far corner nor the run
-    from there, so each root further out numbers the same darts four
-    positions earlier and four lower: an upward key beats theirs, and the
-    outermost root's, which is kept, beats a downward one.
-    """
+    ``run[1]`` or ``run[2]``, innermost first, leaving out those that trail
+    a key listed: the closed form where ``inner`` (for ``run[first]``) or
+    ``outer`` (for the rest) holds, searched keys elsewhere."""
     out = []
     for r in range(first, 0, -2):
         if outer if r < first else inner:
-            out.append(((2, -departs, departs + 3), run[r]))
+            out.append((_closed_key(r), run[r]))
             if outer:
                 break
         else:
@@ -491,7 +466,6 @@ def _side_keys(search: _Search, run: list[int], first: int, departs: int, inner,
                     shift = 2 * (r - outermost)
                     out.append(((0, key[1] - shift, key[2] - shift), run[outermost]))
                 break
-        departs -= 4
     return out
 
 
@@ -618,14 +592,21 @@ class MapDocument(Record):
     real_cycle: tuple[int, ...] | None = None
 
 
+def lists_darts(m: CombinatorialMap, darts) -> bool:
+    """Whether every entry of ``darts`` is a dart id of ``m``: an integer in
+    ``0..dart_count - 1``."""
+    n = m.dart_count
+    return all(type(d) is int and 0 <= d < n for d in darts)
+
+
 def real_cycle_order(m: CombinatorialMap, real_cycle) -> list[int] | None:
     """The vertices the real cycle passes, in its order.
 
     None unless ``m`` is planar and ``real_cycle`` is a closed walk of
-    darts through every vertex once: the edge of each dart ends at the
-    vertex of the next, the last dart's at the first's.
+    darts of ``m`` through every vertex once: the edge of each dart ends at
+    the vertex of the next, the last dart's at the first's.
     """
-    if m.genus() != 0 or not real_cycle:
+    if m.genus() != 0 or not real_cycle or not lists_darts(m, real_cycle):
         return None
     vod = m.vertex_of_dart
     order = [vod[d] for d in real_cycle]
@@ -675,8 +656,7 @@ def serialize(
             raise InvariantViolation("colors must list one value per face")
         doc["colors"] = _first_seen(coloring.colors, m.face_of_dart, order)
     if real_cycle is not None:
-        n = m.dart_count
-        if not all(type(d) is int and 0 <= d < n for d in real_cycle):
+        if not lists_darts(m, real_cycle):
             raise InvariantViolation("real_cycle must list dart ids")
         doc["real_cycle"] = [dart_map[d] for d in real_cycle]
     return dump(doc)
@@ -721,7 +701,7 @@ def deserialize(text: str) -> MapDocument:
     real_cycle = None
     if "real_cycle" in doc:
         raw = doc["real_cycle"]
-        if not is_int_list(raw) or any(not 0 <= d < m.dart_count for d in raw):
+        if not isinstance(raw, list) or not lists_darts(m, raw):
             raise InvariantViolation("real_cycle must list dart ids")
         real_cycle = tuple(raw)
 

@@ -716,6 +716,11 @@ def _nested(prefix, depth=100_000):
         ("check", '{"darts":4,"alpha":[true,0,3,2],"sigma":[2,3,0,1]}'),
         ("check", '{"darts":4,"alpha":[1,0,3,2],"sigma":[2,3,0,"1"]}'),
         ("export", '{"darts":4,"alpha":[1,0,3,2],"sigma":[2,3,0,1],"real_cycle":[0,4]}'),
+        pytest.param(
+            "export --format svg",
+            '{"darts":4,"alpha":[1,0,3,2],"sigma":[2,3,0,1],"real_cycle":[0,2]}',
+            id="export-svg-real-cycle-repeats-a-vertex",
+        ),
         ("mirror", '{"n":2,"a":[1,1],"arcs":[[1,1]]}'),
         ("mirror", '{"n":2,"a":[1,1],"arcs":[[0,2]]}'),
         ("mirror", '{"n":2,"a":[1,1],"arcs":[[2,1]]}'),
@@ -730,7 +735,7 @@ def test_malformed_documents_exit_2(capsys, tmp_path, command, document):
             path.write_bytes(document)
         else:
             path.write_text(document)
-        code, out, err = run(capsys, command, "--input", str(path))
+        code, out, err = run(capsys, *command.split(), "--input", str(path))
     assert code == 2 and err.startswith("error:") and out == ""
 
 

@@ -141,7 +141,7 @@ def test_compress_labels_chain(b2):
 def test_compress_requires_corner(cycle_map):
     coloring = bg.alternating_coloring(cycle_map)
     lab = bg.admissible_labeling(cycle_map, coloring)
-    with pytest.raises(ValueError):
+    with pytest.raises(bg.InvariantViolation):
         bg.compress_labels(cycle_map, lab)
 
 

@@ -13,7 +13,7 @@ import balancedgraphs as bg
 from balancedgraphs import cli, real_combinatorics
 from balancedgraphs._documents import dump
 from balancedgraphs.surface_map import real_cycle_order
-from helpers import all_mirror_graphs
+from helpers import all_mirror_graphs, map_from_rotations
 from oracles import (
     all_darts_real_balanced,
     arcs_cross,
@@ -488,6 +488,34 @@ def test_is_real_balanced_rejections(b2, t1):
     # two edges of the bigon map that are not mirror images of each other
     assert bg.is_real_balanced(b2, (0, 5))
     assert not bg.is_real_balanced(b2, (0, 3))
+
+
+def test_is_real_balanced_on_the_theta_graph():
+    # two vertices joined by three edges: the real cycle along one edge is
+    # a closed walk with a reflection, but the three faces meet pairwise
+    m = map_from_rotations([["a", "b", "c"], ["a", "c", "b"]])
+    real_cycle = (0, m.alpha[0])
+    assert real_cycle_order(m, real_cycle) == [0, 1]
+    assert bg.conjugation_involution(m, real_cycle) is not None
+    with pytest.raises(bg.NotBipartiteFaces):
+        bg.alternating_coloring(m)
+    assert not bg.is_real_balanced(m, real_cycle)
+
+
+def test_real_cycle_consumers_reject_entries_that_are_not_dart_ids():
+    m = bg.CombinatorialMap([1, 0, 3, 2], [2, 3, 0, 1])
+    for cycle in ((9,), (0, -1), (True, 1), (0.0, 1)):
+        assert real_cycle_order(m, cycle) is None
+        assert not bg.is_real_balanced(m, cycle)
+        with pytest.raises(bg.UnsupportedFormat):
+            bg.to_svg(m, cycle)
+        with pytest.raises(bg.InvariantViolation, match="dart ids"):
+            bg.conjugation_involution(m, cycle)
+        with pytest.raises(bg.InvariantViolation, match="dart ids"):
+            bg.marked_canonical_key(m, cycle)
+    with pytest.raises(bg.InvariantViolation, match="dart ids"):
+        bg.marked_canonical_key(m, ())
+    assert bg.conjugation_involution(m, ()) is None
 
 
 def test_is_real_balanced_matches_all_darts_oracle(b2, t1):

@@ -503,14 +503,14 @@ def test_run_checks_match_the_set_checked_oracle(monkeypatch):
         bg.pullback_from_constellation(random_fixed_point_constellation(rng))[0]
         for _ in range(200)
     ]
-    checks = {}
-    run_keys = surface_map._run_keys
+    checks = {}  # run[0] -> the checks of its two sides, ahead then behind
+    side_keys = surface_map._side_keys
 
-    def recorded(search, two, e, *four):
-        checks[e] = four
-        return run_keys(search, two, e, *four)
+    def recorded(search, run, first, inner, outer):
+        checks.setdefault(run[0], []).extend((inner, outer))
+        return side_keys(search, run, first, inner, outer)
 
-    monkeypatch.setattr(surface_map, "_run_keys", recorded)
+    monkeypatch.setattr(surface_map, "_side_keys", recorded)
     compared = [0, 0]  # run directions, and those with a check failing
     failing = [0, 0, 0, 0]
     for m in maps:
@@ -520,9 +520,9 @@ def test_run_checks_match_the_set_checked_oracle(monkeypatch):
         two = [m.vertex_valences[v] == 2 for v in m.vertex_of_dart]
         for e in range(m.dart_count):
             if not two[e] and two[m.alpha[e]]:
-                # a regular run reaches no _run_keys: all four checks hold
+                # a regular direction makes no call: all four checks hold
                 want = set_checked_run_conditions(m, e)
-                assert checks.get(e, (True,) * 4) == want
+                assert tuple(checks.get(e, (True,) * 4)) == want
                 compared[0] += 1
                 compared[1] += not all(want)
                 failing = [f + (not w) for f, w in zip(failing, want)]
