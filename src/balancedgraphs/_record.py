@@ -5,8 +5,10 @@ class attribute of the same name is the field's default, and
 ``fresh(factory)`` is a default made anew for each record.  Records are
 built by position or keyword, run ``__post_init__`` if the class has one,
 compare and hash by their fields (a dict field makes a record unhashable)
-and refuse assignment and deletion.  Values of :class:`cached` attributes
-sit beside the fields in the instance dict and take no part in any of this.
+and refuse assignment and deletion; ``_unchecked`` builds one from values
+its caller has already checked, without ``__post_init__``.  Values of
+:class:`cached` attributes sit beside the fields in the instance dict and
+take no part in any of this.
 """
 
 
@@ -58,6 +60,14 @@ class Record:
         exec(f"def __init__(_record_self, {', '.join(params)}):\n" + "\n".join(lines), scope)
         cls.__init__ = scope["__init__"]
         cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    @classmethod
+    def _unchecked(cls, *values):
+        """A record of ``values``, one per field in order, that the caller
+        has already checked and put in stored form: no ``__post_init__``."""
+        record = object.__new__(cls)
+        record.__dict__.update(zip(cls._fields, values))
+        return record
 
     def _values(self) -> tuple:
         d = self.__dict__

@@ -13,7 +13,7 @@ flow that decides the Hall condition and, when it holds, gives a matching.
 from __future__ import annotations
 
 from ._record import Record
-from .errors import NoPerfectMatching
+from .errors import InvariantViolation, NoPerfectMatching
 from .surface_map import (
     COLOR_A,
     COLOR_B,
@@ -188,7 +188,8 @@ def enrich(m: CombinatorialMap, matching: DotMatching) -> CombinatorialMap:
 
     The pairs of one face pair are spread round-robin over the edges the
     two faces share, in edge-id order.  Old dart, vertex and face ids
-    survive, and several pairs may subdivide the same edge.
+    survive, and several pairs may subdivide the same edge.  Raises
+    :class:`InvariantViolation` on a pair of faces that share no edge.
     """
     if not matching.counts:
         return m
@@ -198,7 +199,9 @@ def enrich(m: CombinatorialMap, matching: DotMatching) -> CombinatorialMap:
         shared.setdefault(tuple(sorted((fod[d], fod[e]))), []).append(edge_id)
     counts: dict[int, int] = {}
     for pair, k in matching.counts.items():
-        hosts = shared[tuple(sorted(pair))]
+        hosts = shared.get(tuple(sorted(pair)))
+        if hosts is None:
+            raise InvariantViolation(f"faces {pair} share no edge")
         q, r = divmod(k, len(hosts))
         for j, edge_id in enumerate(hosts):
             counts[edge_id] = q + (j < r)

@@ -37,14 +37,6 @@ class Constellation(Record):
         for p in self.perms:
             check_permutation(p, self.d)
 
-    @classmethod
-    def _unchecked(cls, d: int, perms: tuple[Perm, ...]) -> "Constellation":
-        """An instance of a positive degree and permutations of 0..d-1 that
-        the caller has already checked, built without checking them again."""
-        c = object.__new__(cls)
-        c.__dict__.update(d=d, perms=perms)
-        return c
-
     @property
     def m(self) -> int:
         return len(self.perms)
@@ -52,13 +44,16 @@ class Constellation(Record):
     @classmethod
     def from_cycles(cls, d: int, cycle_lists) -> "Constellation":
         """Build from 1-indexed cycle notation, one list of cycles per slot; a
-        bad degree or a point not an ``int``, outside 1..d or twice in a slot raises."""
+        bad degree, a cycle not a list or tuple, or a point not an ``int``,
+        outside 1..d or twice in a slot raises."""
         cls(d, ())  # tests the degree before it sizes anything
         perms = []
         for cycle_list in cycle_lists:
             p = list(range(d))
             seen = set()
             for cyc in cycle_list:
+                if not isinstance(cyc, (list, tuple)):
+                    raise BadPermutation(f"cycle {cyc!r} is not a sequence of points")
                 for x in cyc:
                     if type(x) is not int:
                         raise BadPermutation(f"point {x!r} is not an integer")
@@ -165,7 +160,7 @@ def pullback_from_constellation(
             sigma[x + 1] = after + 2 * s
     # valid as built: each p_j is a permutation, alpha has no fixed point,
     # and the verified (transitive) permutations connect every sheet
-    built = CombinatorialMap(alpha, sigma, check=False)
+    built = CombinatorialMap._unchecked(tuple(alpha), tuple(sigma))
 
     # every face is all-out or all-in darts; the out ones are the sheets
     colors = tuple([COLOR_A if face[0] % 2 == 0 else COLOR_B for face in built.faces])

@@ -342,7 +342,7 @@ def mirror_graph(
 
     # valid as built from a validated pairing: each dart sits in one ring,
     # alpha pairs each edge's darts, and the real cycle connects the points
-    m = CombinatorialMap(alpha, sigma, check=False)
+    m = CombinatorialMap._unchecked(tuple(alpha), tuple(sigma))
     real_cycle = tuple(range(0, 2 * n, 2))
     return m, alternating_coloring(m), real_cycle
 

@@ -38,13 +38,13 @@ COLOR_A = "A"
 COLOR_B = "B"
 
 
-class CombinatorialMap:
+class CombinatorialMap(Record):
     """An immutable rotation system.
 
     ``alpha`` and ``sigma`` are permutations of ``0..dart_count-1`` in
-    one-line notation.  ``alpha`` must be an involution without fixed
-    points and the pair must act transitively (the cell graph fills a
-    connected surface).
+    one-line notation, stored as tuples.  ``alpha`` must be an involution
+    without fixed points and the pair must act transitively (the cell
+    graph fills a connected surface).
 
     Vertex ids number the orbits of ``sigma``, and face ids those of
     ``phi``, in the order of their least darts; each orbit in
@@ -54,45 +54,37 @@ class CombinatorialMap:
     ``face_of_dart``, on first use of either; the map keeps them.
     """
 
-    def __init__(self, alpha, sigma, check: bool = True):
-        alpha = tuple(alpha)
-        sigma = tuple(sigma)
-        if check:
-            n = len(alpha)
-            if n == 0 or n % 2 != 0:
-                raise BadPermutation("dart count must be positive and even")
-            alpha = check_permutation(alpha, n)
-            sigma = check_permutation(sigma, n)
-            for d in range(n):
-                if alpha[d] == d:
-                    raise NotInvolution(f"alpha fixes dart {d}")
-                if alpha[alpha[d]] != d:
-                    raise NotInvolution(f"alpha is not an involution at dart {d}")
-            if not is_transitive((alpha, sigma), n):
-                raise Disconnected("the darts are not connected under alpha and sigma")
-        self._alpha = alpha
-        self._sigma = sigma
+    alpha: Perm
+    sigma: Perm
 
-    @property
-    def alpha(self) -> Perm:
-        return self._alpha
-
-    @property
-    def sigma(self) -> Perm:
-        return self._sigma
+    def __post_init__(self):
+        alpha = tuple(self.alpha)
+        n = len(alpha)
+        if n == 0 or n % 2 != 0:
+            raise BadPermutation("dart count must be positive and even")
+        alpha = check_permutation(alpha, n)
+        sigma = check_permutation(self.sigma, n)
+        for d in range(n):
+            if alpha[d] == d:
+                raise NotInvolution(f"alpha fixes dart {d}")
+            if alpha[alpha[d]] != d:
+                raise NotInvolution(f"alpha is not an involution at dart {d}")
+        if not is_transitive((alpha, sigma), n):
+            raise Disconnected("the darts are not connected under alpha and sigma")
+        self.__dict__.update(alpha=alpha, sigma=sigma)
 
     @property
     def dart_count(self) -> int:
-        return len(self._alpha)
+        return len(self.alpha)
 
     @cached
     def _vertex_orbits(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        return orbits(self._sigma)
+        return orbits(self.sigma)
 
     @cached
     def _face_orbits(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        sigma = self._sigma
-        return orbits(tuple([sigma[a] for a in self._alpha]))
+        sigma = self.sigma
+        return orbits(tuple([sigma[a] for a in self.alpha]))
 
     @cached
     def vertices(self) -> tuple[tuple[int, ...], ...]:
@@ -104,9 +96,7 @@ class CombinatorialMap:
 
     @cached
     def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple([
-            (d, self._alpha[d]) for d in range(self.dart_count) if d < self._alpha[d]
-        ])
+        return tuple([(d, a) for d, a in enumerate(self.alpha) if d < a])
 
     @cached
     def vertex_of_dart(self) -> tuple[int, ...]:
@@ -138,7 +128,7 @@ class CombinatorialMap:
     @cached
     def _alternating_coloring(self) -> "FaceColoring":
         # a cached attribute stores no value when its body raises
-        alpha, fod, faces = self._alpha, self.face_of_dart, self.faces
+        alpha, fod, faces = self.alpha, self.face_of_dart, self.faces
         colors = [None] * self.face_count
         queue = [fod[0]]
         colors[fod[0]] = COLOR_A
@@ -209,16 +199,15 @@ class CombinatorialMap:
     def relabel(self, dart_map) -> "CombinatorialMap":
         """Apply a dart relabeling: dart d becomes dart_map[d]."""
         perm = check_permutation(tuple(dart_map), self.dart_count)
-        alpha, sigma = conjugate((self._alpha, self._sigma), perm)
-        return CombinatorialMap(alpha, sigma, check=False)
+        return CombinatorialMap._unchecked(*conjugate((self.alpha, self.sigma), perm))
 
     @cached
     def _canonical(self) -> tuple["CombinatorialMap", tuple[int, ...]]:
         n = self.dart_count
         (alpha, sigma), dart_map = canonical_relabeling(
-            (self._alpha, self._sigma), n, _least_prefix_roots(self._alpha, self._sigma)
+            (self.alpha, self.sigma), n, _least_prefix_roots(self.alpha, self.sigma)
         )
-        return CombinatorialMap(alpha, sigma, check=False), dart_map
+        return CombinatorialMap._unchecked(alpha, sigma), dart_map
 
     def canonical(self) -> "CombinatorialMap":
         """The canonical representative of the isomorphism class."""
@@ -231,19 +220,6 @@ class CombinatorialMap:
     def canonical_key(self) -> tuple[Perm, Perm]:
         canon = self.canonical()
         return (canon.alpha, canon.sigma)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CombinatorialMap)
-            and self._alpha == other._alpha
-            and self._sigma == other._sigma
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._alpha, self._sigma))
-
-    def __repr__(self) -> str:
-        return f"CombinatorialMap(alpha={list(self._alpha)}, sigma={list(self._sigma)})"
 
 
 # Root selection for the canonical form.
@@ -523,12 +499,25 @@ def are_isomorphic(m1: CombinatorialMap, m2: CombinatorialMap) -> bool:
     return m1.canonical_key() == m2.canonical_key()
 
 
+def is_id(x, n: int) -> bool:
+    """Whether ``x`` is the id of one of ``n`` darts, vertices, edges or
+    faces: an integer (a value of type exactly ``int``) in ``0..n - 1``."""
+    return type(x) is int and 0 <= x < n
+
+
 def subdivide_edges(m: CombinatorialMap, counts: dict[int, int]) -> CombinatorialMap:
-    """Insert ``counts[edge_id]`` 2-valent vertices on each listed edge.
+    """Insert ``counts[edge_id]`` 2-valent vertices on each listed edge;
+    counts up to 0 insert none, a key not an edge id (:func:`is_id`) or a
+    count not an integer raises :class:`InvariantViolation`.
 
     Old darts keep their ids; new darts are appended, so old vertex and
     face ids are preserved.
     """
+    for edge_id, k in counts.items():
+        if not is_id(edge_id, m.edge_count):
+            raise InvariantViolation(f"{edge_id!r} is not an edge id")
+        if type(k) is not int:
+            raise InvariantViolation(f"count {k!r} of edge {edge_id} is not an integer")
     alpha = list(m.alpha)
     sigma = list(m.sigma)
     for edge_id in sorted(counts):
@@ -549,18 +538,21 @@ def subdivide_edges(m: CombinatorialMap, counts: dict[int, int]) -> Combinatoria
         alpha[prev] = d1
         alpha[d1] = prev
     # each new vertex sits on an edge of ``m``, so the map stays valid
-    return CombinatorialMap(alpha, sigma, check=False)
+    return CombinatorialMap._unchecked(tuple(alpha), tuple(sigma))
 
 
 def splice(m: CombinatorialMap, vertices) -> tuple[CombinatorialMap, dict[int, int]]:
     """Remove the given 2-valent vertices, merging the two edges at each.
 
     Surviving darts keep their order; ``dense`` sends each to its new id.
-    Raises :class:`InvariantViolation` on a vertex of another valence and
-    when nothing survives (the vertices form a closed cycle).
+    Raises :class:`InvariantViolation` on an entry not a vertex id
+    (:func:`is_id`) or not 2-valent and when nothing survives (the
+    vertices form a closed cycle).
     """
     removed = set()
     for v in vertices:
+        if not is_id(v, m.vertex_count):
+            raise InvariantViolation(f"{v!r} is not a vertex id")
         if len(m.vertices[v]) != 2:
             raise InvariantViolation(f"vertex {v} is not 2-valent")
         removed.update(m.vertices[v])
@@ -576,11 +568,11 @@ def splice(m: CombinatorialMap, vertices) -> tuple[CombinatorialMap, dict[int, i
             e = m.alpha[m.sigma[e]]
         return dense[e]
 
-    alpha = [partner(d) for d in kept]
-    sigma = [dense[m.sigma[d]] for d in kept]
+    alpha = tuple([partner(d) for d in kept])
+    sigma = tuple([dense[m.sigma[d]] for d in kept])
     # splicing merges the two edges at each removed vertex; with a dart
     # left, the result is a valid connected map
-    return CombinatorialMap(alpha, sigma, check=False), dense
+    return CombinatorialMap._unchecked(alpha, sigma), dense
 
 
 class MapDocument(Record):
@@ -593,10 +585,9 @@ class MapDocument(Record):
 
 
 def lists_darts(m: CombinatorialMap, darts) -> bool:
-    """Whether every entry of ``darts`` is a dart id of ``m``: an integer in
-    ``0..dart_count - 1``."""
+    """Whether every entry of ``darts`` is a dart id of ``m``."""
     n = m.dart_count
-    return all(type(d) is int and 0 <= d < n for d in darts)
+    return all(is_id(d, n) for d in darts)
 
 
 def real_cycle_order(m: CombinatorialMap, real_cycle) -> list[int] | None:

@@ -138,7 +138,7 @@ def globally_balanced_maps(valences, max_faces=CORPUS_MAX_FACES):
         nf = _orbit_count(phi)
         if nf > max_faces or nf % 2:
             continue
-        m = bg.CombinatorialMap(tuple(alpha), sigma, check=False)
+        m = bg.CombinatorialMap._unchecked(tuple(alpha), sigma)
         if not bg.is_globally_balanced(m).ok:
             continue
         key = m.canonical_key()

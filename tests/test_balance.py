@@ -292,7 +292,7 @@ def test_corpus_generator_pinning_loses_no_classes():
                 d += 1
             if d == n:
                 if _connected(alpha, sigma):
-                    m = bgx.CombinatorialMap(tuple(alpha), sigma, check=False)
+                    m = bgx.CombinatorialMap._unchecked(tuple(alpha), sigma)
                     if (
                         m.face_count <= 8
                         and m.face_count % 2 == 0

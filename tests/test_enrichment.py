@@ -170,6 +170,14 @@ def test_enrich_every_corpus_map(gb_corpus):
         assert counts == {dg.m}
 
 
+def test_enrich_names_a_pair_of_faces_that_share_no_edge(mirror_1234):
+    _, m, _, _ = mirror_1234
+    for f, g in ((0, 0), (0, 4), (5, 0)):
+        assert g not in m.face_neighbors[f]
+        with pytest.raises(bg.InvariantViolation, match=rf"^faces \({f}, {g}\) share no edge$"):
+            bg.enrich(m, bg.DotMatching({(f, g): 1}))
+
+
 def _pair_counts(matching):
     return tuple(sorted(matching.counts.items()))
 

@@ -30,6 +30,14 @@ def _pairing(arcs):
 
 
 TWO_DARTS = bg.CombinatorialMap((1, 0), (1, 0))
+# vertex valences (4, 2, 4, 2, 2, 4, 4, 2)
+PULLBACK, _, _ = bg.pullback_from_constellation(
+    bg.Constellation.from_cycles(3, [[(1, 2)], [(2, 3)], [(2, 3)], [(1, 2)]])
+)
+# 8 edges
+MIRROR, _, _ = bg.mirror_graph(
+    bg.NonCrossingPairing(bg.WeightComposition(3, (1, 1, 1, 1)), ((1, 2), (3, 4)))
+)
 
 # (name, build, valid): build(x) fills one slot with x
 CONSTRUCTORS = (
@@ -38,6 +46,9 @@ CONSTRUCTORS = (
     ("build_map dart count", lambda x: bg.build_map(x, (1, 0), (1, 0)), 2),
     ("build_map entry", lambda x: bg.build_map(2, (1, 0), (1, x)), 0),
     ("serialize real_cycle", lambda x: bg.serialize(TWO_DARTS, real_cycle=(0, x)), 1),
+    ("splice vertex", lambda x: bg.splice(PULLBACK, [x]), 1),
+    ("subdivide edge id", lambda x: bg.subdivide_edges(MIRROR, {x: 1}), 1),
+    ("subdivide count", lambda x: bg.subdivide_edges(MIRROR, {0: x}), 1),
     ("constellation degree", lambda x: bg.Constellation(x, ((0,),)), 1),
     ("constellation entry", lambda x: bg.Constellation(2, ((x, 0),)), 1),
     ("from_cycles degree", lambda x: bg.Constellation.from_cycles(x, [[(1,)]]), 1),
@@ -57,6 +68,21 @@ def test_constructors_take_only_integers(name, build, valid):
     build(valid)
     for x in non_integers(valid):
         with pytest.raises(bg.BalancedGraphsError):
+            build(x)
+
+
+# (name, build, count): build(x) fills one slot taking ids 0..count - 1
+ID_SLOTS = (
+    ("splice vertex", lambda x: bg.splice(PULLBACK, [x]), 8),
+    ("subdivide edge id", lambda x: bg.subdivide_edges(MIRROR, {x: 1}), 8),
+)
+
+
+@pytest.mark.parametrize("name, build, count", ID_SLOTS, ids=[c[0] for c in ID_SLOTS])
+def test_ids_lie_in_range(name, build, count):
+    build(count - 1)
+    for x in (-1, count):
+        with pytest.raises(bg.InvariantViolation, match=rf"^{x} is not an? \w+ id$"):
             build(x)
 
 

@@ -130,6 +130,14 @@ def test_from_cycles_names_a_point_that_is_not_an_integer():
                 bg.Constellation.from_cycles(3, cycle_lists)
 
 
+def test_from_cycles_names_a_cycle_that_is_not_a_sequence_of_points():
+    for cycle in (5, None, {1, 2}, iter((1, 2))):
+        with pytest.raises(bg.BadPermutation, match=r"^cycle .* is not a sequence of points$"):
+            bg.Constellation.from_cycles(3, [[(1, 2)], [cycle]])
+    # lists and tuples are sequences of points
+    assert bg.Constellation.from_cycles(3, [[[1, 2]], [(1, 2)]]).perms == ((1, 0, 2), (1, 0, 2))
+
+
 def test_from_cycles_names_a_point_outside_the_degree():
     for cycle_lists in ([[(1, 5)]], [[(4,)]]):
         with pytest.raises(bg.BadPermutation, match=r"point \d is outside 1\.\.3"):

@@ -15,6 +15,11 @@ TYPE = bg.WeightComposition(3, (1, 1, 1, 1))
 # defaulted fields left out), those of a record differing in one field,
 # and the repr of the first
 CASES = {
+    bg.CombinatorialMap: (
+        ((1, 0, 3, 2), (2, 3, 0, 1)),
+        ((1, 0, 3, 2), (2, 3, 1, 0)),
+        "CombinatorialMap(alpha=(1, 0, 3, 2), sigma=(2, 3, 0, 1))",
+    ),
     bg.GlobalBalance: ((True, 2), (False, 2), "GlobalBalance(ok=True, d=2, reason=None)"),
     bg.Region: (
         (frozenset({0}), frozenset({1}), ((0, 1),), 1, 1),
@@ -86,7 +91,7 @@ CASES = {
     bg.MapDocument: (
         (CYCLE,),
         (bg.build_map(2, [1, 0], [0, 1]),),
-        "MapDocument(map=CombinatorialMap(alpha=[1, 0, 3, 2], sigma=[2, 3, 0, 1]), "
+        "MapDocument(map=CombinatorialMap(alpha=(1, 0, 3, 2), sigma=(2, 3, 0, 1)), "
         "labels=None, colors=None, real_cycle=None)",
     ),
 }
@@ -98,7 +103,7 @@ def test_cases_cover_every_exported_value_type():
     exported = {
         v for v in vars(bg).values() if isinstance(v, type) and not issubclass(v, Exception)
     }
-    assert exported - {bg.CombinatorialMap} == set(CASES)
+    assert exported == set(CASES)
 
 
 @pytest.mark.parametrize("cls", CASES, ids=lambda cls: cls.__name__)
@@ -168,11 +173,35 @@ def test_invariant_checks_still_run():
     assert bg.WeightComposition(3, [1, 1, 1, 1]).a == (1, 1, 1, 1)
 
 
-def test_unchecked_constellation_equals_checked():
-    checked = bg.Constellation(2, ((1, 0), (1, 0)))
-    unchecked = bg.Constellation._unchecked(2, ((1, 0), (1, 0)))
-    assert unchecked == checked and hash(unchecked) == hash(checked)
-    assert repr(unchecked) == repr(checked)
+def test_unchecked_records_equal_checked():
+    for cls in (bg.Constellation, bg.CombinatorialMap):
+        args = CASES[cls][0]
+        checked, unchecked = cls(*args), cls._unchecked(*args)
+        assert unchecked == checked and hash(unchecked) == hash(checked)
+        assert repr(unchecked) == repr(checked)
+
+
+def test_maps_built_without_checks_equal_checked_maps(b2):
+    # each builder that skips the checks stores tuple fields that the
+    # checked constructor accepts as they are
+    pairing = bg.NonCrossingPairing(TYPE, ((1, 2), (3, 4)))
+    mirror, _, _ = bg.mirror_graph(pairing)
+    pullback, _, _ = bg.pullback_from_constellation(
+        bg.Constellation.from_cycles(3, [[(1, 2)], [(2, 3)], [(2, 3)], [(1, 2)]])
+    )
+    built = {
+        "relabel": b2.relabel(range(b2.dart_count)[::-1]),
+        "canonical": b2.canonical(),
+        "subdivide_edges": bg.subdivide_edges(mirror, {0: 2, 5: 1}),
+        "splice": bg.splice(pullback, [1, 3])[0],
+        "mirror_graph": mirror,
+        "pullback_from_constellation": pullback,
+    }
+    for name, m in built.items():
+        assert type(m.alpha) is tuple and type(m.sigma) is tuple, name
+        checked = bg.CombinatorialMap(m.alpha, m.sigma)
+        assert m == checked and hash(m) == hash(checked), name
+        assert repr(m) == repr(checked), name
 
 
 def test_cached_properties_stay_out_of_eq_hash_and_repr():

@@ -54,3 +54,21 @@ def test_one_integer_rule():
             ):
                 found.append(f"{path.name}:{node.lineno} calls {name}")
     assert SOURCES and not found, found
+
+
+def test_records_own_equality_and_unchecked_construction():
+    # every value type is a _record.Record: equality, hashing and building a
+    # value without its checks are defined there once, and no function
+    # takes a switch that turns a constructor's checks off
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if path.name != "_record.py" and node.name in ("__eq__", "__hash__", "_unchecked"):
+                found.append(f"{path.name}:{node.lineno} defines {node.name}")
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+            if any(a is not None and a.arg == "check" for a in params):
+                found.append(f"{path.name}:{node.lineno} {node.name} takes check")
+    assert SOURCES and not found, found

@@ -133,11 +133,11 @@ def test_coloring_walk_matches_the_neighbor_table_oracle(gb_corpus, tetrahedron)
         maps += [m] if m is not None else []
     outcomes = [0, 0]  # colored, not bipartite
     for m in maps:
-        fresh = bg.CombinatorialMap(m.alpha, m.sigma, check=False)
+        fresh = bg.CombinatorialMap._unchecked(m.alpha, m.sigma)
         ours = _coloring_outcome(bg.alternating_coloring, fresh)
         # the walk reads the faces across each dart, not the sorted table
         assert "face_neighbors" not in vars(fresh)
-        fresh = bg.CombinatorialMap(m.alpha, m.sigma, check=False)
+        fresh = bg.CombinatorialMap._unchecked(m.alpha, m.sigma)
         assert ours == _coloring_outcome(neighbor_table_coloring, fresh)
         outcomes[ours[0] is bg.NotBipartiteFaces] += 1
     assert min(outcomes) > 100, outcomes
@@ -706,7 +706,7 @@ def test_corner_table_matches_the_set_scans(gb_corpus, tetrahedron):
     # scans each of them made before give the same verdicts and counts
     twice = colored = 0
     for m in _corner_table_maps(gb_corpus, tetrahedron):
-        m = bg.CombinatorialMap(m.alpha, m.sigma, check=False)
+        m = bg.CombinatorialMap._unchecked(m.alpha, m.sigma)
         assert m.face_corners[1] == set_scanned_corner_double_incidence(m)
         twice += m.face_corners[1] is not None
         assert bg.is_globally_balanced(m) == set_scanned_global_balance(m)
