@@ -12,10 +12,10 @@ import argparse
 import functools
 import sys
 
-from . import balance, enrichment, labeling, monodromy, real_combinatorics, render, surface_map
+from . import balance, monodromy, real_combinatorics, render
 from ._documents import read
-from .errors import BalancedGraphsError, NoPerfectMatching, NotVerified, ParseError
-from .surface_map import FaceColoring, alternating_coloring, deserialize, serialize, splice
+from .errors import BalancedGraphsError, NotVerified, ParseError
+from .surface_map import deserialize, serialize
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -49,44 +49,14 @@ def cmd_check(args) -> int:
     return EXIT_NEGATIVE
 
 
-def _spliced(m, coloring):
-    """``m`` with its 2-valent vertices spliced out, the coloring carried
-    across, and the face of ``m`` each spliced face lies in.  Splicing
-    keeps the surviving darts in order, so the spliced faces are the faces
-    of ``m`` in the order the surviving darts first reach them.  A cycle,
-    which splicing would leave empty, comes back unchanged."""
-    twos = [v for v, valence in enumerate(m.vertex_valences) if valence == 2]
-    if not twos or not m.corners:
-        return m, coloring, range(m.face_count)
-    spliced, dense = splice(m, twos)
-    faces = surface_map._first_seen(range(m.face_count), m.face_of_dart, dense)
-    return spliced, FaceColoring(tuple([coloring.color(f) for f in faces])), faces
-
-
 def cmd_realize(args) -> int:
     doc = deserialize(read(args.input))
-    gb = balance.is_globally_balanced(doc.map, doc.colors)
-    if not gb.ok:
-        print(f"not globally balanced: {gb.reason}")
+    found = monodromy.realize(doc.map, doc.colors)
+    if not found.ok:
+        print(found.verdict)
         return EXIT_NEGATIVE
-    coloring = doc.colors if doc.colors is not None else alternating_coloring(doc.map)
-    m, coloring, faces = _spliced(doc.map, coloring)
-    try:
-        matching = enrichment.perfect_matching(enrichment.dot_graph(m, coloring))
-    except NoPerfectMatching as exc:
-        witness = sorted(faces[f] for f in exc.witness)
-        print(f"not locally balanced; Hall witness B faces: {witness}")
-        return EXIT_NEGATIVE
-    enriched = enrichment.enrich(m, matching)
-    lab = labeling.admissible_labeling(enriched, coloring)
-    constellation = monodromy.constellation_from(enriched, coloring, lab)
-    passport = labeling.passport_of(enriched, lab)
-    report = monodromy.verify_constellation(constellation, passport)
-    if not report.ok:
-        print(f"constellation failed verification: {report.failures}")
-        return EXIT_NEGATIVE
-    print(serialize(enriched, labels=lab.labels, coloring=coloring))
-    print(monodromy.serialize_constellation(constellation))
+    print(serialize(found.map, labels=found.labeling.labels, coloring=found.coloring))
+    print(monodromy.serialize_constellation(found.constellation))
     return EXIT_OK
 
 

@@ -19,6 +19,7 @@ from .surface_map import (
     COLOR_B,
     CombinatorialMap,
     FaceColoring,
+    is_id,
     subdivide_edges,
 )
 
@@ -189,16 +190,22 @@ def enrich(m: CombinatorialMap, matching: DotMatching) -> CombinatorialMap:
     The pairs of one face pair are spread round-robin over the edges the
     two faces share, in edge-id order.  Old dart, vertex and face ids
     survive, and several pairs may subdivide the same edge.  Raises
-    :class:`InvariantViolation` on a pair of faces that share no edge.
+    :class:`InvariantViolation` on a key not a pair of face ids
+    (:func:`~balancedgraphs.surface_map.is_id`), a count not an integer
+    >= 0, and a pair of faces that share no edge.
     """
     if not matching.counts:
         return m
-    fod = m.face_of_dart
+    fod, n = m.face_of_dart, m.face_count
     shared: dict[tuple[int, int], list[int]] = {}
     for edge_id, (d, e) in enumerate(m.edges):
         shared.setdefault(tuple(sorted((fod[d], fod[e]))), []).append(edge_id)
     counts: dict[int, int] = {}
     for pair, k in matching.counts.items():
+        if type(pair) is not tuple or len(pair) != 2 or not all(is_id(f, n) for f in pair):
+            raise InvariantViolation(f"{pair!r} is not a pair of face ids")
+        if type(k) is not int or k < 0:
+            raise InvariantViolation(f"count {k!r} of faces {pair} is not an integer >= 0")
         hosts = shared.get(tuple(sorted(pair)))
         if hosts is None:
             raise InvariantViolation(f"faces {pair} share no edge")

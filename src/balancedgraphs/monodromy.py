@@ -9,14 +9,17 @@ incident A faces follow a cycle of the j-th permutation in sigma order.
 
 from __future__ import annotations
 
+from . import balance, enrichment, labeling, surface_map
 from ._documents import dump, is_int_list, load
 from ._record import Record
-from .errors import BadPermutation, InvariantViolation, NotVerified, NonIntegerGenus, ParseError
+from .errors import BadPermutation, InvariantViolation, NoPerfectMatching, NotVerified
+from .errors import NonIntegerGenus, ParseError
 from .labeling import Passport, VertexLabeling
 from .permutations import (
     Perm,
     canonical_relabeling,
     check_permutation,
+    check_sequence,
     compose_chain,
     cycle_type,
     identity,
@@ -44,14 +47,14 @@ class Constellation(Record):
     @classmethod
     def from_cycles(cls, d: int, cycle_lists) -> "Constellation":
         """Build from 1-indexed cycle notation, one list of cycles per slot; a
-        bad degree, a cycle not a list or tuple, or a point not an ``int``,
-        outside 1..d or twice in a slot raises."""
+        bad degree, a slot or cycle not a list or tuple, or a point not an
+        ``int``, outside 1..d or twice in a slot raises."""
         cls(d, ())  # tests the degree before it sizes anything
         perms = []
         for cycle_list in cycle_lists:
             p = list(range(d))
             seen = set()
-            for cyc in cycle_list:
+            for cyc in check_sequence(cycle_list):
                 if not isinstance(cyc, (list, tuple)):
                     raise BadPermutation(f"cycle {cyc!r} is not a sequence of points")
                 for x in cyc:
@@ -169,6 +172,48 @@ def pullback_from_constellation(
     for x in range(0, n, 2):
         labels[vod[x]] = x // (2 * d) + 1
     return built, FaceColoring(colors), VertexLabeling(m, tuple(labels))
+
+
+class Realization(Record):
+    """What :func:`realize` found: the enriched map, its coloring, labeling
+    and constellation, or ``ok`` False and the verdict line saying why."""
+
+    ok: bool
+    map: CombinatorialMap | None = None
+    coloring: FaceColoring | None = None
+    labeling: VertexLabeling | None = None
+    constellation: Constellation | None = None
+    verdict: str = ""
+
+
+def realize(m: CombinatorialMap, coloring: FaceColoring | None = None) -> Realization:
+    """Enrich ``m``, label it admissibly and read off its constellation.
+
+    ``coloring`` is a proper face two-coloring of ``m``, by default the
+    alternating one.  The 2-valent vertices of ``m`` are spliced out
+    first, since the dot graph counts corners only.  Not ``ok`` when ``m``
+    is not globally balanced, when the Hall condition fails (the witness
+    names faces of ``m``) or when the constellation fails verification;
+    errors of the stages are raised, as the labeling's
+    :class:`InconsistentPropagation` on some maps of genus above 0.
+    """
+    gb = balance.is_globally_balanced(m, coloring)
+    if not gb.ok:
+        return Realization(False, verdict=f"not globally balanced: {gb.reason}")
+    coloring = coloring or surface_map.alternating_coloring(m)
+    m, coloring, faces = surface_map.splice_two_valent(m, coloring)
+    try:
+        matching = enrichment.perfect_matching(enrichment.dot_graph(m, coloring))
+    except NoPerfectMatching as exc:
+        witness = sorted(faces[f] for f in exc.witness)
+        return Realization(False, verdict=f"not locally balanced; Hall witness B faces: {witness}")
+    enriched = enrichment.enrich(m, matching)
+    lab = labeling.admissible_labeling(enriched, coloring)
+    constellation = constellation_from(enriched, coloring, lab)
+    report = verify_constellation(constellation, labeling.passport_of(enriched, lab))
+    if not report.ok:
+        return Realization(False, verdict=f"constellation failed verification: {report.failures}")
+    return Realization(True, enriched, coloring, lab, constellation)
 
 
 def constellation_from(

@@ -7,14 +7,22 @@ from .errors import BadPermutation, Disconnected
 Perm = tuple[int, ...]
 
 
+def check_sequence(values) -> tuple:
+    """``values`` as a tuple; raises :class:`BadPermutation` unless it is a
+    list or tuple."""
+    if not isinstance(values, (list, tuple)):
+        raise BadPermutation(f"{values!r} is not a list or tuple")
+    return tuple(values)
+
+
 def check_permutation(values, n: int) -> Perm:
     """Validate one-line notation and return it as a tuple.
 
-    Raises :class:`BadPermutation` if ``values`` is not a bijection on
-    ``0..n-1``; each entry is tested once, for the type ``int`` (no bool
-    or other subclass), range and repeats.
+    Raises :class:`BadPermutation` if ``values`` is not a list or tuple
+    holding a bijection on ``0..n-1``; each entry is tested once, for the
+    type ``int`` (no bool or other subclass), range and repeats.
     """
-    p = tuple(values)
+    p = check_sequence(values)
     if len(p) != n:
         raise BadPermutation(f"expected length {n}, got {len(p)}")
     seen = [False] * n

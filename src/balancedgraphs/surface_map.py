@@ -28,6 +28,7 @@ from .permutations import (
     Perm,
     canonical_relabeling,
     check_permutation,
+    check_sequence,
     conjugate,
     inverse,
     is_transitive,
@@ -58,7 +59,7 @@ class CombinatorialMap(Record):
     sigma: Perm
 
     def __post_init__(self):
-        alpha = tuple(self.alpha)
+        alpha = check_sequence(self.alpha)
         n = len(alpha)
         if n == 0 or n % 2 != 0:
             raise BadPermutation("dart count must be positive and even")
@@ -447,8 +448,8 @@ def _side_keys(search: _Search, run: list[int], first: int, inner, outer):
 
 def build_map(dart_count: int, alpha, sigma) -> CombinatorialMap:
     """Validate and build a map from its dart count and permutations."""
-    alpha = tuple(alpha)
-    sigma = tuple(sigma)
+    alpha = check_sequence(alpha)
+    sigma = check_sequence(sigma)
     if type(dart_count) is not int or len(alpha) != dart_count or len(sigma) != dart_count:
         raise BadPermutation("alpha and sigma must have length dart_count, an integer")
     return CombinatorialMap(alpha, sigma)
@@ -573,6 +574,20 @@ def splice(m: CombinatorialMap, vertices) -> tuple[CombinatorialMap, dict[int, i
     # splicing merges the two edges at each removed vertex; with a dart
     # left, the result is a valid connected map
     return CombinatorialMap._unchecked(alpha, sigma), dense
+
+
+def splice_two_valent(m: CombinatorialMap, coloring: FaceColoring) -> tuple:
+    """``m`` with its 2-valent vertices spliced out, ``coloring`` carried
+    across, and the face of ``m`` each face of the result lies in: as
+    :func:`splice` keeps the surviving darts in order, the faces of ``m``
+    in the order those darts first reach them.  A cycle, which splicing
+    would leave empty, comes back unchanged."""
+    twos = [v for v, valence in enumerate(m.vertex_valences) if valence == 2]
+    if not twos or not m.corners:
+        return m, coloring, range(m.face_count)
+    spliced, dense = splice(m, twos)
+    faces = _first_seen(range(m.face_count), m.face_of_dart, dense)
+    return spliced, FaceColoring(tuple([coloring.color(f) for f in faces])), faces
 
 
 class MapDocument(Record):

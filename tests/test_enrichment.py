@@ -6,7 +6,7 @@ import pytest
 
 import balancedgraphs as bg
 from balancedgraphs import enrichment
-from balancedgraphs.cli import _spliced
+from balancedgraphs.surface_map import splice_two_valent
 from helpers import all_mirror_graphs, cycle_of_length, fixed_point_free_pullback, random_glued_map
 from oracles import (
     alternating_hall_witness,
@@ -178,6 +178,22 @@ def test_enrich_names_a_pair_of_faces_that_share_no_edge(mirror_1234):
             bg.enrich(m, bg.DotMatching({(f, g): 1}))
 
 
+def test_enrich_names_a_key_or_count_it_cannot_use(mirror_1234):
+    _, m, _, _ = mirror_1234
+    assert 1 in m.face_neighbors[0] and m.face_count == 6
+    # the error names the caller's key or count, not one derived from it
+    for key in (5, (0, "a"), (0, 6), (-1, 1), (0, 1, 2), (0, True)):
+        with pytest.raises(bg.InvariantViolation) as info:
+            bg.enrich(m, bg.DotMatching({key: 1}))
+        assert str(info.value) == f"{key!r} is not a pair of face ids"
+    for count in (1.5, True, -1, "1"):
+        with pytest.raises(bg.InvariantViolation) as info:
+            bg.enrich(m, bg.DotMatching({(0, 1): count}))
+        assert str(info.value) == f"count {count!r} of faces (0, 1) is not an integer >= 0"
+    # a count of 0 inserts nothing
+    assert bg.enrich(m, bg.DotMatching({(0, 1): 0})) == m
+
+
 def _pair_counts(matching):
     return tuple(sorted(matching.counts.items()))
 
@@ -285,8 +301,8 @@ def _flow_dot_graphs():
     while len(maps) < 80:
         m = random_glued_map(rng, 6 + len(maps) % 5, subdivide=len(maps) % 2 == 1)
         if m is not None:
-            maps.append(_spliced(m, bg.alternating_coloring(m))[:2])
-    maps += [_spliced(m, coloring)[:2] for _, m, coloring, _ in all_mirror_graphs(6)]
+            maps.append(splice_two_valent(m, bg.alternating_coloring(m))[:2])
+    maps += [splice_two_valent(m, coloring)[:2] for _, m, coloring, _ in all_mirror_graphs(6)]
     for name in ("counterexample_gb_not_lb.json", "flipped_certificate.json"):
         doc = bg.deserialize((FIXTURES / name).read_text())
         maps.append((doc.map, doc.colors))

@@ -5,7 +5,9 @@ value with one slot filled; the slot takes the integer ``valid``, and
 1.5, ``True``, ``"1"`` and an ``IntEnum`` member there are rejected with
 the package's own errors, never a ``TypeError`` or ``IndexError``.
 ``True`` and the member compare equal to an integer, so they pass any
-test that only checks ranges.
+test that only checks ranges.  A slot that holds a sequence of points or
+of cycles takes a list or tuple, and anything else there is rejected with
+:class:`BadPermutation`.
 """
 
 import enum
@@ -84,6 +86,22 @@ def test_ids_lie_in_range(name, build, count):
     for x in (-1, count):
         with pytest.raises(bg.InvariantViolation, match=rf"^{x} is not an? \w+ id$"):
             build(x)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: bg.Constellation.from_cycles(3, [5]),
+        lambda: bg.Constellation.from_cycles(3, [[(1, 2)], None]),
+        lambda: bg.Constellation(3, [5]),
+        lambda: bg.CombinatorialMap(None, None),
+        lambda: bg.build_map(2, None, [0, 1]),
+    ],
+    ids=["from_cycles slot", "from_cycles later slot", "constellation entry", "map", "build_map"],
+)
+def test_non_sequences_are_rejected(build):
+    with pytest.raises(bg.BadPermutation, match=r"^(5|None) is not a list or tuple$"):
+        build()
 
 
 @pytest.mark.parametrize("arc", [[1, 2], (1, 2, 2), 12, (1,)])

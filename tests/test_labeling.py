@@ -4,7 +4,6 @@ import random
 import pytest
 
 import balancedgraphs as bg
-from balancedgraphs import cli
 from helpers import all_mirror_graphs, fixed_point_free_pullback, random_fixed_point_constellation
 from oracles import (
     colored_verify_labeling,
@@ -329,7 +328,7 @@ def _assert_flat_tables_match_the_oracles(m, coloring, rng, seen):
 def _realize_input(m, coloring):
     """The map and coloring ``realize`` labels for ``m``: 2-valent
     vertices spliced out, then enriched."""
-    spliced, coloring, _ = cli._spliced(m, coloring)
+    spliced, coloring, _ = bg.surface_map.splice_two_valent(m, coloring)
     return _enriched(spliced, coloring), coloring
 
 

@@ -219,6 +219,44 @@ def test_round_trip_corpus_maps(gb_corpus):
         assert new_lab.m <= 2 * (new_map.genus() + d - 1)
 
 
+def test_realize_runs_the_stages(gb_corpus):
+    # realize on a map without 2-valent vertices is the stages called in turn
+    realized = 0
+    for m in gb_corpus:
+        coloring = bg.alternating_coloring(m)
+        found = bg.realize(m)
+        assert found == bg.realize(m, coloring)
+        if m.vertex_count > len(m.corners) or not bg.hall_check(bg.dot_graph(m, coloring)).ok:
+            continue
+        enriched, lab = _realize(m, coloring)
+        c = bg.constellation_from(enriched, coloring, lab)
+        assert found == bg.Realization(True, enriched, coloring, lab, c)
+        realized += 1
+    assert realized
+
+
+def test_realize_returns_each_verdict(counterexample):
+    m, colors, _ = counterexample
+    assert bg.realize(m, colors) == bg.Realization(
+        False, verdict="not locally balanced; Hall witness B faces: [1, 3, 4]"
+    )
+    assert bg.realize(bg.build_map(2, [1, 0], [0, 1])) == bg.Realization(
+        False, verdict="not globally balanced: no alternating face coloring exists"
+    )
+    # a pullback with fixed points: its 2-valent vertices are spliced out,
+    # and the result is a realization of the spliced map
+    c = bg.Constellation.from_cycles(3, [[(1, 2)], [(2, 3)], [(1, 3, 2)]])
+    m, coloring, _ = bg.pullback_from_constellation(c)
+    assert 2 in m.vertex_valences
+    found = bg.realize(m, coloring)
+    assert found.ok and found.verdict == ""
+    assert 2 * found.constellation.d == found.map.face_count
+    assert bg.verify_labeling(found.map, found.coloring, found.labeling) == (True, None)
+    assert bg.verify_constellation(found.constellation).ok
+    rebuilt, _, _ = bg.pullback_from_constellation(found.constellation)
+    assert bg.are_isomorphic(rebuilt, found.map)
+
+
 def test_constellations_do_not_tell_pairings_apart():
     # Each mirror graph goes through the document the mirror command prints,
     # read back as realize reads it; its constellation is reduced up to

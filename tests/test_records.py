@@ -60,6 +60,12 @@ CASES = {
         (2, ((0, 1),)),
         "Constellation(d=2, perms=((1, 0), (1, 0)))",
     ),
+    bg.Realization: (
+        (False,),
+        (True,),
+        "Realization(ok=False, map=None, coloring=None, labeling=None, constellation=None, "
+        "verdict='')",
+    ),
     bg.ConstellationReport: (
         (True, True, True, 0, ((2,), (2,))),
         (True, True, True, 1, ((2,), (2,))),

@@ -72,3 +72,30 @@ def test_records_own_equality_and_unchecked_construction():
             if any(a is not None and a.arg == "check" for a in params):
                 found.append(f"{path.name}:{node.lineno} {node.name} takes check")
     assert SOURCES and not found, found
+
+
+def test_no_module_reads_another_modules_private_names():
+    # a module's underscore names are its own: another module reading one,
+    # as module._name or through from .module import _name, depends on a
+    # decision the owner may change without looking outside itself
+    modules = {path.stem for path in SOURCES}
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = set()  # names this module binds to other package modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for alias in node.names:
+                    if node.module is None and alias.name in modules:
+                        bound.add(alias.asname or alias.name)
+                    elif alias.name.startswith("_"):
+                        found.append(f"{path.name}:{node.lineno} imports {alias.name}")
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name)
+                and node.value.id in bound
+            ):
+                found.append(f"{path.name}:{node.lineno} reads {node.value.id}.{node.attr}")
+    assert SOURCES and not found, found
