@@ -190,13 +190,17 @@ def realize(m: CombinatorialMap, coloring: FaceColoring | None = None) -> Realiz
     """Enrich ``m``, label it admissibly and read off its constellation.
 
     ``coloring`` is a proper face two-coloring of ``m``, by default the
-    alternating one.  The 2-valent vertices of ``m`` are spliced out
-    first, since the dot graph counts corners only.  Not ``ok`` when ``m``
-    is not globally balanced, when the Hall condition fails (the witness
-    names faces of ``m``) or when the constellation fails verification;
-    errors of the stages are raised, as the labeling's
-    :class:`InconsistentPropagation` on some maps of genus above 0.
+    alternating one; any other raises :class:`InvariantViolation` (see
+    :func:`~balancedgraphs.surface_map.check_coloring`).  The 2-valent
+    vertices of ``m`` are spliced out first, since the dot graph counts
+    corners only.  Not ``ok`` when ``m`` is not globally balanced, when
+    the Hall condition fails (the witness names faces of ``m``) or when
+    the constellation fails verification; errors of the stages are
+    raised, as the labeling's :class:`InconsistentPropagation` on some
+    maps of genus above 0.
     """
+    if coloring is not None:
+        coloring = surface_map.check_coloring(m, coloring.colors)
     gb = balance.is_globally_balanced(m, coloring)
     if not gb.ok:
         return Realization(False, verdict=f"not globally balanced: {gb.reason}")

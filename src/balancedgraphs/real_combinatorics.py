@@ -48,6 +48,8 @@ class WeightComposition(Record):
     a: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.a, (list, tuple)):
+            raise InvariantViolation(f"multiplicities {self.a!r} are not a list or tuple")
         self.__dict__["a"] = tuple(self.a)
         if type(self.d) is not int or self.d < 2:
             raise InvariantViolation(f"degree must be at least 2, got {self.d!r}")
@@ -241,8 +243,8 @@ def kostka(t: WeightComposition) -> int:
 
 def catalan(d: int) -> int:
     """The count for the all-ones weight: binom(2d-2, d-1) / d."""
-    if d < 1:
-        raise InvariantViolation(f"degree must be positive, got {d}")
+    if type(d) is not int or d < 1:
+        raise InvariantViolation(f"degree must be positive, got {d!r}")
     return math.comb(2 * d - 2, d - 1) // d
 
 

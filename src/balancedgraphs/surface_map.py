@@ -206,7 +206,7 @@ class CombinatorialMap(Record):
     def _canonical(self) -> tuple["CombinatorialMap", tuple[int, ...]]:
         n = self.dart_count
         (alpha, sigma), dart_map = canonical_relabeling(
-            (self.alpha, self.sigma), n, _least_prefix_roots(self.alpha, self.sigma)
+            (self.alpha, self.sigma), n, _longest_run_roots(self.alpha, self.sigma)
         )
         return CombinatorialMap._unchecked(alpha, sigma), dart_map
 
@@ -223,227 +223,28 @@ class CombinatorialMap(Record):
         return (canon.alpha, canon.sigma)
 
 
-# Root selection for the canonical form.
-#
-# ``canonical_relabeling`` numbers the darts breadth-first from a root,
-# following alpha then sigma, and compares roots by the alpha code: the
-# number given to alpha(x) for the dart x at each position.  From a dart at
-# a 2-valent vertex of a chain long enough in both directions the code is
-#
-#     P = 1, 0, 4, 5, 2, 3, 8, 9, 6, 7, 12, 13, 10, 11, ...
-#
-# (the dart q steps ahead of the root along the chain is numbered 2q - 1,
-# the one q steps behind it 2q).  A root is keyed by the first position L
-# where its code leaves P and its value v there.  Leaving P downwards at L
-# beats every code still on P at L and leaving it upwards loses to them,
-# so the key order never contradicts the order of the codes: every root
-# reaching the least code has the least key, and handing only those roots
-# to ``canonical_relabeling`` gives the same winner, the first of them in
-# dart order.
-#
-# A run ``e, alpha(e), sigma(alpha(e)), ..., t`` passes m 2-valent vertices
-# between the corner darts e and t and is read from both ends.  Read from e,
-# it keys the roots whose search reaches e first: ``run[2F - 1]``, with e F
-# edges ahead (the way alpha leads) and t B = m + 1 - F behind, F <= B, and
-# ``run[2B]``, with e B edges behind, B < F.  The code is P before position
-# h = min(4F - 3, 4B), where the search first expands a corner dart, then
-# leaves P upwards at h + 5 with h + 8 (F <= B) or at h + 3 with h + 6
-# (B < F) if the darts numbered there are new: for the root ``run[r]`` that
-# closed form is (2, -L, L + 3), L = 2r + 3 + r % 2.  Each side is walked
-# from its innermost root out, F = (m + 1) // 2 ahead and B = m // 2 behind.
-# ``_root_keys`` checks once per direction that the darts are new, for the
-# innermost roots and for the rest on each side; the run is regular when all
-# four checks hold.  Its least key is then that of ``run[m]``: it depends on
-# m alone and grows with m, so only the longest regular runs keep roots.  On
-# the other runs keys improve towards the middle, so a side's walk ends at
-# the first closed form that holds for the rest, and roots whose check fails
-# are searched.  Before h such a search numbers only darts of the run, in
-# the order P gives, so it lays those down and starts at h.  A search that
-# never numbers ``run[-2]`` met neither t nor the run from there, so each
-# root further out numbers the same darts four positions earlier and four
-# lower: an upward key beats theirs, and the outermost root's, kept with its
-# key shifted to match, beats a downward one.
-#
-# The searches of a map share a budget of sixteen positions per dart,
-# several times what a run needs, and the positions they skip are charged as
-# searched: a map goes past the budget exactly when searches from the roots
-# would, and then keeps every root, as codes following P far beyond a corner
-# (a corner with a one-edge loop can pass for a 2-valent vertex) would cost
-# a long search per root.
-#
-# A dart at an ordinary corner leaves P upwards at 3 with 6.  A code from a
-# 2-valent vertex cannot leave P upwards before position 4, so every root on
-# a run beats it: such darts are never listed.  Darts at the other corners
-# are not keyed but kept: ``canonical_relabeling`` gets them beside the
-# least-keyed roots, and a root reaching the least code is one of the two.
+def _longest_run_roots(alpha: Perm, sigma: Perm):
+    """The darts at vertices not 2-valent whose runs pass the most 2-valent
+    vertices, in dart order; every dart for maps without 2-valent vertices
+    and for cycles.
 
-
-class _OverBudget(Exception):
-    """The direct searches on one map went past their budget."""
-
-
-class _Search:
-    """Direct searches of run roots' codes against P on one map, sharing
-    one numbering array and a budget of sixteen positions per dart."""
-
-    def __init__(self, alpha: Perm, sigma: Perm):
-        self.alpha = alpha
-        self.sigma = sigma
-        self.label = [-1] * len(alpha)
-        self.budget = 16 * len(alpha)
-
-    def key(self, run: list[int], r: int) -> tuple[tuple, bool]:
-        """Sort key of the alpha code of the root ``run[r]`` of a run against
-        P, and whether the search numbered ``run[-2]`` before the code left P.
-
-        The key is ``(0, L, v)`` when the code first leaves P downwards at
-        position L with value v, ``(2, -L, v)`` when it leaves upwards and
-        ``(1, 0, 0)`` when it never leaves.  Raises :class:`_OverBudget`
-        once the map's searches pass their budget.
-        """
-        alpha, sigma, label = self.alpha, self.sigma, self.label
-        ahead, behind = (run[r - 1::-1], run[r + 1:]) if r % 2 else (run[r + 1:], run[r - 1::-1])
-        i = min(2 * len(ahead) - 1, 2 * len(behind))
-        order = [run[r]] * (i + 2)
-        order[1::2] = ahead[:(i + 2) // 2]
-        order[2::2] = behind[:(i + 1) // 2]
-        for j, x in enumerate(order):
-            label[x] = j
-        push = order.append
-        size = len(order)
-        key = (1, 0, 0)
-        while i < size:
-            x = order[i]
-            y = alpha[x]
-            v = label[y]
-            if v < 0:
-                v = label[y] = size
-                size += 1
-                push(y)
-            y = sigma[x]
-            if label[y] < 0:
-                label[y] = size
-                size += 1
-                push(y)
-            expected = 1 - i if i < 2 else i + 2 if i & 2 else i - 2  # P[i]
-            if v != expected:
-                key = (0, i, v) if v < expected else (2, -i, v)
-                break
-            i += 1
-        seen = label[run[-2]] >= 0
-        for x in order:
-            label[x] = -1
-        self.budget -= i + 1
-        if self.budget < 0:
-            raise _OverBudget
-        return key, seen
-
-
-def _least_prefix_roots(alpha: Perm, sigma: Perm):
-    """The roots with the least key against P and the darts at corners that
-    are not ordinary, in dart order."""
-    found = _root_keys(alpha, sigma)
-    if found is None:
-        return range(len(alpha))
-    keyed, kept = found
-    best = min(keyed)[0]
-    return sorted(kept + [root for key, root in keyed if key == best])
-
-
-def _root_keys(alpha: Perm, sigma: Perm) -> tuple[list[tuple[tuple, int]], list[int]] | None:
-    """(key, root) for every root on a run that may have the least key, and
-    the darts at corners that are not ordinary, which are kept unkeyed.
-
-    Roots whose key trails another one found on the way are left out.
-    None, to keep every root, for maps without 2-valent vertices, cycles,
-    and maps whose direct searches go past their budget.
+    The run of such a dart crosses its edge by ``alpha`` and goes on by
+    ``alpha`` after ``sigma`` through each 2-valent vertex it reaches,
+    until it reaches a dart at another vertex.  The set is an isomorphism
+    invariant, so the least code over it is a canonical form.
     """
     two = [sigma[y] == x != y for x, y in enumerate(sigma)]
     if all(two) or not any(two):
-        return None
-    search = _Search(alpha, sigma)
-    keyed, kept = [], []
-    longest, starts = 0, []  # the greatest m of a regular run, and its runs' ends
-    try:
-        for e in range(len(alpha)):
-            if two[e]:
-                continue
-            x, y = alpha[e], sigma[e]
-            z, s = sigma[x], sigma[y]
-            # kept unless the corner is ordinary: the four darts numbered
-            # first and the three their alpha and sigma reach next distinct
-            if not (e != y != x != z != e and z != alpha[y] != s != alpha[z] and s != x):
-                kept.append(e)
-            m = 0
+        return range(len(alpha))
+    runs = []
+    for e in range(len(alpha)):
+        if not two[e]:
+            x, m = alpha[e], 0
             while two[x]:
-                x = alpha[sigma[x]]
-                m += 1
-            if not m:
-                continue
-            # the four checks ask darts around e, and for the innermost roots
-            # around the far corner dart x, to be distinct: those darts meet the
-            # run only through e and x.  A set's check implies its subsets'
-            ay, x1 = alpha[y], sigma[x]
-            near = {e, y, ay, s, sigma[ay], alpha[s]}
-            ahead = len(near) == 6
-            behind = ahead or len({e, y, ay, s}) == 4
-            if m % 2:
-                ahead_in = len(near | {x, x1}) == 8
-                behind_in = ahead_in or len({e, y, ay, s, x}) == 5
-            else:
-                ahead_in = ahead and x != y and x != s
-                behind_in = len({e, y, ay, s, x, x1, alpha[x1]}) == 7
-            if not (ahead_in and behind_in):
-                run = [e, alpha[e]]
-                for _ in range(m):
-                    z = sigma[run[-1]]
-                    run += (z, alpha[z])
-                f, b = (m + 1) // 2, m // 2
-                keyed += _side_keys(search, run, 2 * f - 1, ahead_in, ahead)
-                keyed += _side_keys(search, run, 2 * b, behind_in, behind)
-            elif m >= longest:
-                if m > longest:
-                    longest, starts = m, []
-                starts.append(e)
-    except _OverBudget:
-        return None
-    if longest:
-        key = _closed_key(longest)
-        for x in starts:
-            for _ in range(longest // 2):
-                x = sigma[alpha[x]]
-            keyed.append((key, alpha[x] if longest % 2 else x))
-    return keyed, kept
-
-
-def _closed_key(r: int) -> tuple[int, int, int]:
-    """The closed-form key of the root ``run[r]``, its key when the checks
-    of its side hold."""
-    depart = 2 * r + 3 + r % 2
-    return (2, -depart, depart + 3)
-
-
-def _side_keys(search: _Search, run: list[int], first: int, inner, outer):
-    """Keys of the roots ``run[first]``, ``run[first - 2]``, ... down to
-    ``run[1]`` or ``run[2]``, innermost first, leaving out those that trail
-    a key listed: the closed form where ``inner`` (for ``run[first]``) or
-    ``outer`` (for the rest) holds, searched keys elsewhere."""
-    out = []
-    for r in range(first, 0, -2):
-        if outer if r < first else inner:
-            out.append((_closed_key(r), run[r]))
-            if outer:
-                break
-        else:
-            key, far = search.key(run, r)
-            out.append((key, run[r]))
-            if not far:
-                outermost = 2 - r % 2
-                if key[0] == 0 and r > outermost:
-                    shift = 2 * (r - outermost)
-                    out.append(((0, key[1] - shift, key[2] - shift), run[outermost]))
-                break
-    return out
+                x, m = alpha[sigma[x]], m + 1
+            runs.append((m, e))
+    longest = max(runs)[0]
+    return [e for m, e in runs if m == longest]
 
 
 def build_map(dart_count: int, alpha, sigma) -> CombinatorialMap:
@@ -470,6 +271,26 @@ class FaceColoring(Record):
 
     def faces_of(self, color: str) -> tuple[int, ...]:
         return tuple([i for i, c in enumerate(self.colors) if c == color])
+
+
+def check_coloring(m: CombinatorialMap, colors) -> FaceColoring:
+    """``colors`` as a coloring of the faces of ``m``.
+
+    Raises :class:`InvariantViolation` unless ``colors`` is a list or
+    tuple giving ``"A"`` or ``"B"`` to every face and different colors to
+    the two faces at each edge.
+    """
+    if (
+        not isinstance(colors, (list, tuple))
+        or len(colors) != m.face_count
+        or any(c not in (COLOR_A, COLOR_B) for c in colors)
+    ):
+        raise InvariantViolation("colors must assign A or B to every face")
+    fod = m.face_of_dart
+    for d, e in m.edges:
+        if colors[fod[d]] == colors[fod[e]]:
+            raise InvariantViolation("colors is not a proper face two-coloring")
+    return FaceColoring(tuple(colors))
 
 
 def face_adjacency(m: CombinatorialMap) -> tuple[tuple[int, int, int], ...]:
@@ -633,14 +454,17 @@ def serialize(
 
     The map is put into canonical form first, so ``darts``, ``alpha`` and
     ``sigma`` are stable across runs and across isomorphic dart labelings
-    of the same input.  The decorations are carried over by the relabeling
-    of the first root reaching that form; on a map with automorphisms
-    another labeling of the input may carry them differently, so
-    ``labels``, ``colors`` and ``real_cycle`` are stable across runs but
-    not yet across labelings.  ``labels`` is a per-vertex array (vertex
-    ids in canonical order), ``colors`` a per-face array and
-    ``real_cycle`` a list of darts of ``m``.  The canonical copy, a
-    relabeling of ``m``, is built without re-checking.
+    of the same input: the least breadth-first relabeling over every dart,
+    or, on a map with both 2-valent vertices and others, over the darts at
+    the others whose runs pass the most 2-valent vertices.  The
+    decorations are carried over by the relabeling of the first of those
+    roots reaching that form; on a map with automorphisms another labeling
+    of the input may carry them differently, so ``labels``, ``colors`` and
+    ``real_cycle`` are stable across runs but not yet across labelings.
+    ``labels`` is a per-vertex array (vertex ids in canonical order),
+    ``colors`` a per-face array and ``real_cycle`` a list of darts of
+    ``m``.  The canonical copy, a relabeling of ``m``, is built without
+    re-checking.
     """
     canon = m.canonical()
     dart_map = m.canonical_dart_map()
@@ -689,20 +513,7 @@ def deserialize(text: str) -> MapDocument:
             raise InvariantViolation("labels must list one integer per vertex")
         labels = tuple(labels)
 
-    colors = None
-    if "colors" in doc:
-        raw = doc["colors"]
-        if (
-            not isinstance(raw, list)
-            or len(raw) != m.face_count
-            or any(c not in (COLOR_A, COLOR_B) for c in raw)
-        ):
-            raise InvariantViolation("colors must assign A or B to every face")
-        fod = m.face_of_dart
-        for d, e in m.edges:
-            if raw[fod[d]] == raw[fod[e]]:
-                raise InvariantViolation("colors is not a proper face two-coloring")
-        colors = FaceColoring(tuple(raw))
+    colors = check_coloring(m, doc["colors"]) if "colors" in doc else None
 
     real_cycle = None
     if "real_cycle" in doc:

@@ -163,8 +163,35 @@ def thurston_single_cycle_balanced(m, coloring) -> bool:
     return True
 
 
+def longest_run_roots(m):
+    """The roots the canonical form starts from, read off the vertices.
+
+    Every dart when the map has no 2-valent vertex or nothing else;
+    otherwise the darts at the other vertices whose run passes the most
+    2-valent vertices.  A run crosses the edge of its dart and, at each
+    2-valent vertex it reaches, leaves by the vertex's other dart.
+    """
+    n = m.dart_count
+    vertices, vertex = m.vertices, m.vertex_of_dart
+    valence = [m.vertex_valences[v] for v in vertex]
+    if all(k == 2 for k in valence) or 2 not in valence:
+        return list(range(n))
+    lengths = {}
+    for e in range(n):
+        if valence[e] == 2:
+            continue
+        d, passed = m.alpha[e], 0
+        while valence[d] == 2:
+            (other,) = set(vertices[vertex[d]]) - {d}
+            d, passed = m.alpha[other], passed + 1
+        lengths[e] = passed
+    longest = max(lengths.values())
+    return [e for e in sorted(lengths) if lengths[e] == longest]
+
+
 def all_roots_canonical(m):
-    """Least breadth-first relabeling of a map over every root, unpruned.
+    """Least breadth-first relabeling of a map over every root of
+    ``longest_run_roots``, unpruned.
 
     Returns the canonical key ``(alpha, sigma)`` and the dart map of the
     first root reaching it.  From a root, darts are numbered in the order
@@ -173,7 +200,7 @@ def all_roots_canonical(m):
     n = m.dart_count
     best = None
     best_map = None
-    for root in range(n):
+    for root in longest_run_roots(m):
         new = [-1] * n
         new[root] = 0
         order = [root]
@@ -195,79 +222,6 @@ def all_roots_canonical(m):
             best = key
             best_map = tuple(new)
     return best, best_map
-
-
-def searched_prefix_key(m, root):
-    """Sort key of a root's breadth-first alpha code against the chain
-    pattern, from a search that runs until the code leaves it.
-
-    The chain pattern is 1, 0 and then i + 2 at positions i = 2, 3 (mod 4)
-    and i - 2 at i = 0, 1 (mod 4).  The key is ``(0, L, v)`` when the code
-    first leaves it downwards at position L with value v, ``(2, -L, v)``
-    when upwards and ``(1, 0, 0)`` when never: a code leaving downwards
-    precedes every code still on the pattern there, an upward one follows
-    them.
-    """
-    new = {root: 0}
-    order = [root]
-    for i in range(m.dart_count):
-        d = order[i]
-        for e in (m.alpha[d], m.sigma[d]):
-            if e not in new:
-                new[e] = len(order)
-                order.append(e)
-        pattern = 1 - i if i < 2 else i + 2 if i % 4 >= 2 else i - 2
-        value = new[m.alpha[d]]
-        if value != pattern:
-            return (0, i, value) if value < pattern else (2, -i, value)
-    return (1, 0, 0)
-
-
-def searched_least_prefix_roots(m):
-    """The roots with the least ``searched_prefix_key``; every root when
-    the map has no 2-valent vertex or nothing else."""
-    n = m.dart_count
-    valence = [m.vertex_valences[v] for v in m.vertex_of_dart]
-    if all(k == 2 for k in valence) or 2 not in valence:
-        return list(range(n))
-    keys = [searched_prefix_key(m, root) for root in range(n)]
-    least = min(keys)
-    return [root for root in range(n) if keys[root] == least]
-
-
-def set_checked_run_conditions(m, e):
-    """The four checks that the darts a run root's search numbers past its
-    first corner dart are new, for the run from the corner dart ``e``
-    (which passes at least one 2-valent vertex): innermost root ahead, the
-    rest ahead, innermost root behind, the rest behind.
-
-    Each is stated over the run's darts, as a set check of which darts the
-    search can meet on the run: distinct, and on the run only among its
-    last ``spare`` darts, those at its far end.
-    """
-    alpha, sigma = m.alpha, m.sigma
-    two = [m.vertex_valences[v] == 2 for v in m.vertex_of_dart]
-    y = sigma[e]
-    ay, s = alpha[y], sigma[y]
-    near = [y, ay, s, sigma[ay], alpha[s]]
-    x = alpha[e]
-    run = [e, x]
-    while two[x]:
-        z = sigma[x]
-        x = alpha[z]
-        run += (z, x)
-    k = len(run) // 2 - 1
-    x1 = sigma[x]
-    on = set(run)
-
-    def new(darts, spare):
-        # distinct, and on this run only among its last ``spare`` darts
-        tail = set(run[len(run) - spare:])
-        return len(set(darts)) == len(darts) and on.intersection(darts) <= tail
-
-    ahead_in = new(near + [x1], 0) if k % 2 else new(near, 1)
-    behind_in = new(near[:3], 0) if k % 2 else new(near[:3] + [x1, alpha[x1]], 0)
-    return ahead_in, new(near, 3), behind_in, new(near[:3], 2)
 
 
 def sequential_canonical_relabeling(perms, n, roots):

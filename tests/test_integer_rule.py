@@ -57,6 +57,7 @@ CONSTRUCTORS = (
     ("from_cycles point", lambda x: bg.Constellation.from_cycles(2, [[(x, 2)]]), 1),
     ("weight type degree", lambda x: bg.WeightComposition(x, (1, 1)), 2),
     ("weight type multiplicity", lambda x: bg.WeightComposition(2, (x, 1)), 1),
+    ("catalan degree", lambda x: bg.catalan(x), 1),
     ("pairing arc start", lambda x: bg.validate_pairing(_pairing(((x, 2),))), 1),
     ("pairing arc end", lambda x: bg.validate_pairing(_pairing(((1, x),))), 2),
     ("mirror graph arc", lambda x: bg.mirror_graph(_pairing(((x, 2),))), 1),
@@ -101,6 +102,20 @@ def test_ids_lie_in_range(name, build, count):
 )
 def test_non_sequences_are_rejected(build):
     with pytest.raises(bg.BadPermutation, match=r"^(5|None) is not a list or tuple$"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: bg.WeightComposition(3, 5), "multiplicities 5 are not a list or tuple"),
+        (lambda: bg.catalan(None), "degree must be positive, got None"),
+        (lambda: bg.catalan(1.5), "degree must be positive, got 1.5"),
+    ],
+    ids=["weight type multiplicities", "catalan None", "catalan float"],
+)
+def test_real_side_probes_raise_package_errors(build, message):
+    with pytest.raises(bg.InvariantViolation, match=f"^{message}$"):
         build()
 
 

@@ -116,8 +116,9 @@ def test_symmetric_mirror_maps_match_all_roots_oracle(monkeypatch):
     calls = _count_union_find_calls(monkeypatch)
     rng = random.Random(88)
     maps = _all_ones_mirror_maps(8)
-    maps += [m.relabel(rng.sample(range(m.dart_count), m.dart_count)) for m in maps]
-    for m in maps:
+    relabeled = [m.relabel(rng.sample(range(m.dart_count), m.dart_count)) for m in maps]
+    assert [m.canonical_key() for m in relabeled] == [m.canonical_key() for m in maps]
+    for m in maps + relabeled:
         key, dart_map = all_roots_canonical(m)
         assert m.canonical_key() == key
         assert m.canonical_dart_map() == dart_map

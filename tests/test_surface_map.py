@@ -20,11 +20,9 @@ from helpers import (
 )
 from oracles import (
     all_roots_canonical,
+    longest_run_roots,
     neighbor_table_coloring,
     orbit_walk_serialize,
-    searched_least_prefix_roots,
-    searched_prefix_key,
-    set_checked_run_conditions,
     set_counted_dot_graph,
     set_scanned_corner_double_incidence,
     set_scanned_global_balance,
@@ -407,38 +405,22 @@ def test_random_map_properties(data):
 
 def test_canonical_matches_all_roots_oracle(gb_corpus, constellation_corpus):
     # early rejection of roots may prune work but never change the result
-    rng = random.Random(2071)
     maps = list(gb_corpus)
     maps += [bg.pullback_from_constellation(c)[0] for c in constellation_corpus]
-    maps += [m.relabel(rng.sample(range(m.dart_count), m.dart_count)) for m in maps]
-    for m in maps:
-        key, dart_map = all_roots_canonical(m)
-        assert m.canonical_key() == key
-        assert m.canonical_dart_map() == dart_map
+    _assert_selected_roots_keep_the_canonical_form(maps, random.Random(2071))
 
 
 def _assert_selected_roots_keep_the_canonical_form(maps, rng):
-    maps = maps + [m.relabel(rng.sample(range(m.dart_count), m.dart_count)) for m in maps]
+    # the roots are the oracle's, the least code over them is the oracle's,
+    # and a random relabeling of the map reaches the same code
     for m in maps:
-        found = surface_map._root_keys(m.alpha, m.sigma)
-        roots = list(surface_map._least_prefix_roots(m.alpha, m.sigma))
-        if found is not None:
-            keyed, kept = found
-            # every key the selector computes, in closed form or by search
-            for key, root in keyed:
-                assert key == searched_prefix_key(m, root)
-            best = min(keyed)[0]
-            assert roots == sorted(set(kept) | {root for key, root in keyed if key == best})
-            # a corner dart left unkept is at an ordinary corner, whose code
-            # leaves the chain pattern upwards at 3 and loses to every run
-            valences = m.vertex_valences
-            for d, v in enumerate(m.vertex_of_dart):
-                if valences[v] != 2 and d not in kept:
-                    assert searched_prefix_key(m, d) == (2, -3, 6)
-        assert set(searched_least_prefix_roots(m)) <= set(roots)
-        key, dart_map = all_roots_canonical(m)
-        assert m.canonical_key() == key
-        assert m.canonical_dart_map() == dart_map
+        relabeled = m.relabel(rng.sample(range(m.dart_count), m.dart_count))
+        assert relabeled.canonical_key() == m.canonical_key()
+        for x in (m, relabeled):
+            assert list(surface_map._longest_run_roots(x.alpha, x.sigma)) == longest_run_roots(x)
+            key, dart_map = all_roots_canonical(x)
+            assert x.canonical_key() == key
+            assert x.canonical_dart_map() == dart_map
 
 
 def test_root_selection_on_subdivided_random_maps():
@@ -483,52 +465,6 @@ def test_root_selection_on_enriched_mirror_graphs_and_pullbacks():
     _assert_selected_roots_keep_the_canonical_form(maps, rng)
 
 
-def test_run_checks_match_the_set_checked_oracle(monkeypatch):
-    # _root_keys states each check as the size of a set of darts near the
-    # run's two corner darts; the oracle states it over the whole run
-    rng = random.Random(2531)
-    maps = []
-    while len(maps) < 1500:
-        valences = [rng.randint(1, 5) for _ in range(rng.randint(1, 4))]
-        if sum(valences) % 2 == 0 and sum(valences) >= 2 * len(valences) - 2:
-            m = random_rotation_map(rng, valences, loops=True)
-            counts = {e: rng.choice((0, 1, 1, 2, 3, 4)) for e in range(m.edge_count)}
-            maps.append(bg.subdivide_edges(m, counts))
-    maps += [m.relabel(rng.sample(range(m.dart_count), m.dart_count)) for m in maps]
-    maps += [
-        bg.enrich(m, bg.perfect_matching(bg.dot_graph(m, coloring)))
-        for _, m, coloring, _ in all_mirror_graphs(5)
-    ]
-    maps += [
-        bg.pullback_from_constellation(random_fixed_point_constellation(rng))[0]
-        for _ in range(200)
-    ]
-    checks = {}  # run[0] -> the checks of its two sides, ahead then behind
-    side_keys = surface_map._side_keys
-
-    def recorded(search, run, first, inner, outer):
-        checks.setdefault(run[0], []).extend((inner, outer))
-        return side_keys(search, run, first, inner, outer)
-
-    monkeypatch.setattr(surface_map, "_side_keys", recorded)
-    compared = [0, 0]  # run directions, and those with a check failing
-    failing = [0, 0, 0, 0]
-    for m in maps:
-        checks.clear()
-        if surface_map._root_keys(m.alpha, m.sigma) is None:
-            continue
-        two = [m.vertex_valences[v] == 2 for v in m.vertex_of_dart]
-        for e in range(m.dart_count):
-            if not two[e] and two[m.alpha[e]]:
-                # a regular direction makes no call: all four checks hold
-                want = set_checked_run_conditions(m, e)
-                assert tuple(checks.get(e, (True,) * 4)) == want
-                compared[0] += 1
-                compared[1] += not all(want)
-                failing = [f + (not w) for f, w in zip(failing, want)]
-    assert compared[0] > 20000 and compared[1] > 10000 and min(failing) > 1000, (compared, failing)
-
-
 def _run_lengths(m):
     """The number of 2-valent vertices on each run between two corners."""
     two = [m.vertex_valences[v] == 2 for v in m.vertex_of_dart]
@@ -552,8 +488,8 @@ def test_root_selection_on_maps_shaped_like_the_benchmark():
     # enriched mirror graphs of mixed-weight pairings, whose runs of
     # 2-valent vertices come in several lengths per map; pullbacks of
     # genus >= 1 whose fixed points give 2-valent vertices; and enriched
-    # side-by-side all-ones mirror graphs, where every run has one length
-    # and all of them tie
+    # side-by-side all-ones mirror graphs, where every run has one length,
+    # so the corner darts of every run are roots
     rng = random.Random(2111)
     maps = []
     for d in range(6, 11):
@@ -596,8 +532,9 @@ def _one_edge_odd_runs(m):
 def test_root_selection_on_one_edge_odd_runs():
     # random maps with loops and parallel edges, one edge of each face of
     # one or two edges subdivided an odd number of times and the other
-    # edges of those faces left alone, so that the searches which key such
-    # runs start at a corner of the run
+    # edges of those faces left alone: each such run closes a face with
+    # one edge, so a search from one of its corner darts soon meets the
+    # run's other end
     rng = random.Random(23)
     maps = []
     while len(maps) < 200:
@@ -615,37 +552,20 @@ def test_root_selection_on_one_edge_odd_runs():
             counts[e] = counts.get(e, 0) or rng.choice((1, 3, 5, 7, 15, 31))
         maps.append(bg.subdivide_edges(m, counts))
     assert sum(_one_edge_odd_runs(m) > 0 for m in maps) >= 60
-    # the maps whose searches go past the budget, as they did when every
-    # search started at its root: skipped positions are charged as searched
-    over = [i for i, m in enumerate(maps) if surface_map._root_keys(m.alpha, m.sigma) is None]
-    assert over == [96, 158]
-    for m in maps:
-        relabeled = m.relabel(rng.sample(range(m.dart_count), m.dart_count))
-        assert (surface_map._root_keys(relabeled.alpha, relabeled.sigma) is None) == (
-            surface_map._root_keys(m.alpha, m.sigma) is None
-        )
-    for i in over:
-        key, dart_map = all_roots_canonical(maps[i])
-        assert (maps[i].canonical_key(), maps[i].canonical_dart_map()) == (key, dart_map)
-    maps = [m for i, m in enumerate(maps) if i not in over]
     _assert_selected_roots_keep_the_canonical_form(maps, rng)
 
 
-def test_root_selection_keeps_every_root_past_its_search_budget():
+def test_root_selection_on_corners_with_one_edge_loops():
     # a corner with a one-edge loop between two consecutive darts passes
-    # for two 2-valent vertices, so codes from the runs between two such
-    # corners follow the chain pattern all the way round
+    # for two 2-valent vertices in a breadth-first code, so the codes from
+    # the corner darts of the runs between two such corners tie far
     m = map_from_rotations([["l", "l", "a", "b"], ["a", "k", "k", "b"]])
     vertex = m.vertex_of_dart
     m = bg.subdivide_edges(
         m, {e: 40 for e, (d, x) in enumerate(m.edges) if vertex[d] != vertex[x]}
     )
     assert sorted(m.vertex_valences)[-3:] == [2, 4, 4]
-    assert surface_map._root_keys(m.alpha, m.sigma) is None
-    assert surface_map._least_prefix_roots(m.alpha, m.sigma) == range(m.dart_count)
-    key, dart_map = all_roots_canonical(m)
-    assert m.canonical_key() == key
-    assert m.canonical_dart_map() == dart_map
+    _assert_selected_roots_keep_the_canonical_form([m], random.Random(41))
 
 
 def test_nested_enriched_map_hands_few_roots_to_the_search(monkeypatch):
