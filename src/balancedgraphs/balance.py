@@ -23,6 +23,7 @@ from .surface_map import (
     CombinatorialMap,
     FaceColoring,
     alternating_coloring,
+    check_coloring,
 )
 
 DEFAULT_REGION_CAP = 10**6
@@ -64,13 +65,16 @@ def is_globally_balanced(
     Structural defects (a loop at a corner, no alternating coloring, a
     corner incident twice to one face) are reported as not balanced with a
     reason rather than raised; the last is read off the map's cached
-    ``face_corners`` table, which the dot graphs read too.
+    ``face_corners`` table, which the dot graphs read too.  A given
+    ``coloring`` must pass :func:`~balancedgraphs.surface_map.check_coloring`.
     """
     if coloring is None:
         try:
             coloring = alternating_coloring(m)
         except NotBipartiteFaces:
             return GlobalBalance(False, None, "no alternating face coloring exists")
+    else:
+        check_coloring(m, coloring.colors)
     if m.has_loops and m.corners:
         return GlobalBalance(False, None, "the graph has a loop")
     v = m.face_corners[1]

@@ -29,7 +29,7 @@ from .surface_map import COLOR_A, COLOR_B, CombinatorialMap, FaceColoring
 
 
 class Constellation(Record):
-    """Degree and permutations, stored 0-indexed in one-line notation."""
+    """Degree and permutations, stored 0-indexed in one-line notation as tuples."""
 
     d: int
     perms: tuple[Perm, ...]
@@ -37,8 +37,8 @@ class Constellation(Record):
     def __post_init__(self):
         if type(self.d) is not int or self.d < 1:
             raise InvariantViolation(f"degree must be positive, got {self.d!r}")
-        for p in self.perms:
-            check_permutation(p, self.d)
+        perms = check_sequence(self.perms)
+        self.__dict__["perms"] = tuple([check_permutation(p, self.d) for p in perms])
 
     @property
     def m(self) -> int:
@@ -191,7 +191,7 @@ def realize(m: CombinatorialMap, coloring: FaceColoring | None = None) -> Realiz
 
     ``coloring`` is a proper face two-coloring of ``m``, by default the
     alternating one; any other raises :class:`InvariantViolation` (see
-    :func:`~balancedgraphs.surface_map.check_coloring`).  The 2-valent
+    :func:`~balancedgraphs.balance.is_globally_balanced`).  The 2-valent
     vertices of ``m`` are spliced out first, since the dot graph counts
     corners only.  Not ``ok`` when ``m`` is not globally balanced, when
     the Hall condition fails (the witness names faces of ``m``) or when
@@ -199,8 +199,6 @@ def realize(m: CombinatorialMap, coloring: FaceColoring | None = None) -> Realiz
     raised, as the labeling's :class:`InconsistentPropagation` on some
     maps of genus above 0.
     """
-    if coloring is not None:
-        coloring = surface_map.check_coloring(m, coloring.colors)
     gb = balance.is_globally_balanced(m, coloring)
     if not gb.ok:
         return Realization(False, verdict=f"not globally balanced: {gb.reason}")

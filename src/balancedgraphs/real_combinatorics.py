@@ -420,23 +420,6 @@ def marked_canonical_key(m: CombinatorialMap, real_cycle) -> tuple:
     return (alpha, sigma, tuple([relabel[d] for d in real_cycle]))
 
 
-class CoverageRow(Record):
-    a: tuple[int, ...]
-    pairings: int
-    tableaux: int
-    kostka: int
-    bijection_ok: bool
-    mirrors_distinct: bool
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.pairings == self.tableaux == self.kostka
-            and self.bijection_ok
-            and self.mirrors_distinct
-        )
-
-
 def compositions(total: int, max_part: int):
     """Ordered compositions of ``total`` with parts in 1..max_part, in
     lexicographic order: each raises the last part below ``max_part`` with
@@ -453,44 +436,6 @@ def compositions(total: int, max_part: int):
             return
         parts[-1] += 1
         parts += [1] * (tail - 1)
-
-
-def count_coverage_check(d: int) -> list[CoverageRow]:
-    """Cross-check pairings, tableaux and K on every composition for degree d.
-
-    All three come from the one close-count table, so this checks the
-    conversions built on it, the bijection round trip element by element,
-    and that the mirror graphs of distinct pairings stay distinct as
-    marked maps.
-    """
-    rows = []
-    for a in compositions(2 * d - 2, d - 1):
-        if not 2 <= len(a) <= 2 * d - 2:
-            continue
-        t = WeightComposition(d, a)
-        pairings = enumerate_pairings(t)
-        tableaux = enumerate_ssyt(t)
-        k = kostka(t)
-        images = []
-        round_trip = True
-        for p in pairings:
-            tb = pairing_to_tableau(p)
-            images.append(tb)
-            if tableau_to_pairing(tb) != p:
-                round_trip = False
-        bijection_ok = round_trip and sorted(
-            tb.rows for tb in images
-        ) == [tb.rows for tb in tableaux]
-        keys = set()
-        for p in pairings:
-            graph, _, cycle = mirror_graph(p)
-            keys.add(marked_canonical_key(graph, cycle))
-        rows.append(
-            CoverageRow(
-                a, len(pairings), len(tableaux), k, bijection_ok, len(keys) == len(pairings)
-            )
-        )
-    return rows
 
 
 class _TextTable(dict):

@@ -261,6 +261,11 @@ class FaceColoring(Record):
 
     colors: tuple[str, ...]
 
+    def __post_init__(self):
+        if not isinstance(self.colors, (list, tuple)):
+            raise InvariantViolation("colors must assign A or B to every face")
+        self.__dict__["colors"] = tuple(self.colors)
+
     def color(self, face_id: int) -> str:
         return self.colors[face_id]
 

@@ -47,15 +47,27 @@ def test_criterion_1_counting_identity():
 def test_criterion_2_triple_enumerator_agreement():
     with criterion(2, "triple enumerator agreement"):
         started = time.perf_counter()
-        rows = 0
+        types = 0
         for d in range(2, 6):
-            for row in bg.count_coverage_check(d):
-                assert row.pairings == row.tableaux == row.kostka
+            for a in bg.compositions(2 * d - 2, d - 1):
+                if not 2 <= len(a) <= 2 * d - 2:
+                    continue
+                t = bg.WeightComposition(d, a)
+                pairings = bg.enumerate_pairings(t)
+                tableaux = bg.enumerate_ssyt(t)
                 # the three share one table; the column fill shares nothing
-                assert row.kostka == len(column_fill_ssyt(bg.WeightComposition(d, row.a)))
-                assert row.bijection_ok
-                rows += 1
-        assert rows > 0
+                assert len(pairings) == len(tableaux) == bg.kostka(t) == len(column_fill_ssyt(t))
+                images = [bg.pairing_to_tableau(p) for p in pairings]
+                assert [bg.tableau_to_pairing(tb) for tb in images] == pairings
+                assert sorted(tb.rows for tb in images) == [tb.rows for tb in tableaux]
+                # distinct pairings, distinct marked mirror graphs
+                keys = set()
+                for p in pairings:
+                    m, _, real_cycle = bg.mirror_graph(p)
+                    keys.add(bg.marked_canonical_key(m, real_cycle))
+                assert len(keys) == len(pairings)
+                types += 1
+        assert types == 138  # every type with d <= 5
         assert time.perf_counter() - started < 60.0
 
 

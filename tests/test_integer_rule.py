@@ -95,10 +95,18 @@ def test_ids_lie_in_range(name, build, count):
         lambda: bg.Constellation.from_cycles(3, [5]),
         lambda: bg.Constellation.from_cycles(3, [[(1, 2)], None]),
         lambda: bg.Constellation(3, [5]),
+        lambda: bg.Constellation(3, 5),
         lambda: bg.CombinatorialMap(None, None),
         lambda: bg.build_map(2, None, [0, 1]),
     ],
-    ids=["from_cycles slot", "from_cycles later slot", "constellation entry", "map", "build_map"],
+    ids=[
+        "from_cycles slot",
+        "from_cycles later slot",
+        "constellation entry",
+        "constellation perms",
+        "map",
+        "build_map",
+    ],
 )
 def test_non_sequences_are_rejected(build):
     with pytest.raises(bg.BadPermutation, match=r"^(5|None) is not a list or tuple$"):

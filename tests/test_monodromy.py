@@ -259,17 +259,22 @@ def test_realize_returns_each_verdict(counterexample):
 
 def test_realize_rejects_a_coloring_that_is_not_proper():
     # the (1, 1, 1, 1) mirror graph has six faces; a coloring with three A
-    # faces that is not proper, and one of eight faces, are both refused as
-    # the document reader refuses them
+    # faces that is not proper, ones of two and eight faces, and colors
+    # that are not a sequence are all refused as the document reader
+    # refuses them, by realize and by the balance gates it hands the
+    # coloring to
     t = bg.WeightComposition(3, (1, 1, 1, 1))
     m, coloring, _ = bg.mirror_graph(bg.NonCrossingPairing(t, ((1, 2), (3, 4))))
     assert m.face_count == 6 and bg.realize(m, coloring).ok
     for colors, message in (
         (("A", "A", "B", "B", "A", "B"), "colors is not a proper face two-coloring"),
+        (("A", "B"), "colors must assign A or B to every face"),
         (("A", "B") * 4, "colors must assign A or B to every face"),
+        (5, "colors must assign A or B to every face"),
     ):
-        with pytest.raises(bg.InvariantViolation, match=message):
-            bg.realize(m, bg.FaceColoring(colors))
+        for call in (bg.realize, bg.is_globally_balanced, bg.is_locally_balanced):
+            with pytest.raises(bg.InvariantViolation, match=message):
+                call(m, bg.FaceColoring(colors))
 
 
 def test_constellations_do_not_tell_pairings_apart():

@@ -87,12 +87,6 @@ CASES = {
         (((1, 3), (2, 4)),),
         "Tableau2Row(rows=((1, 2), (3, 4)))",
     ),
-    bg.CoverageRow: (
-        ((1, 1, 1, 1), 2, 2, 2, True, True),
-        ((1, 1, 1, 1), 2, 2, 2, True, False),
-        "CoverageRow(a=(1, 1, 1, 1), pairings=2, tableaux=2, kostka=2, bijection_ok=True, "
-        "mirrors_distinct=True)",
-    ),
     bg.FaceColoring: ((("A", "B"),), (("B", "A"),), "FaceColoring(colors=('A', 'B'))"),
     bg.MapDocument: (
         (CYCLE,),
@@ -174,9 +168,14 @@ def test_invariant_checks_still_run():
     for d, a in ((1, (1,)), (3, (1, 1)), (3, (3, 1)), (3, (1, 1, 1))):
         with pytest.raises(bg.InvariantViolation):
             bg.WeightComposition(d, a)
-    # the multiplicities are stored as a tuple
+    # the multiplicities, the permutations and the colors are stored as tuples
     assert bg.WeightComposition(3, [1, 1, 1, 1]) == TYPE
     assert bg.WeightComposition(3, [1, 1, 1, 1]).a == (1, 1, 1, 1)
+    for given, stored in (
+        (bg.Constellation(2, [[1, 0], [1, 0]]), bg.Constellation(2, ((1, 0), (1, 0)))),
+        (bg.FaceColoring(["A", "B"]), bg.FaceColoring(("A", "B"))),
+    ):
+        assert given == stored and hash(given) == hash(stored) and repr(given) == repr(stored)
 
 
 def test_unchecked_records_equal_checked():
