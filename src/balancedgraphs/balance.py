@@ -8,11 +8,15 @@ every such region, for both alternating colorings.
 The local-balance decision takes its verdict from the Hall condition on
 the dot graph, one maximum flow, and reads the certificate of a negative
 verdict off the flow's witness, so it is polynomial; a cycle has no
-corners, hence no dots, and passes vacuously.  The exhaustive region
-enumerator :func:`positive_regions` is off every decision path.
+corners, hence no dots, and passes vacuously.  The region enumerator
+:func:`positive_regions`, which tries each A face alone and each nonempty
+set of B faces with all their neighbors, is exponential in the number of
+B faces and off every decision path.
 """
 
 from __future__ import annotations
+
+from itertools import chain, combinations
 
 from ._record import Record
 from .enrichment import dot_graph, hall_check
@@ -152,64 +156,28 @@ def region_from_faces(
     return Region(inside, frozenset(boundary), tuple(cycles), a, b)
 
 
-def _grown_face_sets(m: CombinatorialMap, coloring: FaceColoring):
-    """Connected face sets in growth order.
-
-    Each set is grown from its least face, its root, by adding larger
-    neighbors, so roots come in increasing order and no set repeats.
-    Branches whose boundary exposes a B face inside against a face that
-    can no longer be absorbed are pruned.  The growth keeps an explicit
-    stack, so set size is not bounded by the recursion limit.
-    """
-    nf = m.face_count
-    neighbors = m.face_neighbors
-    is_a = [coloring.color(f) == COLOR_A for f in range(nf)]
-
-    def doomed(root: int, inside: frozenset[int], forbidden: frozenset[int]) -> bool:
-        # a B face inside exposes an A-side neighbor that can never be added
-        for f in inside:
-            if is_a[f]:
-                continue
-            for g in neighbors[f]:
-                if g not in inside and (g < root or g in forbidden):
-                    return True
-        return False
-
-    for root in range(nf):
-        inside = frozenset({root})
-        yield inside
-        if doomed(root, inside, frozenset()):
-            continue
-        # frame: faces, extension list, forbidden faces, next index
-        stack = [[inside, [g for g in neighbors[root] if g > root], frozenset(), 0]]
-        while stack:
-            frame = stack[-1]
-            inside, ext, forbidden, i = frame
-            if i == len(ext):
-                stack.pop()
-                continue
-            v = ext[i]
-            rest = ext[i + 1 :]
-            present = inside | set(rest) | forbidden | {v}
-            extra = [w for w in neighbors[v] if w > root and w not in present]
-            child = inside | {v}
-            frame[2] = forbidden | {v}
-            frame[3] = i + 1
-            yield child
-            if not doomed(root, child, forbidden):
-                stack.append([child, rest + extra, forbidden, 0])
-
-
 def positive_regions(m: CombinatorialMap, coloring: FaceColoring) -> list[Region]:
     """All regions, in sorted face-set order.
 
-    Enumerates connected face subsets by growth, pruning branches whose
-    boundary exposes a B face inside against an A face that can no longer
-    be absorbed, so it is exponential in the face count.  Raises
-    :class:`SizeLimitExceeded` past ``DEFAULT_REGION_CAP`` regions.
+    Under a proper coloring every edge joins an A face to a B face, and a
+    B face inside a region has all its neighbors inside, so a region is
+    one A face or a nonempty set of B faces with all their neighbors.
+    Those |A| + 2^|B| - 1 candidates, each set once, are decided by
+    :func:`region_from_faces`: exponential in the number of B faces.  The
+    coloring must pass :func:`~balancedgraphs.surface_map.check_coloring`.
+    Raises :class:`SizeLimitExceeded` past ``DEFAULT_REGION_CAP`` regions.
     """
+    check_coloring(m, coloring.colors)
+    neighbors = m.face_neighbors
+    b_faces = coloring.faces_of(COLOR_B)
+    b_sets = chain.from_iterable(
+        combinations(b_faces, k) for k in range(1, len(b_faces) + 1)
+    )
     found: list[Region] = []
-    for inside in _grown_face_sets(m, coloring):
+    for inside in chain(
+        [(f,) for f in coloring.faces_of(COLOR_A)],
+        (set(b).union(*[neighbors[f] for f in b]) for b in b_sets),
+    ):
         region = region_from_faces(m, coloring, inside)
         if region is not None:
             found.append(region)
@@ -232,9 +200,7 @@ def _witness_region(
     component is one.
     """
     neighbors = m.face_neighbors
-    around = set(witness)
-    for f in witness:
-        around.update(neighbors[f])
+    around = set(witness).union(*[neighbors[f] for f in witness])
     placed: set[int] = set()
     for start in sorted(around):
         if start in placed:

@@ -257,14 +257,18 @@ def build_map(dart_count: int, alpha, sigma) -> CombinatorialMap:
 
 
 class FaceColoring(Record):
-    """A proper two-coloring of the faces, values ``"A"`` and ``"B"``."""
+    """A two-coloring of the faces, values ``"A"`` and ``"B"``;
+    :func:`check_coloring` checks it against a map."""
 
     colors: tuple[str, ...]
 
     def __post_init__(self):
-        if not isinstance(self.colors, (list, tuple)):
+        colors = self.colors
+        if not isinstance(colors, (list, tuple)) or (
+            colors.count(COLOR_A) + colors.count(COLOR_B) != len(colors)
+        ):
             raise InvariantViolation("colors must assign A or B to every face")
-        self.__dict__["colors"] = tuple(self.colors)
+        self.__dict__["colors"] = tuple(colors)
 
     def color(self, face_id: int) -> str:
         return self.colors[face_id]
@@ -285,17 +289,15 @@ def check_coloring(m: CombinatorialMap, colors) -> FaceColoring:
     tuple giving ``"A"`` or ``"B"`` to every face and different colors to
     the two faces at each edge.
     """
-    if (
-        not isinstance(colors, (list, tuple))
-        or len(colors) != m.face_count
-        or any(c not in (COLOR_A, COLOR_B) for c in colors)
-    ):
+    coloring = FaceColoring(colors)
+    colors = coloring.colors
+    if len(colors) != m.face_count:
         raise InvariantViolation("colors must assign A or B to every face")
     fod = m.face_of_dart
     for d, e in m.edges:
         if colors[fod[d]] == colors[fod[e]]:
             raise InvariantViolation("colors is not a proper face two-coloring")
-    return FaceColoring(tuple(colors))
+    return coloring
 
 
 def face_adjacency(m: CombinatorialMap) -> tuple[tuple[int, int, int], ...]:

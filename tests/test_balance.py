@@ -222,7 +222,16 @@ def test_local_balance_agrees_with_brute_force(gb_corpus, counterexample):
 
 
 def test_local_balance_region_lists_agree_with_brute_force(gb_corpus):
-    for m in gb_corpus:
+    # glued maps with subdivided edges add 2-valent vertices, whose faces
+    # border the same neighbor across several edges
+    rng = random.Random(34)
+    subdivided = []
+    while len(subdivided) < 40:
+        m = random_glued_map(rng, rng.randint(3, 6), subdivide=True)
+        if m is not None and m.face_count <= 12:
+            assert 2 in m.vertex_valences
+            subdivided.append(m)
+    for m in list(gb_corpus) + subdivided:
         coloring = bg.alternating_coloring(m)
         for col in (coloring, coloring.flip()):
             ours = [r.sorted_faces() for r in bg.positive_regions(m, col)]
@@ -379,7 +388,7 @@ def test_positive_verdict_enumerates_no_regions(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("regions enumerated on a positive verdict")
 
-    monkeypatch.setattr(bg.balance, "_grown_face_sets", refuse)
+    monkeypatch.setattr(bg.balance, "positive_regions", refuse)
     monkeypatch.setattr(bg.balance, "region_from_faces", refuse)
     report = bg.is_locally_balanced(m, coloring)
     assert report.locally_balanced and report.d == d
@@ -399,7 +408,6 @@ def test_negative_verdict_enumerates_no_regions(monkeypatch, counterexample):
     def refuse(*args, **kwargs):
         raise AssertionError("regions enumerated on a negative verdict")
 
-    monkeypatch.setattr(bg.balance, "_grown_face_sets", refuse)
     monkeypatch.setattr(bg.balance, "positive_regions", refuse)
     m, coloring, cert = counterexample
     report = bg.is_locally_balanced(m, coloring)

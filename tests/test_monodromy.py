@@ -261,8 +261,9 @@ def test_realize_rejects_a_coloring_that_is_not_proper():
     # the (1, 1, 1, 1) mirror graph has six faces; a coloring with three A
     # faces that is not proper, ones of two and eight faces, and colors
     # that are not a sequence are all refused as the document reader
-    # refuses them, by realize and by the balance gates it hands the
-    # coloring to
+    # refuses them, by realize, by the balance gates it hands the coloring
+    # to and by the region enumerator, whose candidates assume a proper
+    # coloring
     t = bg.WeightComposition(3, (1, 1, 1, 1))
     m, coloring, _ = bg.mirror_graph(bg.NonCrossingPairing(t, ((1, 2), (3, 4))))
     assert m.face_count == 6 and bg.realize(m, coloring).ok
@@ -272,7 +273,12 @@ def test_realize_rejects_a_coloring_that_is_not_proper():
         (("A", "B") * 4, "colors must assign A or B to every face"),
         (5, "colors must assign A or B to every face"),
     ):
-        for call in (bg.realize, bg.is_globally_balanced, bg.is_locally_balanced):
+        for call in (
+            bg.realize,
+            bg.is_globally_balanced,
+            bg.is_locally_balanced,
+            bg.positive_regions,
+        ):
             with pytest.raises(bg.InvariantViolation, match=message):
                 call(m, bg.FaceColoring(colors))
 

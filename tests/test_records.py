@@ -168,6 +168,8 @@ def test_invariant_checks_still_run():
     for d, a in ((1, (1,)), (3, (1, 1)), (3, (3, 1)), (3, (1, 1, 1))):
         with pytest.raises(bg.InvariantViolation):
             bg.WeightComposition(d, a)
+    with pytest.raises(bg.InvariantViolation, match="^colors must assign A or B"):
+        bg.FaceColoring(("A", "Z"))
     # the multiplicities, the permutations and the colors are stored as tuples
     assert bg.WeightComposition(3, [1, 1, 1, 1]) == TYPE
     assert bg.WeightComposition(3, [1, 1, 1, 1]).a == (1, 1, 1, 1)

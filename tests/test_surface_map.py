@@ -262,7 +262,7 @@ def test_serialize_carries_decorations_as_the_orbit_walk_oracle():
         face_tags = [str(x) for x in rng.sample(range(m.dart_count), m.face_count)]
         for decorations in (
             (labels or tags, coloring or bg.alternating_coloring(m)),
-            (tags, bg.FaceColoring(tuple(face_tags))),
+            (tags, bg.FaceColoring._unchecked(tuple(face_tags))),
         ):
             args = (m, *decorations, cycle)
             assert bg.serialize(*args) == orbit_walk_serialize(*args)
