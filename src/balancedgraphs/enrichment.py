@@ -190,10 +190,12 @@ def enrich(m: CombinatorialMap, matching: DotMatching) -> CombinatorialMap:
     The pairs of one face pair are spread round-robin over the edges the
     two faces share, in edge-id order.  Old dart, vertex and face ids
     survive, and several pairs may subdivide the same edge.  Raises
-    :class:`InvariantViolation` on a key not a pair of face ids
-    (:func:`~balancedgraphs.surface_map.is_id`), a count not an integer
-    >= 0, and a pair of faces that share no edge.
+    :class:`InvariantViolation` on counts not a dict, a key not a pair of
+    face ids (:func:`~balancedgraphs.surface_map.is_id`), a count not an
+    integer >= 0, and a pair of faces that share no edge.
     """
+    if not isinstance(matching.counts, dict):
+        raise InvariantViolation(f"matching counts {matching.counts!r} are not a dict")
     if not matching.counts:
         return m
     fod, n = m.face_of_dart, m.face_count

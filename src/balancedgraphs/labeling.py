@@ -99,7 +99,7 @@ def verify_labeling(
     m: CombinatorialMap, coloring: FaceColoring, lab: VertexLabeling
 ) -> tuple[bool, str | None]:
     """Check both admissibility conditions; returns (ok, first violation).
-    Labels or an ``m`` that are not integers fail the range check.
+    Labels not in a list or tuple, and labels or an ``m`` not integers, fail.
 
     The half-valence check, kept as a stated consequence, cannot fail once
     every face reads 1..m: each face has one corner at each label, and for
@@ -108,7 +108,7 @@ def verify_labeling(
     degree.  For m <= 2 the Euler count leaves at most two vertices.
     """
     labels, mm = lab.labels, lab.m
-    if len(labels) != m.vertex_count:
+    if not isinstance(labels, (list, tuple)) or len(labels) != m.vertex_count:
         return False, "one label per vertex required"
     if type(mm) is not int or any(type(lb) is not int or not 1 <= lb <= mm for lb in labels):
         return False, "labels must lie in 1..m"

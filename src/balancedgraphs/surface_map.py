@@ -13,6 +13,8 @@ a face cycle keeps that face on the left of each dart.  The Euler count
 
 from __future__ import annotations
 
+from collections import Counter
+
 from ._documents import dump, is_int_list, load
 from ._record import Record, cached
 from .errors import (
@@ -204,9 +206,8 @@ class CombinatorialMap(Record):
 
     @cached
     def _canonical(self) -> tuple["CombinatorialMap", tuple[int, ...]]:
-        n = self.dart_count
         (alpha, sigma), dart_map = canonical_relabeling(
-            (self.alpha, self.sigma), n, _longest_run_roots(self.alpha, self.sigma)
+            (self.alpha, self.sigma), self.dart_count, _root_darts(self)
         )
         return CombinatorialMap._unchecked(alpha, sigma), dart_map
 
@@ -223,28 +224,31 @@ class CombinatorialMap(Record):
         return (canon.alpha, canon.sigma)
 
 
-def _longest_run_roots(alpha: Perm, sigma: Perm):
-    """The darts at vertices not 2-valent whose runs pass the most 2-valent
-    vertices, in dart order; every dart for maps without 2-valent vertices
-    and for cycles.
-
-    The run of such a dart crosses its edge by ``alpha`` and goes on by
-    ``alpha`` after ``sigma`` through each 2-valent vertex it reaches,
-    until it reaches a dart at another vertex.  The set is an isomorphism
-    invariant, so the least code over it is a canonical form.
+def _root_darts(m: CombinatorialMap):
+    """The darts canonical form starts from, in dart order: the rarest class
+    of darts at vertices not 2-valent, the least class on a tie, or every
+    dart of a cycle.  A class is a run length, a vertex valence and a face
+    length, packed into one integer that sorts as they do.  A dart's run
+    crosses its edge by ``alpha`` and goes on by ``alpha`` after ``sigma``
+    through the 2-valent vertices it reaches; its length is how many.  The
+    set is an isomorphism invariant, so the least code over it is canonical.
     """
-    two = [sigma[y] == x != y for x, y in enumerate(sigma)]
-    if all(two) or not any(two):
-        return range(len(alpha))
-    runs = []
-    for e in range(len(alpha)):
-        if not two[e]:
-            x, m = alpha[e], 0
-            while two[x]:
-                x, m = alpha[sigma[x]], m + 1
-            runs.append((m, e))
-    longest = max(runs)[0]
-    return [e for m, e in runs if m == longest]
+    alpha, sigma, n = m.alpha, m.sigma, m.dart_count
+    valence, vod, fod = m.vertex_valences, m.vertex_of_dart, m.face_of_dart
+    face_len = [len(f) for f in m.faces]
+    two = [valence[v] == 2 for v in vod]
+    darts = [e for e in range(n) if not two[e]]
+    if not darts:
+        return range(n)
+    keys = []
+    for e in darts:
+        x, r = alpha[e], 0
+        while two[x]:
+            x, r = alpha[sigma[x]], r + 1
+        keys.append((r * n + valence[vod[e]]) * n + face_len[fod[e]])
+    counts = Counter(keys)
+    rarest = min(counts, key=lambda k: (counts[k], k))
+    return [e for e, k in zip(darts, keys) if k == rarest]
 
 
 def build_map(dart_count: int, alpha, sigma) -> CombinatorialMap:
@@ -461,9 +465,9 @@ def serialize(
 
     The map is put into canonical form first, so ``darts``, ``alpha`` and
     ``sigma`` are stable across runs and across isomorphic dart labelings
-    of the same input: the least breadth-first relabeling over every dart,
-    or, on a map with both 2-valent vertices and others, over the darts at
-    the others whose runs pass the most 2-valent vertices.  The
+    of the same input: the least breadth-first relabeling over the rarest
+    class of darts at vertices that are not 2-valent, classed by run
+    length, vertex valence and face length (every dart of a cycle).  The
     decorations are carried over by the relabeling of the first of those
     roots reaching that form; on a map with automorphisms another labeling
     of the input may carry them differently, so ``labels``, ``colors`` and

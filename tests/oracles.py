@@ -163,20 +163,23 @@ def thurston_single_cycle_balanced(m, coloring) -> bool:
     return True
 
 
-def longest_run_roots(m):
+def rarest_class_roots(m):
     """The roots the canonical form starts from, read off the vertices.
 
-    Every dart when the map has no 2-valent vertex or nothing else;
-    otherwise the darts at the other vertices whose run passes the most
-    2-valent vertices.  A run crosses the edge of its dart and, at each
+    Every dart when every vertex is 2-valent.  Otherwise each dart at
+    another vertex is classed by the number of 2-valent vertices its run
+    passes, the valence of its vertex and the length of its face; the
+    roots are the darts of the class with the fewest darts, the least
+    class on a tie.  A run crosses the edge of its dart and, at each
     2-valent vertex it reaches, leaves by the vertex's other dart.
     """
     n = m.dart_count
     vertices, vertex = m.vertices, m.vertex_of_dart
     valence = [m.vertex_valences[v] for v in vertex]
-    if all(k == 2 for k in valence) or 2 not in valence:
+    if all(k == 2 for k in valence):
         return list(range(n))
-    lengths = {}
+    face_length = {d: len(face) for face in m.faces for d in face}
+    classes = {}
     for e in range(n):
         if valence[e] == 2:
             continue
@@ -184,14 +187,14 @@ def longest_run_roots(m):
         while valence[d] == 2:
             (other,) = set(vertices[vertex[d]]) - {d}
             d, passed = m.alpha[other], passed + 1
-        lengths[e] = passed
-    longest = max(lengths.values())
-    return [e for e in sorted(lengths) if lengths[e] == longest]
+        classes.setdefault((passed, valence[e], face_length[e]), []).append(e)
+    rarest = min(classes, key=lambda key: (len(classes[key]), key))
+    return sorted(classes[rarest])
 
 
 def all_roots_canonical(m):
     """Least breadth-first relabeling of a map over every root of
-    ``longest_run_roots``, unpruned.
+    ``rarest_class_roots``, unpruned.
 
     Returns the canonical key ``(alpha, sigma)`` and the dart map of the
     first root reaching it.  From a root, darts are numbered in the order
@@ -200,7 +203,7 @@ def all_roots_canonical(m):
     n = m.dart_count
     best = None
     best_map = None
-    for root in longest_run_roots(m):
+    for root in rarest_class_roots(m):
         new = [-1] * n
         new[root] = 0
         order = [root]

@@ -142,3 +142,16 @@ def test_verify_labeling_reports_non_integers(b2):
         assert bg.verify_labeling(b2, coloring, build(valid)) == (True, None)
         for x in non_integers(valid):
             assert bg.verify_labeling(b2, coloring, build(x)) == (False, "labels must lie in 1..m")
+    for labels in (None, 5, "12", {0: 1, 1: 2}):
+        assert bg.verify_labeling(b2, coloring, bg.VertexLabeling(2, labels)) == (
+            False,
+            "one label per vertex required",
+        )
+
+
+@pytest.mark.parametrize("counts", [None, (), 0, [((0, 1), 1)]], ids=repr)
+def test_enrich_rejects_counts_not_a_dict(counts):
+    # an empty non-dict once returned the map unchanged, and a list of
+    # pairs raised AttributeError
+    with pytest.raises(bg.InvariantViolation, match=r"^matching counts .* are not a dict$"):
+        bg.enrich(MIRROR, bg.DotMatching(counts))

@@ -20,9 +20,9 @@ from helpers import (
 )
 from oracles import (
     all_roots_canonical,
-    longest_run_roots,
     neighbor_table_coloring,
     orbit_walk_serialize,
+    rarest_class_roots,
     set_counted_dot_graph,
     set_scanned_corner_double_incidence,
     set_scanned_global_balance,
@@ -417,7 +417,7 @@ def _assert_selected_roots_keep_the_canonical_form(maps, rng):
         relabeled = m.relabel(rng.sample(range(m.dart_count), m.dart_count))
         assert relabeled.canonical_key() == m.canonical_key()
         for x in (m, relabeled):
-            assert list(surface_map._longest_run_roots(x.alpha, x.sigma)) == longest_run_roots(x)
+            assert list(surface_map._root_darts(x)) == rarest_class_roots(x)
             key, dart_map = all_roots_canonical(x)
             assert x.canonical_key() == key
             assert x.canonical_dart_map() == dart_map
@@ -566,6 +566,33 @@ def test_root_selection_on_corners_with_one_edge_loops():
     )
     assert sorted(m.vertex_valences)[-3:] == [2, 4, 4]
     _assert_selected_roots_keep_the_canonical_form([m], random.Random(41))
+
+
+def test_root_selection_on_maps_without_two_valent_vertices(constellation_corpus):
+    # every run has length 0, so the classes come from the valences of the
+    # vertices and the lengths of the faces alone: the mirror graphs read
+    # back as realize reads them, the pullbacks of constellations without a
+    # fixed point and random glued maps
+    rng = random.Random(3089)
+    maps = [
+        bg.deserialize(bg.serialize(m)).map for _, m, _, _ in all_mirror_graphs(5)
+    ]
+    maps += [
+        bg.pullback_from_constellation(c)[0]
+        for c in constellation_corpus
+        if all(p[x] != x for p in c.perms for x in range(c.d))
+    ]
+    glued = 0
+    while glued < 200:
+        m = random_glued_map(rng, rng.randint(3, 10))
+        if m is not None:
+            maps.append(m)
+            glued += 1
+    assert len(maps) > 650
+    assert all(2 not in m.vertex_valences for m in maps)
+    # the rarest class is smaller than the set of all darts on most maps
+    assert sum(len(surface_map._root_darts(m)) < m.dart_count for m in maps) > len(maps) // 2
+    _assert_selected_roots_keep_the_canonical_form(maps, rng)
 
 
 def test_nested_enriched_map_hands_few_roots_to_the_search(monkeypatch):
